@@ -608,10 +608,3 @@ def write_explanation_json(expl: LimeExplanation, path) -> None:
         json.dump(explanation_to_json(expl), fh, indent=2)
         fh.write("\n")
 
-
-def write_fit_csv(fit: SurrogateFit, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("segment,weight,std_error,p_value\n")
-        for j in range(len(fit.weights)):
-            fh.write(f"{j},{float(fit.weights[j])!r},"
-                     f"{float(fit.std_errors[j])!r},{float(fit.p_values[j])!r}\n")

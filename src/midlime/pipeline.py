@@ -3,20 +3,22 @@
 Stage order: decode audio, STFT + dB view, full-clip prediction, effects
 decomposition, target resolution, segmentation, per-segment attribution,
 masked spectrogram rendering, audio resynthesis, bundle writing. Every
-computation happens before the first byte is written, and a failure after
-writing started removes what was written, so an output directory is either
-complete or absent.
+computation happens before the first byte is written, and the files are
+written into a hidden sibling directory that one rename publishes, so an
+output directory is either complete or absent, even if the process is killed.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import os
+import shutil
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -247,8 +249,30 @@ def synthesize_modified(
     return griffin_lim(target, original.config, iterations, init_phase=original)
 
 
-def _prepare(config: RunConfig, timings: dict):
+@dataclass(frozen=True)
+class _Prepared:
+    """What both run paths share: input views, predictor, target, segments."""
+
+    clip: AudioClip
+    cspec: ComplexSpectrogram
+    dbspec: Spectrogram
+    predictor: object
+    caps: PredictorCapabilities
+    mid: np.ndarray
+    emotion: np.ndarray
+    effects: EffectsMatrix | None
+    discrepancy: np.ndarray | None
+    target: dict
+    seg_map: SegmentMap
+
+    @property
+    def target_label(self) -> str:
+        return f"{self.target['kind']}:{self.target['name']}"
+
+
+def _prepare(config: RunConfig, timings: dict) -> _Prepared:
     """Shared front half: decode, analyze, predict, resolve target, segment."""
+    _check_out_dir(Path(config.out_dir))
     with _stage("audio", timings):
         try:
             clip = decode_wav(config.audio_path)
@@ -257,7 +281,6 @@ def _prepare(config: RunConfig, timings: dict):
     with _stage("analysis", timings):
         cspec = stft(clip, config.stft)
         dbspec = magnitude_db(cspec)
-    predictor, caps = None, None
     with _stage("predictor", timings):
         predictor, caps = make_predictor(
             config.predictor, seed=config.predictor_seed,
@@ -281,7 +304,8 @@ def _prepare(config: RunConfig, timings: dict):
     except BaseException:
         predictor.close()
         raise
-    return clip, cspec, dbspec, predictor, caps, mid, emotion, effects, discrepancy, target_info, seg_map
+    return _Prepared(clip, cspec, dbspec, predictor, caps, mid, emotion, effects,
+                     discrepancy, target_info, seg_map)
 
 
 def _target_fn(predictor, target_info):
@@ -307,23 +331,24 @@ def run_explanation(config: RunConfig) -> ExplanationBundle:
     """The whole workflow; returns the bundle and leaves it on disk."""
     timings: dict = {}
     started = time.perf_counter()
-    (clip, cspec, dbspec, predictor, caps, mid, emotion, effects, discrepancy,
-     target_info, seg_map) = _prepare(config, timings)
-    predictor_exit = None
+    prep = _prepare(config, timings)
     try:
         with _stage("lime", timings):
             explanation = explain_instance(
-                _target_fn(predictor, target_info), dbspec, seg_map, config.lime,
-                target=f"{target_info['kind']}:{target_info['name']}",
+                _target_fn(prep.predictor, prep.target), prep.dbspec, prep.seg_map,
+                config.lime, target=prep.target_label,
                 batch_size=config.batch_size, workers=_lime_workers(config),
             )
         log.info("selected %d segments (%d positive, %d negative)",
                  len(explanation.selected), len(explanation.positive_ids),
                  len(explanation.negative_ids))
         with _stage("render", timings):
-            pos_spec = _indicator_masked(dbspec, seg_map, explanation.positive_ids)
-            neg_spec = _indicator_masked(dbspec, seg_map, explanation.negative_ids)
+            pos_spec = _indicator_masked(prep.dbspec, prep.seg_map,
+                                         explanation.positive_ids)
+            neg_spec = _indicator_masked(prep.dbspec, prep.seg_map,
+                                         explanation.negative_ids)
         with _stage("synthesis", timings):
+            cspec, seg_map = prep.cspec, prep.seg_map
             clips = {
                 "masked_pos": synthesize_modified(
                     cspec, explanation, seg_map, MODE_MASK_ONLY,
@@ -341,15 +366,18 @@ def run_explanation(config: RunConfig) -> ExplanationBundle:
                     iterations=config.gl_iterations),
             }
     finally:
-        predictor_exit = predictor.close()
+        predictor_exit = prep.predictor.close()
 
+    caps = prep.caps
+    names = {k: v for k, v in BUNDLE_FILES.items()
+             if k != "effects" or prep.effects is not None}
     report = {
         "version": __version__,
         "audio": {
             "path": str(config.audio_path),
-            "sample_rate": clip.sample_rate,
-            "samples": len(clip.samples),
-            "duration_s": round(clip.duration, 6),
+            "sample_rate": prep.clip.sample_rate,
+            "samples": len(prep.clip.samples),
+            "duration_s": round(prep.clip.duration, 6),
         },
         "config": {
             "predictor": config.predictor,
@@ -379,72 +407,80 @@ def run_explanation(config: RunConfig) -> ExplanationBundle:
             "has_linear_head": caps.linear_head is not None,
             "exit_code": predictor_exit,
         },
-        "target": target_info,
+        "target": prep.target,
         "prediction": {
-            "mid": [float(v) for v in mid],
-            "emotion": [float(v) for v in emotion],
+            "mid": [float(v) for v in prep.mid],
+            "emotion": [float(v) for v in prep.emotion],
         },
         "linear_head_discrepancy": (
-            [float(v) for v in discrepancy] if discrepancy is not None else None
+            [float(v) for v in prep.discrepancy]
+            if prep.discrepancy is not None else None
         ),
-        "spectrogram": {"bins": dbspec.shape[0], "frames": dbspec.shape[1]},
-        "segments": {"count": seg_map.segment_count},
+        "spectrogram": {"bins": prep.dbspec.shape[0], "frames": prep.dbspec.shape[1]},
+        "segments": {"count": prep.seg_map.segment_count},
         "selected": {
             "total": len(explanation.selected),
             "positive": len(explanation.positive_ids),
             "negative": len(explanation.negative_ids),
         },
-        "files": {k: v for k, v in BUNDLE_FILES.items()
-                  if k != "effects" or effects is not None},
+        "files": names,
     }
 
+    def write(tmp: Path) -> None:
+        path = {k: tmp / v for k, v in names.items()}
+        _write_json(path["prediction"], {
+            "mid_names": list(caps.mid_names),
+            "mid": [float(v) for v in prep.mid],
+            "emotion_names": list(caps.emotion_names),
+            "emotion": [float(v) for v in prep.emotion],
+        })
+        if prep.effects is not None:
+            write_effects_csv(prep.effects, caps.linear_head, path["effects"])
+        write_explanation_json(explanation, path["explanation"])
+        write_segment_csv(prep.seg_map, path["segments"])
+        np.savetxt(path["pos_mask"], pos_spec.values, fmt="%.17g", delimiter=",")
+        np.savetxt(path["neg_mask"], neg_spec.values, fmt="%.17g", delimiter=",")
+        for key in ("masked_pos", "masked_neg", "modified_add", "modified_sub"):
+            encode_wav(clips[key], path[key])
+        report["timings_s"] = {**timings,
+                               "total": round(time.perf_counter() - started, 6)}
+        _write_json(path["report"], report)
+
     out_dir = Path(config.out_dir)
-    created_dir = not out_dir.exists()
-    written: list[Path] = []
+    with _stage("write", timings):
+        _publish(out_dir, write)
+    return ExplanationBundle(out_dir=out_dir,
+                             files={k: out_dir / v for k, v in names.items()},
+                             report=report, explanation=explanation)
+
+
+def _check_out_dir(out_dir: Path) -> None:
+    """Refuse an output path that the bundle could not be renamed onto."""
+    if os.path.lexists(out_dir) and (not out_dir.is_dir() or any(out_dir.iterdir())):
+        raise ConfigError(
+            f"output path {out_dir} exists and is not an empty directory; "
+            "pass a new or empty directory"
+        )
+
+
+def _publish(out_dir: Path, write: Callable[[Path], None]) -> None:
+    """Write a bundle with `write(tmp)`, then publish `tmp` as `out_dir`.
+
+    `tmp` is a fresh hidden sibling, `.<name>.<random>`, made by a plain
+    mkdir so that it gets the mode `out_dir` would get. One rename, which
+    replaces an absent or empty `out_dir`, publishes it, and any exception
+    removes it. A killed process may leave `tmp` behind, but never a partial
+    `out_dir`.
+    """
+    out_dir.parent.mkdir(parents=True, exist_ok=True)
+    tmp = out_dir.parent / f".{out_dir.name}.{os.urandom(6).hex()}"
+    tmp.mkdir()
     try:
-        with _stage("write", timings):
-            out_dir.mkdir(parents=True, exist_ok=True)
-
-            def path_of(key: str) -> Path:
-                p = out_dir / BUNDLE_FILES[key]
-                written.append(p)
-                return p
-
-            _write_json(path_of("prediction"), {
-                "mid_names": list(caps.mid_names),
-                "mid": [float(v) for v in mid],
-                "emotion_names": list(caps.emotion_names),
-                "emotion": [float(v) for v in emotion],
-            })
-            if effects is not None:
-                write_effects_csv(effects, caps.linear_head, path_of("effects"))
-            write_explanation_json(explanation, path_of("explanation"))
-            write_segment_csv(seg_map, path_of("segments"))
-            np.savetxt(path_of("pos_mask"), pos_spec.values, fmt="%.17g", delimiter=",")
-            np.savetxt(path_of("neg_mask"), neg_spec.values, fmt="%.17g", delimiter=",")
-            for key in ("masked_pos", "masked_neg", "modified_add", "modified_sub"):
-                encode_wav(clips[key], path_of(key))
-            report["timings_s"] = {**timings,
-                                   "total": round(time.perf_counter() - started, 6)}
-            _write_json(out_dir / BUNDLE_FILES["report"], report)
-            written.append(out_dir / BUNDLE_FILES["report"])
+        write(tmp)
+        os.rename(tmp, out_dir)
     except BaseException:
-        for p in written:
-            try:
-                p.unlink()
-            except OSError:
-                pass
-        if created_dir:
-            try:
-                out_dir.rmdir()
-            except OSError:
-                pass
+        shutil.rmtree(tmp, ignore_errors=True)
         raise
-
-    files = {k: out_dir / v for k, v in BUNDLE_FILES.items()
-             if k != "effects" or effects is not None}
-    return ExplanationBundle(out_dir=out_dir, files=files, report=report,
-                             explanation=explanation)
 
 
 def _indicator_masked(dbspec: Spectrogram, seg_map: SegmentMap,
@@ -476,11 +512,10 @@ def run_stability(config: RunConfig, seeds: Sequence[int],
         raise ConfigError("stability needs at least one sample count")
 
     timings: dict = {}
-    (clip, cspec, dbspec, predictor, caps, mid, emotion, effects, discrepancy,
-     target_info, seg_map) = _prepare(config, timings)
+    prep = _prepare(config, timings)
     results: dict = {}
     try:
-        fn = _target_fn(predictor, target_info)
+        fn = _target_fn(prep.predictor, prep.target)
         workers = _lime_workers(config)
         for count in sample_counts:
             explanations = []
@@ -488,8 +523,8 @@ def run_stability(config: RunConfig, seeds: Sequence[int],
                 lime_cfg = replace(config.lime, seed=seed, n_samples=count)
                 with _stage(f"lime[n={count},seed={seed}]", timings):
                     explanations.append(explain_instance(
-                        fn, dbspec, seg_map, lime_cfg,
-                        target=f"{target_info['kind']}:{target_info['name']}",
+                        fn, prep.dbspec, prep.seg_map, lime_cfg,
+                        target=prep.target_label,
                         batch_size=config.batch_size, workers=workers,
                     ))
             results[count] = {
@@ -497,39 +532,21 @@ def run_stability(config: RunConfig, seeds: Sequence[int],
                 "selected_counts": [len(e.selected) for e in explanations],
             }
     finally:
-        predictor.close()
+        prep.predictor.close()
 
-    out_dir = Path(config.out_dir)
-    created_dir = not out_dir.exists()
-    written: list[Path] = []
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        pairwise = out_dir / "stability.csv"
-        written.append(pairwise)
-        with open(pairwise, "w", encoding="utf-8") as fh:
+    def write(tmp: Path) -> None:
+        with open(tmp / "stability.csv", "w", encoding="utf-8") as fh:
             fh.write("sample_count,seed_i,seed_j,jaccard\n")
             for count in sample_counts:
                 for i, j, value in results[count]["score"].per_pair:
                     fh.write(f"{count},{seeds[i]},{seeds[j]},{value!r}\n")
-        summary = out_dir / "stability_summary.csv"
-        written.append(summary)
-        with open(summary, "w", encoding="utf-8") as fh:
+        with open(tmp / "stability_summary.csv", "w", encoding="utf-8") as fh:
             fh.write("sample_count,mean_pairwise_jaccard,seeds,selected_counts\n")
             for count in sample_counts:
                 score = results[count]["score"]
                 counts = " ".join(str(c) for c in results[count]["selected_counts"])
                 fh.write(f"{count},{score.mean_pairwise_jaccard!r},"
                          f"{' '.join(map(str, seeds))},{counts}\n")
-    except BaseException:
-        for p in written:
-            try:
-                p.unlink()
-            except OSError:
-                pass
-        if created_dir:
-            try:
-                out_dir.rmdir()
-            except OSError:
-                pass
-        raise
+
+    _publish(Path(config.out_dir), write)
     return results

@@ -34,7 +34,7 @@ import subprocess
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -236,11 +236,6 @@ class ConstantPredictor:
         pass
 
 
-def builtin_predict(batch: Sequence[Spectrogram], seed: int = 0):
-    """One-shot convenience over BuiltinPredictor."""
-    return BuiltinPredictor(seed).predict(batch)
-
-
 def _parse_capabilities(msg: dict) -> PredictorCapabilities:
     if "protocol" in msg and msg["protocol"] != PROTOCOL_VERSION:
         raise ProtocolVersionError(
@@ -321,10 +316,10 @@ class ExternalPredictor:
             raise SpawnError(f"cannot spawn predictor {self._argv!r}: {exc}") from exc
         flags = fcntl.fcntl(self._proc.stdin.fileno(), fcntl.F_GETFL)
         fcntl.fcntl(self._proc.stdin.fileno(), fcntl.F_SETFL, flags | os.O_NONBLOCK)
-        line = self._exchange(
-            [self._encode({"type": "handshake", "protocol": PROTOCOL_VERSION})],
-            want=1,
-        )[0]
+        lines: list[bytes] = []
+        self._relay(self._proc, deque([self._encode(
+            {"type": "handshake", "protocol": PROTOCOL_VERSION})]), 1, lines.append)
+        line = lines[0]
         msg = self._decode(line)
         if msg.get("type") != "capabilities":
             raise ProtocolError(
@@ -350,28 +345,27 @@ class ExternalPredictor:
         if size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {size}")
         shape = list(batch[0].values.shape)
-        chunks: list[tuple[int, int, int]] = []  # (id, start, stop)
-        payloads: deque[tuple[int, bytes]] = deque()
+        bounds: dict[int, tuple[int, int]] = {}
+        payloads: deque[bytes] = deque()
         for start in range(0, len(batch), size):
             stop = min(start + size, len(batch))
             cid = self._next_id
             self._next_id += 1
-            msg = {
+            bounds[cid] = (start, stop)
+            payloads.append(self._encode({
                 "type": "predict",
                 "id": cid,
                 "shape": shape,
                 "scale": batch[start].scale,
                 "batch": [batch[i].values.ravel().tolist() for i in range(start, stop)],
-            }
-            chunks.append((cid, start, stop))
-            payloads.append((cid, self._encode(msg)))
-        bounds = {cid: (start, stop) for cid, start, stop in chunks}
-        replies = self._relay(payloads, bounds)
+            }))
+        pending = set(bounds)
+        replies: dict[int, tuple[list, list]] = {}
+        self._relay(self._proc, payloads, len(bounds),
+                    lambda line: self._handle_prediction(line, pending, bounds, replies))
         out: list[tuple[np.ndarray, np.ndarray]] = [None] * len(batch)  # type: ignore
-        for cid, start, stop in chunks:
-            mids, emotions = replies[cid]
-            for k in range(stop - start):
-                out[start + k] = (mids[k], emotions[k])
+        for cid, (start, stop) in bounds.items():
+            out[start:stop] = zip(*replies[cid])
         return out
 
     def close(self) -> int | None:
@@ -383,8 +377,8 @@ class ExternalPredictor:
         try:
             if proc.poll() is None:
                 try:
-                    self._exchange([self._encode({"type": "shutdown"})], want=0,
-                                   proc=proc)
+                    self._relay(proc, deque([self._encode({"type": "shutdown"})]), 0,
+                                lambda line: None)
                 except (TransportError, PredictorTimeoutError, OSError):
                     pass
             proc.stdin.close()
@@ -418,81 +412,41 @@ class ExternalPredictor:
                                 line=line.decode("utf-8", "replace"))
         return msg
 
-    def _exchange(self, payloads: list[bytes], want: int,
-                  proc: subprocess.Popen | None = None) -> list[bytes]:
-        """Write small messages and read `want` reply lines."""
-        proc = proc or self._proc
-        outbox = bytearray(b"".join(payloads))
-        lines: list[bytes] = []
-        sel = selectors.DefaultSelector()
-        sel.register(proc.stdout, selectors.EVENT_READ)
-        if outbox:
-            sel.register(proc.stdin, selectors.EVENT_WRITE)
-        try:
-            deadline = time.monotonic() + self._timeout
-            while outbox or len(lines) < want:
-                line = self._take_line()
-                if line is not None:
-                    lines.append(line)
-                    continue
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise PredictorTimeoutError(
-                        f"no reply from predictor within {self._timeout}s"
-                    )
-                events = sel.select(remaining)
-                progressed = False
-                for key, _ in events:
-                    if key.fileobj is proc.stdout:
-                        progressed |= self._fill_buffer(proc)
-                    else:
-                        try:
-                            n = os.write(proc.stdin.fileno(), outbox[:65536])
-                        except BlockingIOError:
-                            n = 0
-                        del outbox[:n]
-                        progressed = n > 0
-                        if not outbox:
-                            sel.unregister(proc.stdin)
-                if progressed:
-                    deadline = time.monotonic() + self._timeout
-        finally:
-            sel.close()
-        return lines
+    def _relay(self, proc: subprocess.Popen, payloads: deque[bytes], want: int,
+               on_line: Callable[[bytes], None]) -> None:
+        """Send and drop `payloads` in order; hand `want` reply lines to `on_line`.
 
-    def _relay(self, payloads: deque[tuple[int, bytes]],
-               bounds: dict[int, tuple[int, int]]) -> dict:
-        """Pipelined predict exchange with a bounded outstanding window."""
-        proc = self._proc
-        replies: dict[int, tuple[list, list]] = {}
-        pending: set[int] = set()
+        At most `window` payloads await a reply at any time, and any read or
+        write that makes progress restarts the timeout.
+        """
         outbox = bytearray()
+        sent = got = 0
         sel = selectors.DefaultSelector()
         sel.register(proc.stdout, selectors.EVENT_READ)
         stdin_armed = False
         try:
             deadline = time.monotonic() + self._timeout
-            while len(replies) < len(bounds):
-                while payloads and len(pending) < self._window:
-                    cid, data = payloads.popleft()
-                    pending.add(cid)
-                    outbox += data
-                if outbox and not stdin_armed:
-                    sel.register(proc.stdin, selectors.EVENT_WRITE)
-                    stdin_armed = True
-                elif not outbox and stdin_armed:
-                    sel.unregister(proc.stdin)
-                    stdin_armed = False
+            while payloads or outbox or got < want:
+                while payloads and sent - got < self._window:
+                    outbox += payloads.popleft()
+                    sent += 1
+                if bool(outbox) != stdin_armed:
+                    if outbox:
+                        sel.register(proc.stdin, selectors.EVENT_WRITE)
+                    else:
+                        sel.unregister(proc.stdin)
+                    stdin_armed = bool(outbox)
                 line = self._take_line()
                 if line is not None:
-                    self._handle_prediction(line, pending, bounds, replies)
+                    on_line(line)
+                    got += 1
                     deadline = time.monotonic() + self._timeout
                     continue
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     raise PredictorTimeoutError(
-                        f"predictor silent for {self._timeout}s with chunks "
-                        f"{sorted(pending)} outstanding"
+                        f"predictor silent for {self._timeout}s with "
+                        f"{want - got} of {want} replies outstanding"
                     )
                 progressed = False
                 for key, _ in sel.select(remaining):
@@ -514,7 +468,6 @@ class ExternalPredictor:
                     deadline = time.monotonic() + self._timeout
         finally:
             sel.close()
-        return replies
 
     def _take_line(self) -> bytes | None:
         i = self._buf.find(b"\n")

@@ -7,6 +7,7 @@ machines and worker counts.
 
 from __future__ import annotations
 
+import os
 import sys
 from pathlib import Path
 
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
+import midlime
 from midlime import rng
 from midlime.audio import AudioClip, encode_wav
 from midlime.dsp import SCALE_DB, Spectrogram, StftConfig
@@ -28,6 +30,13 @@ SAMPLE_RATE = 22050
 
 def child_command(mode: str = "echo") -> str:
     return f"{sys.executable} {CHILD_SCRIPT} --mode {mode}"
+
+
+def package_env() -> dict:
+    """The environment for a child interpreter that imports this midlime."""
+    package_root = str(Path(midlime.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
 
 
 def sine(freq: float, t: np.ndarray) -> np.ndarray:

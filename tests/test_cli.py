@@ -1,5 +1,8 @@
 """Command-line behaviour: argument handling, exit codes, printed summaries."""
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -15,7 +18,7 @@ from midlime.errors import (
 )
 from midlime.lime import FillStrategy
 
-from conftest import uniform_noise
+from conftest import package_env, uniform_noise
 
 FAST = [
     "--samples", "600",
@@ -180,3 +183,13 @@ class TestExitCodeMapping:
         assert exit_code_for(nested) == 2
         assert exit_code_for(StageError("predictor", SpawnError("x"))) == 3
         assert exit_code_for(StageError("audio", AudioIOError("x"))) == 4
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats takes most of a second to import, on every launch.
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, midlime.cli; print('scipy.stats' in sys.modules)"],
+        env=package_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

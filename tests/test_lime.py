@@ -37,7 +37,6 @@ from midlime.lime import (
     select_features,
     stability_score,
     write_explanation_json,
-    write_fit_csv,
 )
 
 from conftest import PlantedBlackBox, block_map, db_spec, random_db_image
@@ -536,16 +535,3 @@ class TestSerialization:
         write_explanation_json(expl, path)
         again = json.loads(path.read_text())
         assert again == json.loads(json.dumps(payload))
-
-    def test_fit_csv_layout(self, tmp_path):
-        masks = sample_masks(4, LimeConfig(n_samples=30, seed=11)).masks
-        targets = masks @ np.array([1.0, -1.0, 0.0, 0.0]) + 0.1
-        fit = fit_surrogate(masks, targets, np.ones(30))
-        path = tmp_path / "fit.csv"
-        write_fit_csv(fit, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "segment,weight,std_error,p_value"
-        assert len(lines) == 1 + 4
-        first = lines[1].split(",")
-        assert first[0] == "0"
-        assert float(first[1]) == pytest.approx(1.0, abs=1e-8)

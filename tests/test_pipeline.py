@@ -2,15 +2,20 @@
 
 import json
 import os
+import signal
+import stat
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import midlime
+from midlime import pipeline
 from midlime.audio import AudioClip, decode_wav, encode_wav
+from midlime.cli import main as cli_main
 from midlime.dsp import SCALE_DB, StftConfig, istft, magnitude_db, stft
 from midlime.errors import (
     AudioIOError,
@@ -34,7 +39,7 @@ from midlime.pipeline import (
 from midlime.predictor import BuiltinPredictor, ConstantPredictor, ExternalPredictor
 from midlime.segmentation import SegmentationConfig
 
-from conftest import GOLDEN_DIR, child_command
+from conftest import GOLDEN_DIR, child_command, package_env
 
 FAST_STFT = StftConfig(frame_size=1024, hop_size=512)
 
@@ -152,6 +157,74 @@ class TestGolden:
         bundle = run_explanation(config)
         produced = (bundle.out_dir / BUNDLE_FILES["explanation"]).read_bytes()
         assert produced == golden.read_bytes()
+
+
+class TestPublish:
+    def test_killed_write_leaves_no_out_dir(self, fixture_wav, tmp_path):
+        out = tmp_path / "killed"
+        script = (
+            "import os, signal, sys\n"
+            "from midlime import pipeline\n"
+            "from midlime.dsp import StftConfig\n"
+            "from midlime.lime import LimeConfig\n"
+            "pipeline.encode_wav = lambda *a, **k: os.kill(os.getpid(), signal.SIGKILL)\n"
+            "pipeline.run_explanation(pipeline.RunConfig(\n"
+            "    audio_path=sys.argv[1], out_dir=sys.argv[2],\n"
+            "    lime=LimeConfig(n_samples=600, seed=42),\n"
+            "    stft=StftConfig(frame_size=1024, hop_size=512), gl_iterations=3))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script, str(fixture_wav), str(out)],
+                              env=package_env(), capture_output=True, timeout=600)
+        assert proc.returncode == -signal.SIGKILL, proc.stderr.decode(errors="replace")
+        assert not out.exists()
+        # Only the hidden sibling the write was filling is left behind.
+        assert all(p.name.startswith(".killed.") for p in tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command", ["explain", "stability"])
+    def test_non_empty_out_is_refused_untouched(self, command, fixture_wav, tmp_path,
+                                                monkeypatch, capsys):
+        out = tmp_path / "full"
+        out.mkdir()
+        (out / "report.json").write_bytes(b"{}\n")
+        (out / "notes.txt").write_bytes(b"keep me\n")
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        stages = []
+        monkeypatch.setattr(pipeline, "decode_wav", lambda *a: stages.append("audio"))
+        monkeypatch.setattr(pipeline, "make_predictor",
+                            lambda *a, **k: stages.append("predictor"))
+        code = cli_main([command, "--audio", str(fixture_wav), "--out", str(out),
+                         "--samples", "600"])
+        assert code == 2
+        assert "not an empty directory" in capsys.readouterr().err
+        assert stages == []
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        assert os.listdir(tmp_path) == ["full"]
+
+    def test_stability_write_failure_leaves_no_out_dir(self, fixture_wav, tmp_path,
+                                                       monkeypatch):
+        score_of = pipeline.stability_score
+
+        def failing_score(explanations):
+            score = score_of(explanations)
+
+            def pairs():
+                yield from score.per_pair
+                raise OSError("disk full")
+
+            return replace(score, per_pair=pairs())
+
+        monkeypatch.setattr(pipeline, "stability_score", failing_score)
+        config = fast_config(fixture_wav, tmp_path / "stab",
+                             lime=LimeConfig(n_samples=600, seed=0))
+        with pytest.raises(OSError, match="disk full"):
+            run_stability(config, seeds=[1, 2], sample_counts=[600])
+        assert os.listdir(tmp_path) == []
+
+    def test_published_dir_has_plain_mkdir_mode(self, bundle):
+        reference = bundle.out_dir.parent / f"{bundle.out_dir.name}-plain"
+        reference.mkdir()
+        mode = stat.S_IMODE(bundle.out_dir.stat().st_mode)
+        assert mode == stat.S_IMODE(reference.stat().st_mode)
 
 
 # Process-local OpenBLAS settings that pick other kernels or thread counts.

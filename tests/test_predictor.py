@@ -1,6 +1,7 @@
 """Builtin predictor closed forms and the external stdio gateway."""
 
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -28,7 +29,6 @@ from midlime.predictor import (
     LinearHead,
     PredictorCapabilities,
     _parse_capabilities,
-    builtin_predict,
     external_handshake,
 )
 
@@ -143,12 +143,6 @@ class TestBuiltin:
         assert caps.linear_head is not None
         assert caps.mid_names[:3] == ("melodiousness", "rhythmic_complexity",
                                       "articulation")
-
-    def test_convenience_wrapper(self):
-        spec = tiny_spec(9)
-        direct = BuiltinPredictor(seed=4).predict([spec])
-        wrapped = builtin_predict([spec], seed=4)
-        assert np.array_equal(direct[0][0], wrapped[0][0])
 
 
 class TestConstantPredictor:
@@ -284,6 +278,23 @@ class TestGateway:
         gateway = ExternalPredictor(child_command("old-protocol"), timeout=10)
         try:
             with pytest.raises(ProtocolVersionError):
+                gateway.start()
+        finally:
+            gateway.close()
+
+    def test_child_closing_stdin_before_handshake(self, monkeypatch):
+        encode = ExternalPredictor._encode
+
+        def late_encode(msg):
+            # Let the child close its stdin before the handshake is written.
+            if msg["type"] == "handshake":
+                time.sleep(0.3)
+            return encode(msg)
+
+        monkeypatch.setattr(ExternalPredictor, "_encode", staticmethod(late_encode))
+        gateway = ExternalPredictor(["sh", "-c", "exec 0<&-; sleep 1"], timeout=10)
+        try:
+            with pytest.raises(TransportError):
                 gateway.start()
         finally:
             gateway.close()
