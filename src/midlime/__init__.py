@@ -35,6 +35,7 @@ from .lime import (
     FillStrategy,
     LimeConfig,
     LimeExplanation,
+    MaskBatch,
     MaskSet,
     SurrogateFit,
     apply_mask,
@@ -77,7 +78,8 @@ __all__ = [
     "EffectsMatrix", "global_effects", "head_discrepancy", "instance_effects",
     "top_effect",
     "MidlimeError",
-    "FillStrategy", "LimeConfig", "LimeExplanation", "MaskSet", "SurrogateFit",
+    "FillStrategy", "LimeConfig", "LimeExplanation", "MaskBatch", "MaskSet",
+    "SurrogateFit",
     "apply_mask", "explain_instance", "fit_surrogate", "proximity_weight",
     "sample_masks", "select_features", "stability_score",
     "BuiltinPredictor", "ConstantPredictor", "ExternalPredictor", "LinearHead",

@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from scipy import special
@@ -162,9 +163,7 @@ def sample_masks(n_segments: int, config: LimeConfig) -> MaskSet:
     return MaskSet(masks=masks)
 
 
-def apply_mask(spec: Spectrogram, seg_map: SegmentMap, mask: np.ndarray,
-               fill: FillStrategy) -> Spectrogram:
-    """Keep pixels of mask=1 segments; replace the rest per the fill strategy."""
+def _check_instance(spec: Spectrogram, seg_map: SegmentMap) -> None:
     if spec.scale != SCALE_DB:
         raise ScaleMismatchError(f"masking operates on dB spectrograms, got '{spec.scale}'")
     if seg_map.labels.shape != spec.values.shape:
@@ -172,6 +171,25 @@ def apply_mask(spec: Spectrogram, seg_map: SegmentMap, mask: np.ndarray,
             f"segment map {seg_map.labels.shape} does not match spectrogram "
             f"{spec.values.shape}"
         )
+
+
+def _filler(spec: Spectrogram, seg_map: SegmentMap, fill: FillStrategy) -> np.ndarray:
+    """The pixels that masked-out segments take under `fill`."""
+    values = spec.values
+    if fill is FillStrategy.SILENCE_FLOOR:
+        return np.full_like(values, spec.config.floor_db)
+    if fill is FillStrategy.SEGMENT_MEAN:
+        flat = seg_map.labels.ravel()
+        sums = np.bincount(flat, weights=values.ravel(), minlength=seg_map.segment_count)
+        counts = np.bincount(flat, minlength=seg_map.segment_count)
+        return (sums / counts)[seg_map.labels]
+    return np.full_like(values, values.mean())
+
+
+def apply_mask(spec: Spectrogram, seg_map: SegmentMap, mask: np.ndarray,
+               fill: FillStrategy) -> Spectrogram:
+    """Keep pixels of mask=1 segments; replace the rest per the fill strategy."""
+    _check_instance(spec, seg_map)
     mask = np.asarray(mask)
     if mask.shape != (seg_map.segment_count,):
         raise ShapeMismatchError(
@@ -182,18 +200,58 @@ def apply_mask(spec: Spectrogram, seg_map: SegmentMap, mask: np.ndarray,
     keep = mask.astype(bool)[seg_map.labels]
     if keep.all():
         return spec
-    values = spec.values
-    if fill is FillStrategy.SILENCE_FLOOR:
-        filler = np.full_like(values, spec.config.floor_db)
-    elif fill is FillStrategy.SEGMENT_MEAN:
-        flat = seg_map.labels.ravel()
-        sums = np.bincount(flat, weights=values.ravel(), minlength=seg_map.segment_count)
-        counts = np.bincount(flat, minlength=seg_map.segment_count)
-        filler = (sums / counts)[seg_map.labels]
-    else:
-        filler = np.full_like(values, values.mean())
-    return Spectrogram(values=np.where(keep, values, filler), scale=spec.scale,
-                       config=spec.config, sample_rate=spec.sample_rate)
+    return Spectrogram(values=np.where(keep, spec.values, _filler(spec, seg_map, fill)),
+                       scale=spec.scale, config=spec.config, sample_rate=spec.sample_rate)
+
+
+class MaskBatch(Sequence):
+    """The spectrograms that a block of mask rows renders, as a read-only sequence.
+
+    It holds the base dB spectrogram, the segment map, the fill, the filler
+    pixels and the uint8 mask rows, one per item. A predictor that is affine
+    in the mask can score `masks` directly and never render. Any other
+    consumer indexes the batch: the first access renders every row against
+    the shared filler, and later accesses reuse that render. Item i has the
+    values of `apply_mask(spec, seg_map, masks[i], fill)`.
+    """
+
+    def __init__(self, spec: Spectrogram, seg_map: SegmentMap, masks: np.ndarray,
+                 fill: FillStrategy, *, filler: np.ndarray | None = None):
+        _check_instance(spec, seg_map)
+        masks = np.asarray(masks, dtype=np.uint8).view()
+        if masks.ndim != 2 or masks.shape[1] != seg_map.segment_count:
+            raise ShapeMismatchError(
+                f"mask block {masks.shape} does not match segment count "
+                f"{seg_map.segment_count}"
+            )
+        masks.flags.writeable = False
+        self.spec = spec
+        self.seg_map = seg_map
+        self.masks = masks
+        self.fill = FillStrategy.coerce(fill)
+        # One filler serves every batch of an instance; pass it to skip the
+        # recomputation.
+        self.filler = _filler(spec, seg_map, self.fill) if filler is None else filler
+        self._rendered: list[Spectrogram] | None = None
+
+    def __len__(self) -> int:
+        return self.masks.shape[0]
+
+    def __getitem__(self, index):
+        if self._rendered is None:
+            self._rendered = self._render()
+        return self._rendered[index]
+
+    def _render(self) -> list[Spectrogram]:
+        # Row by row, so that each row is still in cache when the
+        # Spectrogram checks it; one np.where over the whole block took
+        # twice as long.
+        spec, labels = self.spec, self.seg_map.labels
+        return [Spectrogram(values=np.where(row.astype(bool)[labels], spec.values,
+                                            self.filler),
+                            scale=spec.scale, config=spec.config,
+                            sample_rate=spec.sample_rate)
+                for row in self.masks]
 
 
 def proximity_weights(masks: np.ndarray, kernel_width: float) -> np.ndarray:
@@ -488,8 +546,9 @@ def explain_instance(
 ) -> LimeExplanation:
     """Full attribution of one scalar output over one instance.
 
-    `predict` receives a list of spectrograms and must return one finite
-    real per entry (the chosen output dimension of the black box).
+    `predict` receives each chunk of mask rows as a `MaskBatch`, a sequence
+    of the masked spectrograms, and must return one finite real per entry
+    (the chosen output dimension of the black box).
     """
     if batch_size < 1 or workers < 1:
         raise ConfigError("batch_size and workers must be >= 1")
@@ -517,10 +576,12 @@ def explain_instance(
 def _predict_masked(predict, spec, seg_map, masks, fill, batch_size, workers):
     n = masks.shape[0]
     bounds = [(s, min(s + batch_size, n)) for s in range(0, n, batch_size)]
+    _check_instance(spec, seg_map)
+    filler = _filler(spec, seg_map, FillStrategy.coerce(fill))
 
     def eval_chunk(bound):
         start, stop = bound
-        batch = [apply_mask(spec, seg_map, masks[i], fill) for i in range(start, stop)]
+        batch = MaskBatch(spec, seg_map, masks[start:stop], fill, filler=filler)
         try:
             values = predict(batch)
         except PredictionValueError as exc:

@@ -150,7 +150,11 @@ def make_predictor(spec_string: str, *, seed: int = 0, timeout: float = 30.0,
     if spec_string.startswith("exec:"):
         command = spec_string[len("exec:"):]
         handle = ExternalPredictor(command, timeout=timeout, batch_size=batch_size)
-        return handle, handle.start()
+        try:
+            return handle, handle.start()
+        except BaseException:
+            handle.close()
+            raise
     raise ConfigError(
         f"unknown predictor {spec_string!r}; expected builtin, constant, or exec:CMD"
     )

@@ -1,12 +1,17 @@
 """Black-box predictor access.
 
-Two implementations of the same contract (batch of spectrograms in, one
+Three implementations of the same contract (batch of spectrograms in, one
 (mid-level vector, emotion vector) pair per item out):
 
 * ``BuiltinPredictor``: a seeded synthetic model, affine end to end, whose
   ground truth is computable in closed form. Used by tests and as a default.
+* ``ConstantPredictor``: the same vectors for every input.
 * ``ExternalPredictor``: a gateway to a child process speaking a newline-
   delimited JSON protocol on stdin/stdout (see module docstring below).
+
+LIME hands each chunk of perturbations over as a ``MaskBatch``. The builtin
+and constant predictors score its mask rows without rendering them; the
+gateway renders the chunk once and sends its pixels.
 
 The wire protocol, one UTF-8 JSON object per line:
 
@@ -53,6 +58,7 @@ from .errors import (
     SpawnError,
     TransportError,
 )
+from .lime import MaskBatch, _tree_sum
 
 PROTOCOL_VERSION = 1
 MID_COUNT = 7
@@ -151,7 +157,8 @@ class BuiltinPredictor:
     inhibitory rectangle, plus a seeded offset. Rectangles are fractional, so
     any spectrogram shape works and the functional for a given shape is fixed.
     Emotions are exactly W @ mid + b, so downstream linearity contracts can
-    be verified in closed form.
+    be verified in closed form. A `MaskBatch` is scored from its mask rows
+    in closed form, without rendering a spectrogram.
     """
 
     def __init__(self, seed: int = 0):
@@ -196,17 +203,51 @@ class BuiltinPredictor:
         )
 
     def predict(self, batch: Sequence[Spectrogram]) -> list[tuple[np.ndarray, np.ndarray]]:
-        if not batch:
+        if isinstance(batch, MaskBatch):
+            mids = self._masked_mids(batch)
+        elif not batch:
             return []
-        _check_batch(batch)
-        stack = np.stack([s.values for s in batch])
-        mids = np.empty((len(batch), MID_COUNT))
+        else:
+            _check_batch(batch)
+            mids = self._mids(np.stack([s.values for s in batch]))
+        emotions = self.head.apply(mids)
+        return [(mids[i].copy(), emotions[i].copy()) for i in range(len(batch))]
+
+    def _mids(self, stack: np.ndarray) -> np.ndarray:
+        mids = np.empty((len(stack), MID_COUNT))
         for j, (pos, neg) in enumerate(self.regions(stack.shape[1:])):
             pos_mean = stack[:, pos[0]:pos[1], pos[2]:pos[3]].mean(axis=(1, 2))
             neg_mean = stack[:, neg[0]:neg[1], neg[2]:neg[3]].mean(axis=(1, 2))
             mids[:, j] = pos_mean - 0.5 * neg_mean + self.offsets[j]
-        emotions = self.head.apply(mids)
-        return [(mids[i].copy(), emotions[i].copy()) for i in range(len(batch))]
+        return mids
+
+    def _masked_mids(self, batch: MaskBatch) -> np.ndarray:
+        """Mid vectors of a MaskBatch without rendering it.
+
+        A masked-out segment s moves each rectangle mean by the sum of
+        (base - filler) over its pixels in the rectangle, divided by the
+        rectangle's area. So each row is the all-ones prediction minus the
+        coefficients of its dropped segments, added by a fixed pairwise tree
+        over segments; an all-ones row gets the all-ones prediction exactly.
+        """
+        base = batch.spec.values
+        labels = batch.seg_map.labels
+        count = batch.seg_map.segment_count
+        lift = base - batch.filler
+
+        def shift(rect):
+            r0, r1, c0, c1 = rect
+            sums = np.bincount(labels[r0:r1, c0:c1].ravel(),
+                               weights=lift[r0:r1, c0:c1].ravel(), minlength=count)
+            return sums / ((r1 - r0) * (c1 - c0))
+
+        coef = np.empty((count, MID_COUNT))
+        for j, (pos, neg) in enumerate(self.regions(base.shape)):
+            coef[:, j] = shift(pos) - 0.5 * shift(neg)
+        dropped = np.where((batch.masks.T == 0)[:, :, None], coef[:, None, :], 0.0)
+        # The same one-item stack as `predict([batch.spec])`, so that an
+        # all-ones row matches the unmasked prediction bit for bit.
+        return self._mids(np.stack([base])) - _tree_sum(dropped)
 
     def close(self) -> None:
         pass
@@ -228,9 +269,10 @@ class ConstantPredictor:
         )
 
     def predict(self, batch: Sequence[Spectrogram]) -> list[tuple[np.ndarray, np.ndarray]]:
-        _check_batch(batch)
+        if not isinstance(batch, MaskBatch):
+            _check_batch(batch)
         emotion = self.head.apply(self._mid)
-        return [(self._mid.copy(), emotion.copy()) for _ in batch]
+        return [(self._mid.copy(), emotion.copy()) for _ in range(len(batch))]
 
     def close(self) -> None:
         pass

@@ -23,6 +23,7 @@ from midlime.lime import (
     FillStrategy,
     LimeConfig,
     LimeExplanation,
+    MaskBatch,
     MaskSet,
     SelectedFeature,
     SurrogateFit,
@@ -38,6 +39,7 @@ from midlime.lime import (
     stability_score,
     write_explanation_json,
 )
+from midlime.predictor import BuiltinPredictor, ConstantPredictor
 
 from conftest import PlantedBlackBox, block_map, db_spec, random_db_image
 from naive_reference import naive_proximity, naive_wls
@@ -535,3 +537,89 @@ class TestSerialization:
         write_explanation_json(expl, path)
         again = json.loads(path.read_text())
         assert again == json.loads(json.dumps(payload))
+
+
+@pytest.fixture(scope="module")
+def fixture_instance(fixture_wav):
+    """The 3 s fixture's dB spectrogram (1025 x 126) and its segment map."""
+    from midlime.audio import decode_wav
+    from midlime.dsp import StftConfig, magnitude_db, stft
+    from midlime.segmentation import SegmentationConfig, felzenszwalb_segment
+
+    dbspec = magnitude_db(stft(decode_wav(fixture_wav), StftConfig()))
+    return dbspec, felzenszwalb_segment(dbspec, SegmentationConfig())
+
+
+class TestMaskBatch:
+    """Closed-form scores of mask rows against the dense path as the oracle."""
+
+    @pytest.fixture(params=["fixture-3s", "planted-small"])
+    def instance(self, request):
+        if request.param == "fixture-3s":
+            return request.getfixturevalue("fixture_instance")
+        _, _, base, seg_map = planted_small()
+        return base, seg_map
+
+    @staticmethod
+    def _rows(seg_map, count=48):
+        """All ones first, then sampled rows, then all zeros."""
+        n_seg = seg_map.segment_count
+        masks = sample_masks(n_seg, LimeConfig(n_samples=n_seg + 2, seed=3)).masks
+        return np.vstack([masks[:count - 1], np.zeros((1, n_seg), dtype=np.uint8)])
+
+    @pytest.mark.parametrize("fill", list(FillStrategy))
+    @pytest.mark.parametrize("predictor", [BuiltinPredictor(seed=0), ConstantPredictor()],
+                             ids=["builtin", "constant"])
+    def test_closed_form_matches_dense_path(self, instance, fill, predictor,
+                                            monkeypatch):
+        base, seg_map = instance
+        masks = self._rows(seg_map)
+        dense = np.array([np.concatenate(pair) for pair in predictor.predict(
+            [apply_mask(base, seg_map, row, fill) for row in masks])])
+
+        def no_render(self):
+            raise AssertionError("the predictor rendered the mask batch")
+
+        monkeypatch.setattr(MaskBatch, "_render", no_render)
+        fast = np.array([np.concatenate(pair) for pair in predictor.predict(
+            MaskBatch(base, seg_map, masks, fill))])
+        # Relative to the largest magnitude of each output over the batch.
+        assert np.all(np.abs(fast - dense) <= 1e-12 * np.abs(dense).max(axis=0))
+        (mid, emotion), = predictor.predict([base])
+        assert np.array_equal(fast[0], np.concatenate([mid, emotion]))
+        assert np.array_equal(fast[0], dense[0])
+
+    @pytest.mark.parametrize("fill", list(FillStrategy))
+    def test_items_equal_apply_mask_and_render_once(self, instance, fill, monkeypatch):
+        base, seg_map = instance
+        masks = self._rows(seg_map, count=12)
+        renders = []
+        render = MaskBatch._render
+        monkeypatch.setattr(MaskBatch, "_render",
+                            lambda self: renders.append(1) or render(self))
+        batch = MaskBatch(base, seg_map, masks, fill)
+        assert len(batch) == len(masks) and renders == []
+        for item, row in zip(batch, masks):
+            expected = apply_mask(base, seg_map, row, fill)
+            assert np.array_equal(item.values, expected.values)
+            assert item.scale == expected.scale and item.config == expected.config
+        assert [s.values.shape for s in batch[1:3]] == [base.values.shape] * 2
+        assert batch[-1] is batch[len(masks) - 1]
+        assert renders == [1]
+
+    def test_mask_rows_are_read_only(self):
+        _, _, base, seg_map = planted_small()
+        batch = MaskBatch(base, seg_map, np.ones((2, 12), dtype=np.uint8), "silence")
+        with pytest.raises(ValueError):
+            batch.masks[0, 0] = 0
+
+    def test_rejects_mask_width_and_scale(self):
+        from midlime.dsp import SCALE_MAGNITUDE, Spectrogram, StftConfig
+
+        _, _, base, seg_map = planted_small()
+        with pytest.raises(ShapeMismatchError):
+            MaskBatch(base, seg_map, np.ones((2, 11), dtype=np.uint8), "silence")
+        spec = Spectrogram(values=np.ones((6, 8)), scale=SCALE_MAGNITUDE,
+                           config=StftConfig(), sample_rate=22050)
+        with pytest.raises(ScaleMismatchError):
+            MaskBatch(spec, seg_map, np.ones((2, 12), dtype=np.uint8), "silence")

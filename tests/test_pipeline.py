@@ -19,12 +19,13 @@ from midlime.cli import main as cli_main
 from midlime.dsp import SCALE_DB, StftConfig, istft, magnitude_db, stft
 from midlime.errors import (
     AudioIOError,
+    CapabilitiesError,
     ConfigError,
     ShapeMismatchError,
     SpawnError,
     StageError,
 )
-from midlime.lime import LimeConfig
+from midlime.lime import FillStrategy, LimeConfig
 from midlime.pipeline import (
     BUNDLE_FILES,
     MODE_ADD,
@@ -335,6 +336,20 @@ class TestBundleEdges:
         assert (result.out_dir / BUNDLE_FILES["report"]).is_file()
 
 
+class TestChunking:
+    @pytest.mark.parametrize("fill", list(FillStrategy))
+    def test_batch_size_and_workers_do_not_change_bytes(self, fill, fixture_wav,
+                                                        tmp_path):
+        lime = LimeConfig(n_samples=600, seed=42, fill=fill)
+        produced = []
+        for name, overrides in (("default", {}),
+                                ("chunked", {"batch_size": 17, "workers": 3})):
+            config = fast_config(fixture_wav, tmp_path / name, lime=lime, **overrides)
+            bundle = run_explanation(config)
+            produced.append((bundle.out_dir / BUNDLE_FILES["explanation"]).read_bytes())
+        assert produced[0] == produced[1]
+
+
 class TestMakePredictor:
     def test_builtin(self):
         predictor, caps = make_predictor("builtin", seed=3)
@@ -357,6 +372,27 @@ class TestMakePredictor:
     def test_unknown(self):
         with pytest.raises(ConfigError):
             make_predictor("mystery")
+
+    def test_failed_handshake_reaps_the_child(self, monkeypatch):
+        spawned = []
+        popen = subprocess.Popen
+
+        def recording_popen(*args, **kwargs):
+            proc = popen(*args, **kwargs)
+            spawned.append(proc)
+            return proc
+
+        monkeypatch.setattr(subprocess, "Popen", recording_popen)
+        try:
+            with pytest.raises(CapabilitiesError):
+                make_predictor(f"exec:{child_command('bad-arity')}", timeout=10.0)
+            assert len(spawned) == 1
+            assert spawned[0].poll() is not None, "the child outlived make_predictor"
+        finally:
+            for proc in spawned:
+                if proc.poll() is None:
+                    proc.kill()
+                    proc.wait()
 
 
 @pytest.fixture(scope="module")

@@ -18,6 +18,7 @@ from midlime.errors import (
     SpawnError,
     TransportError,
 )
+from midlime.lime import FillStrategy, LimeConfig, MaskBatch, apply_mask, sample_masks
 from midlime.predictor import (
     BUILTIN_EMOTION_NAMES,
     BUILTIN_MID_NAMES,
@@ -32,7 +33,7 @@ from midlime.predictor import (
     external_handshake,
 )
 
-from conftest import child_command, db_spec, random_db_image
+from conftest import block_map, child_command, db_spec, random_db_image
 
 TINY = StftConfig(frame_size=16, hop_size=4)  # 9 bins
 
@@ -359,3 +360,40 @@ class TestGateway:
                 "sys.stdin.readline()\n")
         caps = external_handshake([sys.executable, "-c", code], timeout=10)
         assert caps.linear_head is None
+
+
+class TestGatewayMaskBatch:
+    @pytest.mark.parametrize("fill", list(FillStrategy))
+    def test_request_lines_match_rendered_rows_and_render_once(self, fill,
+                                                                monkeypatch):
+        base = tiny_spec(3)
+        seg_map = block_map(9, 6, 3, 3)
+        masks = sample_masks(6, LimeConfig(n_samples=9, seed=2)).masks
+        sent, renders = [], []
+        encode = ExternalPredictor._encode
+        render = MaskBatch._render
+
+        def recording_encode(msg):
+            line = encode(msg)
+            if msg["type"] == "predict":
+                sent.append(line)
+            return line
+
+        monkeypatch.setattr(ExternalPredictor, "_encode", staticmethod(recording_encode))
+        monkeypatch.setattr(MaskBatch, "_render",
+                            lambda self: renders.append(1) or render(self))
+
+        def relay(batch):
+            sent.clear()
+            with ExternalPredictor(child_command("echo"), timeout=20,
+                                   batch_size=2) as gateway:
+                results = gateway.predict(batch)
+            return list(sent), results
+
+        dense_lines, dense = relay([apply_mask(base, seg_map, row, fill) for row in masks])
+        mask_lines, batched = relay(MaskBatch(base, seg_map, masks, fill))
+        assert len(mask_lines) == 5
+        assert mask_lines == dense_lines
+        assert renders == [1]
+        for (m1, e1), (m2, e2) in zip(dense, batched):
+            assert np.array_equal(m1, m2) and np.array_equal(e1, e2)
