@@ -16,7 +16,6 @@ from .dsp import (
     ComplexSpectrogram,
     Spectrogram,
     StftConfig,
-    db_to_magnitude,
     griffin_lim,
     griffin_lim_trace,
     istft,
@@ -73,7 +72,7 @@ __all__ = [
     "__version__",
     "AudioClip", "decode_wav", "encode_wav",
     "SCALE_DB", "SCALE_MAGNITUDE", "ComplexSpectrogram", "Spectrogram",
-    "StftConfig", "db_to_magnitude", "griffin_lim", "griffin_lim_trace",
+    "StftConfig", "griffin_lim", "griffin_lim_trace",
     "istft", "magnitude_db", "stft",
     "EffectsMatrix", "global_effects", "head_discrepancy", "instance_effects",
     "top_effect",

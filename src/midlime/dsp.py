@@ -153,15 +153,14 @@ def stft(clip: AudioClip, config: StftConfig) -> ComplexSpectrogram:
         raise InputTooShortError(
             f"clip of {len(x)} samples is shorter than one frame ({frame})"
         )
-    values = _stft_array(x, config)
+    values = _analyse(x, window_samples(config.window, frame), hop).T.copy()
     return ComplexSpectrogram(values=values, config=config, sample_rate=clip.sample_rate)
 
 
-def _stft_array(x: np.ndarray, config: StftConfig) -> np.ndarray:
-    frame, hop = config.frame_size, config.hop_size
-    w = window_samples(config.window, frame)
-    frames = np.lib.stride_tricks.sliding_window_view(x, frame)[::hop]
-    return np.fft.rfft(frames * w, axis=1).T.copy()
+def _analyse(x: np.ndarray, window: np.ndarray, hop: int) -> np.ndarray:
+    """Frame-major STFT: row ``t`` holds the spectrum of frame ``t``."""
+    frames = np.lib.stride_tricks.sliding_window_view(x, len(window))[::hop]
+    return np.fft.rfft(frames * window, axis=1)
 
 
 def istft(spec: ComplexSpectrogram) -> AudioClip:
@@ -171,22 +170,42 @@ def istft(spec: ComplexSpectrogram) -> AudioClip:
 
 
 def _istft_array(values: np.ndarray, config: StftConfig) -> np.ndarray:
-    frame, hop = config.frame_size, config.hop_size
-    w = window_samples(config.window, frame)
-    wsq = w * w
-    n_frames = values.shape[1]
-    length = (n_frames - 1) * hop + frame
-    num = np.zeros(length)
-    den = np.zeros(length)
-    frames_t = np.fft.irfft(values, n=frame, axis=0)
-    for t in range(n_frames):
-        s = t * hop
-        num[s:s + frame] += w * frames_t[:, t]
-        den[s:s + frame] += wsq
-    covered = den > 0
-    out = np.zeros(length)
-    out[covered] = num[covered] / den[covered]
-    return out
+    w = window_samples(config.window, config.frame_size)
+    den = _window_sum(w, config.hop_size, values.shape[1])
+    return _synthesise(values.T, w, config.hop_size, den)
+
+
+def _window_sum(window: np.ndarray, hop: int, n_frames: int) -> np.ndarray:
+    """The overlap-added squared window, the denominator of the inverse."""
+    return _overlap_add(np.broadcast_to(window * window, (n_frames, len(window))), hop)
+
+
+def _synthesise(spec: np.ndarray, window: np.ndarray, hop: int,
+                den: np.ndarray) -> np.ndarray:
+    """Least-squares overlap-add inverse of a frame-major spectrum."""
+    frames = np.fft.irfft(spec, n=len(window), axis=1)
+    frames *= window
+    num = _overlap_add(frames, hop)
+    return np.divide(num, den, out=np.zeros_like(num), where=den > 0)
+
+
+def _overlap_add(frames: np.ndarray, hop: int) -> np.ndarray:
+    """Sum hop-spaced rows into one signal of (rows-1)*hop + frame samples.
+
+    Each frame is cut into hop-sized chunks (the last one partial when hop
+    does not divide the frame), and chunk ``c`` of every frame is added at
+    once. Going from the last chunk to the first adds the frames covering a
+    sample in increasing frame order, starting from 0.0, which is the order
+    of a per-frame loop, so the sums have the same bits.
+    """
+    n_frames, frame = frames.shape
+    chunks = -(-frame // hop)
+    out = np.zeros((n_frames - 1 + chunks) * hop)
+    blocks = out.reshape(-1, hop)
+    for c in range(chunks - 1, -1, -1):
+        part = frames[:, c * hop:(c + 1) * hop]
+        blocks[c:c + n_frames, :part.shape[1]] += part
+    return out[:(n_frames - 1) * hop + frame]
 
 
 def magnitude_db(spec: ComplexSpectrogram, floor_db: float | None = None) -> Spectrogram:
@@ -195,14 +214,6 @@ def magnitude_db(spec: ComplexSpectrogram, floor_db: float | None = None) -> Spe
     values = np.maximum(20.0 * np.log10(np.abs(spec.values) + _LOG_EPS), floor)
     return Spectrogram(values=values, scale=SCALE_DB, config=spec.config,
                        sample_rate=spec.sample_rate)
-
-
-def db_to_magnitude(spec: Spectrogram) -> Spectrogram:
-    """Invert the dB mapping; cells at the floor map to 10^(floor/20)."""
-    if spec.scale != SCALE_DB:
-        raise ScaleMismatchError(f"expected a dB spectrogram, got scale '{spec.scale}'")
-    return Spectrogram(values=10.0 ** (spec.values / 20.0), scale=SCALE_MAGNITUDE,
-                       config=spec.config, sample_rate=spec.sample_rate)
 
 
 def griffin_lim(
@@ -219,7 +230,8 @@ def griffin_lim(
     target each round. The per-iteration spectral error
     ``|| |STFT(x_i)| - target ||_F`` never increases.
     """
-    clip, _ = griffin_lim_trace(target_magnitude, config, iterations, init_phase, seed)
+    clip, _ = _griffin_lim(target_magnitude, config, iterations, init_phase, seed,
+                           trace=False)
     return clip
 
 
@@ -231,6 +243,20 @@ def griffin_lim_trace(
     seed: int = 0,
 ) -> tuple[AudioClip, np.ndarray]:
     """griffin_lim plus the spectral-error trajectory (length iterations + 1)."""
+    return _griffin_lim(target_magnitude, config, iterations, init_phase, seed,
+                        trace=True)
+
+
+def _griffin_lim(
+    target_magnitude: Spectrogram,
+    config: StftConfig | None,
+    iterations: int,
+    init_phase: ComplexSpectrogram | None,
+    seed: int,
+    trace: bool,
+) -> tuple[AudioClip, np.ndarray]:
+    """The loop behind both entry points; only a trace pays for the errors
+    and for the analysis of the final signal, which only the errors use."""
     if target_magnitude.scale != SCALE_MAGNITUDE:
         raise ScaleMismatchError(
             f"target must be linear magnitude, got scale '{target_magnitude.scale}'"
@@ -243,25 +269,50 @@ def griffin_lim_trace(
         raise ShapeMismatchError(
             f"target has {target.shape[0]} bins, config expects {cfg.bin_count}"
         )
-    if init_phase is not None:
-        if init_phase.values.shape != target.shape:
-            raise ShapeMismatchError(
-                f"init_phase shape {init_phase.values.shape} != target {target.shape}"
-            )
-        phase = np.angle(init_phase.values)
-    else:
-        phase = 2.0 * np.pi * rng.uniform_grid(
-            seed, np.arange(target.shape[0]), np.arange(target.shape[1])
+    if init_phase is not None and init_phase.values.shape != target.shape:
+        raise ShapeMismatchError(
+            f"init_phase shape {init_phase.values.shape} != target {target.shape}"
         )
 
-    spec = target * np.exp(1j * phase)
-    x = _istft_array(spec, cfg)
-    analysis = _stft_array(x, cfg)
-    errors = [float(np.linalg.norm(np.abs(analysis) - target))]
+    # Frame-major from here on: row t is frame t, so every FFT runs along
+    # contiguous rows, and the squared-window sum is computed once.
+    target = np.ascontiguousarray(target.T)
+    if init_phase is None:
+        phase = 2.0 * np.pi * rng.uniform_grid(
+            seed, np.arange(target.shape[1]), np.arange(target.shape[0])
+        ).T
+        spec = target * np.exp(1j * phase)
+    else:
+        spec = np.array(init_phase.values.T, order="C")
+        _project(spec, target, np.abs(spec))
+    w = window_samples(cfg.window, cfg.frame_size)
+    hop = cfg.hop_size
+    den = _window_sum(w, hop, target.shape[0])
+    x = _synthesise(spec, w, hop, den)
+    errors = []
     for _ in range(iterations):
-        spec = target * np.exp(1j * np.angle(analysis))
-        x = _istft_array(spec, cfg)
-        analysis = _stft_array(x, cfg)
-        errors.append(float(np.linalg.norm(np.abs(analysis) - target)))
+        spec = _analyse(x, w, hop)
+        magnitude = np.abs(spec)
+        if trace:
+            errors.append(float(np.linalg.norm(magnitude - target)))
+        _project(spec, target, magnitude)
+        x = _synthesise(spec, w, hop, den)
+    if trace:
+        errors.append(float(np.linalg.norm(np.abs(_analyse(x, w, hop)) - target)))
     clip = AudioClip(samples=x, sample_rate=target_magnitude.sample_rate)
     return clip, np.asarray(errors)
+
+
+def _project(spec: np.ndarray, target: np.ndarray, magnitude: np.ndarray) -> None:
+    """Give ``spec`` the target magnitude and keep its phase, in place.
+
+    ``spec * (target / |spec|)``, the real scale applied to the real and
+    imaginary parts; a cell with ``|spec| == 0`` takes phase 0. ``magnitude``
+    is ``|spec|`` and is overwritten with the scale.
+    """
+    zero = magnitude == 0.0
+    scale = np.divide(target, magnitude, out=magnitude, where=~zero)
+    spec.real *= scale
+    spec.imag *= scale
+    if zero.any():
+        spec[zero] = target[zero]

@@ -102,7 +102,7 @@ class MaskSet:
         if masks.ndim != 2 or masks.shape[0] < 1 or masks.shape[1] < 1:
             raise ShapeMismatchError(f"masks must be a non-empty 2-D matrix, got {masks.shape}")
         masks = masks.astype(np.uint8)
-        if not np.isin(masks, (0, 1)).all():
+        if masks.max() > 1:
             raise ValueError("mask entries must be 0 or 1")
         if not (masks[0] == 1).all():
             raise ValueError("mask row 0 must be all ones")
@@ -146,6 +146,9 @@ class LimeExplanation:
     config: LimeConfig
 
 
+_MASK_BLOCK = 4096
+
+
 def sample_masks(n_segments: int, config: LimeConfig) -> MaskSet:
     """Row 0 all ones, rows below i.i.d. fair coins keyed by (seed, row, col)."""
     if n_segments < 1:
@@ -157,9 +160,12 @@ def sample_masks(n_segments: int, config: LimeConfig) -> MaskSet:
         )
     masks = np.empty((config.n_samples, n_segments), dtype=np.uint8)
     masks[0] = 1
-    masks[1:] = rng.bernoulli_grid(
-        config.seed, np.arange(1, config.n_samples), np.arange(n_segments)
-    )
+    cols = np.arange(n_segments)
+    # Block by block, so the generator's 64-bit intermediates stay a few
+    # blocks in size; each cell depends only on (seed, row, col).
+    for start in range(1, config.n_samples, _MASK_BLOCK):
+        stop = min(start + _MASK_BLOCK, config.n_samples)
+        masks[start:stop] = rng.bernoulli_grid(config.seed, np.arange(start, stop), cols)
     return MaskSet(masks=masks)
 
 

@@ -216,12 +216,20 @@ def segment_stats(seg_map: SegmentMap, spec: Spectrogram) -> list[SegmentStats]:
 
 
 def write_segment_csv(seg_map: SegmentMap, path) -> None:
-    """Dense per-pixel dump: one `row,col,label` line per pixel."""
-    h, w = seg_map.labels.shape
-    rows = np.repeat(np.arange(h), w)
-    cols = np.tile(np.arange(w), h)
-    table = np.column_stack([rows, cols, seg_map.labels.ravel()])
-    np.savetxt(path, table, fmt="%d", delimiter=",", header="row,col,label", comments="")
+    """Dense per-pixel dump: one `row,col,label` line per pixel.
+
+    Each line joins the row number, a ",col," string made once per column
+    and a label-and-newline string made once per label; one write per image
+    row keeps memory flat. The bytes are those of ``np.savetxt(..., fmt="%d")``.
+    """
+    columns = [f",{c}," for c in range(seg_map.labels.shape[1])]
+    names = [f"{label}\n" for label in range(seg_map.segment_count)]
+    with open(path, "w", encoding="ascii", newline="") as fh:
+        fh.write("row,col,label\n")
+        for r, row in enumerate(seg_map.labels.tolist()):
+            prefix = str(r)
+            fh.write(prefix + prefix.join([c + names[label]
+                                           for c, label in zip(columns, row)]))
 
 
 def segment_map_to_rle(seg_map: SegmentMap) -> str:

@@ -12,6 +12,9 @@ import math
 import numpy as np
 from scipy.special import betainc
 
+from midlime import rng
+from midlime.dsp import window_samples
+
 
 def naive_gaussian_smooth(image: np.ndarray, sigma: float) -> np.ndarray:
     """Direct 2-D convolution with a replicate-padded Gaussian kernel."""
@@ -185,3 +188,43 @@ def naive_proximity(masks: np.ndarray, kernel_width: float) -> np.ndarray:
         distance = 1.0 - math.sqrt(k / n_features)
         out[i] = math.exp(-(distance ** 2) / (kernel_width ** 2))
     return out
+
+
+def naive_istft(values: np.ndarray, frame: int, hop: int, window: str) -> np.ndarray:
+    """Least-squares overlap-add inverse, one frame at a time."""
+    w = window_samples(window, frame)
+    wsq = w * w
+    n_frames = values.shape[1]
+    length = (n_frames - 1) * hop + frame
+    num = np.zeros(length)
+    den = np.zeros(length)
+    frames_t = np.fft.irfft(values, n=frame, axis=0)
+    for t in range(n_frames):
+        s = t * hop
+        num[s:s + frame] += w * frames_t[:, t]
+        den[s:s + frame] += wsq
+    covered = den > 0
+    out = np.zeros(length)
+    out[covered] = num[covered] / den[covered]
+    return out
+
+
+def naive_stft(x: np.ndarray, frame: int, hop: int, window: str) -> np.ndarray:
+    frames = np.lib.stride_tricks.sliding_window_view(x, frame)[::hop]
+    return np.fft.rfft(frames * window_samples(window, frame), axis=1).T
+
+
+def naive_griffin_lim(target: np.ndarray, frame: int, hop: int, window: str,
+                      iterations: int, init_phase: np.ndarray | None = None,
+                      seed: int = 0) -> np.ndarray:
+    """Griffin-Lim with the target magnitude put back as target * exp(i*angle)."""
+    if init_phase is not None:
+        phase = np.angle(init_phase)
+    else:
+        phase = 2.0 * np.pi * rng.uniform_grid(
+            seed, np.arange(target.shape[0]), np.arange(target.shape[1]))
+    x = naive_istft(target * np.exp(1j * phase), frame, hop, window)
+    for _ in range(iterations):
+        analysis = naive_stft(x, frame, hop, window)
+        x = naive_istft(target * np.exp(1j * np.angle(analysis)), frame, hop, window)
+    return x

@@ -10,7 +10,6 @@ from midlime.dsp import (
     ComplexSpectrogram,
     Spectrogram,
     StftConfig,
-    db_to_magnitude,
     griffin_lim,
     griffin_lim_trace,
     istft,
@@ -25,7 +24,11 @@ from midlime.errors import (
     ShapeMismatchError,
 )
 
-from conftest import uniform_noise
+from midlime import pipeline
+from midlime.segmentation import SegmentationConfig, felzenszwalb_segment
+
+from conftest import SAMPLE_RATE, make_fixture_samples, uniform_noise
+from naive_reference import naive_griffin_lim, naive_istft
 
 SMALL = StftConfig(frame_size=256, hop_size=64)
 
@@ -160,24 +163,6 @@ class TestDbMapping:
         spec = magnitude_db(self._complex(np.full(5, 0.1)))
         assert np.allclose(spec.values, -20.0, atol=1e-6)
 
-    def test_db_round_trip_above_floor(self):
-        magnitudes = 10.0 ** np.linspace(-3.9, 1.0, 50)  # all above -80 dB
-        db = magnitude_db(self._complex(np.ones(5)))
-        cfg = db.config
-        spec = Spectrogram(values=20.0 * np.log10(magnitudes)[None, :].repeat(5, 0),
-                           scale=SCALE_DB, config=cfg, sample_rate=8000)
-        back = db_to_magnitude(spec)
-        assert back.scale == SCALE_MAGNITUDE
-        assert np.allclose(back.values, magnitudes[None, :], rtol=1e-9)
-        again = magnitude_db(self._complex(np.ones(5)), floor_db=cfg.floor_db)
-        assert again is not None  # direction covered above
-
-    def test_db_to_magnitude_is_positive(self):
-        cfg = StftConfig(frame_size=8, hop_size=2)
-        spec = Spectrogram(values=np.full((5, 3), cfg.floor_db), scale=SCALE_DB,
-                           config=cfg, sample_rate=8000)
-        assert np.all(db_to_magnitude(spec).values > 0.0)
-
     def test_spectrogram_scale_invariants(self):
         cfg = StftConfig(frame_size=8, hop_size=2)
         with pytest.raises(ValueError):
@@ -275,3 +260,91 @@ class TestInversion:
                              scale=SCALE_MAGNITUDE, config=SMALL, sample_rate=8000)
         with pytest.raises(ShapeMismatchError):
             griffin_lim(target, SMALL, 2, init_phase=cspec)
+
+
+def oracle_gap(fast: np.ndarray, slow: np.ndarray) -> float:
+    """Largest sample difference as a share of the oracle's largest sample."""
+    assert fast.shape == slow.shape
+    return float(np.max(np.abs(fast - slow)) / np.max(np.abs(slow)))
+
+
+def complex_noise(seed: int, bins: int, frames: int) -> np.ndarray:
+    return (uniform_noise(seed, bins * frames)
+            + 1j * uniform_noise(seed + 1, bins * frames)).reshape(bins, frames)
+
+
+class TestLoopAgainstOracle:
+    """The frame-major loop against the per-frame loop it replaced."""
+
+    @pytest.mark.parametrize("frame, hop, window", [
+        (2048, 512, "hann"), (512, 256, "hann"), (64, 16, "hann"),
+        (256, 256, "rect"), (2048, 3, "hann"),
+    ])
+    def test_istft_matches_per_frame_overlap_add_bit_for_bit(self, frame, hop, window):
+        cfg = StftConfig(frame_size=frame, hop_size=hop, window=window)
+        for seed, n_frames in ((1, 1), (3, 2), (5, 9)):
+            values = complex_noise(seed, cfg.bin_count, n_frames)
+            spec = ComplexSpectrogram(values=values, config=cfg, sample_rate=8000)
+            fast = istft(spec).samples
+            slow = naive_istft(values, frame, hop, window)
+            assert fast.tobytes() == slow.tobytes()
+
+    def test_synthesis_modes_match_oracle_on_fixture(self, monkeypatch):
+        cfg = StftConfig()
+        cspec = stft(AudioClip(samples=make_fixture_samples(), sample_rate=SAMPLE_RATE),
+                     cfg)
+        seg_map = felzenszwalb_segment(magnitude_db(cspec), SegmentationConfig())
+        ids = np.arange(0, seg_map.segment_count, 3)
+        modes = (pipeline.MODE_MASK_ONLY, pipeline.MODE_ADD, pipeline.MODE_SUBTRACT)
+        fast = {mode: pipeline.synthesize_modified(cspec, None, seg_map, mode,
+                                                   iterations=32, segment_ids=ids)
+                for mode in modes}
+
+        def oracle(target, config, iterations, init_phase):
+            samples = naive_griffin_lim(target.values, config.frame_size,
+                                        config.hop_size, config.window, iterations,
+                                        init_phase=init_phase.values)
+            return AudioClip(samples=samples, sample_rate=target.sample_rate)
+
+        monkeypatch.setattr(pipeline, "griffin_lim", oracle)
+        for mode in modes:
+            slow = pipeline.synthesize_modified(cspec, None, seg_map, mode,
+                                                iterations=32, segment_ids=ids)
+            assert oracle_gap(fast[mode].samples, slow.samples) <= 1e-9
+
+    def test_random_phase_start_matches_oracle(self):
+        for seed in range(4):
+            values = np.abs(uniform_noise(seed + 70, 129 * 16)).reshape(129, 16)
+            target = Spectrogram(values=values, scale=SCALE_MAGNITUDE,
+                                 config=SMALL, sample_rate=8000)
+            fast = griffin_lim(target, SMALL, 25, seed=seed).samples
+            slow = naive_griffin_lim(values, SMALL.frame_size, SMALL.hop_size,
+                                     SMALL.window, 25, seed=seed)
+            assert oracle_gap(fast, slow) <= 1e-9
+
+    def test_trace_returns_the_same_samples(self):
+        values = np.abs(uniform_noise(80, 129 * 12)).reshape(129, 12)
+        target = Spectrogram(values=values, scale=SCALE_MAGNITUDE,
+                             config=SMALL, sample_rate=8000)
+        init = ComplexSpectrogram(values=complex_noise(81, 129, 12), config=SMALL,
+                                  sample_rate=8000)
+        for iterations in (0, 1, 7):
+            for kwargs in ({"seed": 4}, {"init_phase": init}):
+                plain = griffin_lim(target, SMALL, iterations, **kwargs).samples
+                traced, errors = griffin_lim_trace(target, SMALL, iterations, **kwargs)
+                assert plain.tobytes() == traced.samples.tobytes()
+                assert len(errors) == iterations + 1
+
+    def test_zero_analysis_cell_takes_phase_zero(self):
+        values = 0.1 + np.abs(uniform_noise(90, 129 * 10)).reshape(129, 10)
+        target = Spectrogram(values=values, scale=SCALE_MAGNITUDE,
+                             config=SMALL, sample_rate=8000)
+        init = np.ones((129, 10), dtype=complex)
+        init[::3, ::2] = 0.0
+        init_phase = ComplexSpectrogram(values=init, config=SMALL, sample_rate=8000)
+        for iterations in (0, 5):
+            out = griffin_lim(target, SMALL, iterations, init_phase=init_phase).samples
+            assert np.all(np.isfinite(out))
+            slow = naive_griffin_lim(values, SMALL.frame_size, SMALL.hop_size,
+                                     SMALL.window, iterations, init_phase=init)
+            assert oracle_gap(out, slow) <= 1e-9

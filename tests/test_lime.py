@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -116,6 +117,23 @@ class TestSampleMasks:
         a = sample_masks(16, LimeConfig(n_samples=64, seed=0)).masks
         b = sample_masks(16, LimeConfig(n_samples=64, seed=1)).masks
         assert np.any(a != b)
+
+    def test_blocked_fill_equals_one_shot_grid(self):
+        n = 2 * lime_module._MASK_BLOCK + 5
+        masks = sample_masks(37, LimeConfig(n_samples=n, seed=9)).masks
+        grid = rng.bernoulli_grid(9, np.arange(1, n), np.arange(37))
+        assert masks[1:].tobytes() == grid.tobytes()
+
+    def test_peak_memory_stays_near_the_mask_matrix(self):
+        # 50 000 x 474 uint8 masks are 23.7 MB; a one-shot 64-bit grid peaked
+        # near 600 MB.
+        tracemalloc.start()
+        try:
+            sample_masks(474, LimeConfig(n_samples=50000))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100e6
 
     def test_underdetermined_config_rejected(self):
         with pytest.raises(ConfigError):

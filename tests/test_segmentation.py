@@ -201,3 +201,18 @@ class TestSerialization:
         assert len(lines) == 1 + 16
         assert lines[1] == "0,0,0"
         assert lines[-1] == "3,3,3"
+
+    @pytest.mark.parametrize("height, width", [(9, 13), (13, 9), (1, 40), (40, 1), (1, 1)])
+    def test_csv_bytes_match_savetxt(self, tmp_path, height, width):
+        # Every pixel its own segment, ids shuffled, so labels run to three digits.
+        n = height * width
+        labels = ((np.arange(n) * 7919) % n).reshape(height, width)
+        seg = SegmentMap(labels=labels, segment_count=n)
+        ours = tmp_path / "ours.csv"
+        write_segment_csv(seg, ours)
+        table = np.column_stack([np.repeat(np.arange(height), width),
+                                 np.tile(np.arange(width), height), labels.ravel()])
+        reference = tmp_path / "reference.csv"
+        np.savetxt(reference, table, fmt="%d", delimiter=",",
+                   header="row,col,label", comments="")
+        assert ours.read_bytes() == reference.read_bytes()
