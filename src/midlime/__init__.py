@@ -35,12 +35,10 @@ from .lime import (
     LimeConfig,
     LimeExplanation,
     MaskBatch,
-    MaskSet,
     SurrogateFit,
     apply_mask,
     explain_instance,
     fit_surrogate,
-    proximity_weight,
     sample_masks,
     select_features,
     stability_score,
@@ -51,7 +49,6 @@ from .predictor import (
     ExternalPredictor,
     LinearHead,
     PredictorCapabilities,
-    external_handshake,
 )
 from .pipeline import (
     ExplanationBundle,
@@ -77,12 +74,12 @@ __all__ = [
     "EffectsMatrix", "global_effects", "head_discrepancy", "instance_effects",
     "top_effect",
     "MidlimeError",
-    "FillStrategy", "LimeConfig", "LimeExplanation", "MaskBatch", "MaskSet",
+    "FillStrategy", "LimeConfig", "LimeExplanation", "MaskBatch",
     "SurrogateFit",
-    "apply_mask", "explain_instance", "fit_surrogate", "proximity_weight",
+    "apply_mask", "explain_instance", "fit_surrogate",
     "sample_masks", "select_features", "stability_score",
     "BuiltinPredictor", "ConstantPredictor", "ExternalPredictor", "LinearHead",
-    "PredictorCapabilities", "external_handshake",
+    "PredictorCapabilities",
     "ExplanationBundle", "RunConfig", "run_explanation", "run_stability",
     "synthesize_modified",
     "SegmentationConfig", "SegmentMap", "felzenszwalb_segment",

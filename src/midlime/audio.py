@@ -83,6 +83,8 @@ def decode_wav(path: str | Path) -> AudioClip:
         raise WavDecodeError("no data chunk found", chunk="data")
 
     audio_format, channels, sample_rate, _, _, bits = fmt
+    if sample_rate == 0:
+        raise WavDecodeError("fmt chunk gives sample rate 0", chunk="fmt ")
     if channels not in (1, 2):
         raise UnsupportedFormatError(f"{channels} channels; only mono/stereo supported")
     if audio_format == _PCM and bits == 16:

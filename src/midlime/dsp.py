@@ -208,10 +208,10 @@ def _overlap_add(frames: np.ndarray, hop: int) -> np.ndarray:
     return out[:(n_frames - 1) * hop + frame]
 
 
-def magnitude_db(spec: ComplexSpectrogram, floor_db: float | None = None) -> Spectrogram:
-    """Magnitude in dB, clamped at the floor (default: the config's floor)."""
-    floor = spec.config.floor_db if floor_db is None else float(floor_db)
-    values = np.maximum(20.0 * np.log10(np.abs(spec.values) + _LOG_EPS), floor)
+def magnitude_db(spec: ComplexSpectrogram) -> Spectrogram:
+    """Magnitude in dB, clamped at the config's floor."""
+    values = np.maximum(20.0 * np.log10(np.abs(spec.values) + _LOG_EPS),
+                        spec.config.floor_db)
     return Spectrogram(values=values, scale=SCALE_DB, config=spec.config,
                        sample_rate=spec.sample_rate)
 

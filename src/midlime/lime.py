@@ -15,7 +15,7 @@ import json
 import math
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
@@ -77,8 +77,9 @@ class LimeConfig:
             raise ConfigError(
                 f"ratio_threshold must be positive, got {self.ratio_threshold}"
             )
-        if self.ridge_alpha < 0:
-            raise ConfigError(f"ridge_alpha must be >= 0, got {self.ridge_alpha}")
+        if not 0 <= self.ridge_alpha < math.inf:
+            raise ConfigError(
+                f"ridge_alpha must be finite and >= 0, got {self.ridge_alpha}")
 
     def echo(self) -> dict:
         return {
@@ -89,32 +90,6 @@ class LimeConfig:
             "ratio_threshold": self.ratio_threshold,
             "seed": self.seed,
         }
-
-
-@dataclass(frozen=True)
-class MaskSet:
-    """Binary perturbation matrix; row 0 is always the unperturbed instance."""
-
-    masks: np.ndarray
-
-    def __post_init__(self):
-        masks = np.asarray(self.masks)
-        if masks.ndim != 2 or masks.shape[0] < 1 or masks.shape[1] < 1:
-            raise ShapeMismatchError(f"masks must be a non-empty 2-D matrix, got {masks.shape}")
-        masks = masks.astype(np.uint8)
-        if masks.max() > 1:
-            raise ValueError("mask entries must be 0 or 1")
-        if not (masks[0] == 1).all():
-            raise ValueError("mask row 0 must be all ones")
-        object.__setattr__(self, "masks", masks)
-
-    @property
-    def n_samples(self) -> int:
-        return self.masks.shape[0]
-
-    @property
-    def n_segments(self) -> int:
-        return self.masks.shape[1]
 
 
 @dataclass(frozen=True)
@@ -137,7 +112,6 @@ class SelectedFeature:
 @dataclass(frozen=True)
 class LimeExplanation:
     target: str | None
-    target_value: float
     prediction_at_ones: float
     selected: tuple[SelectedFeature, ...]
     positive_ids: tuple[int, ...]
@@ -149,8 +123,9 @@ class LimeExplanation:
 _MASK_BLOCK = 4096
 
 
-def sample_masks(n_segments: int, config: LimeConfig) -> MaskSet:
-    """Row 0 all ones, rows below i.i.d. fair coins keyed by (seed, row, col)."""
+def sample_masks(n_segments: int, config: LimeConfig) -> np.ndarray:
+    """uint8 masks, (n_samples, n_segments): row 0 all ones, the rows below
+    i.i.d. fair coins keyed by (seed, row, col)."""
     if n_segments < 1:
         raise ConfigError(f"need at least one segment, got {n_segments}")
     if config.n_samples < n_segments + 2:
@@ -166,7 +141,7 @@ def sample_masks(n_segments: int, config: LimeConfig) -> MaskSet:
     for start in range(1, config.n_samples, _MASK_BLOCK):
         stop = min(start + _MASK_BLOCK, config.n_samples)
         masks[start:stop] = rng.bernoulli_grid(config.seed, np.arange(start, stop), cols)
-    return MaskSet(masks=masks)
+    return masks
 
 
 def _check_instance(spec: Spectrogram, seg_map: SegmentMap) -> None:
@@ -190,24 +165,6 @@ def _filler(spec: Spectrogram, seg_map: SegmentMap, fill: FillStrategy) -> np.nd
         counts = np.bincount(flat, minlength=seg_map.segment_count)
         return (sums / counts)[seg_map.labels]
     return np.full_like(values, values.mean())
-
-
-def apply_mask(spec: Spectrogram, seg_map: SegmentMap, mask: np.ndarray,
-               fill: FillStrategy) -> Spectrogram:
-    """Keep pixels of mask=1 segments; replace the rest per the fill strategy."""
-    _check_instance(spec, seg_map)
-    mask = np.asarray(mask)
-    if mask.shape != (seg_map.segment_count,):
-        raise ShapeMismatchError(
-            f"mask length {mask.shape} does not match segment count "
-            f"{seg_map.segment_count}"
-        )
-    fill = FillStrategy.coerce(fill)
-    keep = mask.astype(bool)[seg_map.labels]
-    if keep.all():
-        return spec
-    return Spectrogram(values=np.where(keep, spec.values, _filler(spec, seg_map, fill)),
-                       scale=spec.scale, config=spec.config, sample_rate=spec.sample_rate)
 
 
 class MaskBatch(Sequence):
@@ -252,12 +209,27 @@ class MaskBatch(Sequence):
         # Row by row, so that each row is still in cache when the
         # Spectrogram checks it; one np.where over the whole block took
         # twice as long.
-        spec, labels = self.spec, self.seg_map.labels
-        return [Spectrogram(values=np.where(row.astype(bool)[labels], spec.values,
-                                            self.filler),
-                            scale=spec.scale, config=spec.config,
-                            sample_rate=spec.sample_rate)
-                for row in self.masks]
+        return [self._render_row(row) for row in self.masks]
+
+    def _render_row(self, row: np.ndarray) -> Spectrogram:
+        spec = self.spec
+        return Spectrogram(values=np.where(row.astype(bool)[self.seg_map.labels],
+                                           spec.values, self.filler),
+                           scale=spec.scale, config=spec.config,
+                           sample_rate=spec.sample_rate)
+
+
+def apply_mask(spec: Spectrogram, seg_map: SegmentMap, mask: np.ndarray,
+               fill: FillStrategy) -> Spectrogram:
+    """Keep pixels of mask=1 segments; replace the rest per the fill strategy.
+
+    The one-row `MaskBatch` of `mask`, rendered; an all-ones mask returns
+    `spec` itself.
+    """
+    batch = MaskBatch(spec, seg_map, np.asarray(mask)[None, ...], fill)
+    if batch.masks.all():
+        return spec
+    return batch._render_row(batch.masks[0])
 
 
 def proximity_weights(masks: np.ndarray, kernel_width: float) -> np.ndarray:
@@ -276,10 +248,6 @@ def proximity_weights(masks: np.ndarray, kernel_width: float) -> np.ndarray:
         d = 1.0 - math.sqrt(k / n_segments)
         per_count.append(math.exp(-(d * d) / width2))
     return np.array(per_count, dtype=np.float64)[inverse]
-
-
-def proximity_weight(mask: np.ndarray, kernel_width: float) -> float:
-    return float(proximity_weights(np.asarray(mask)[None, :], kernel_width)[0])
 
 
 # Rows per block in the fixed-order accumulations over samples. It is part of
@@ -433,9 +401,9 @@ def _fitted(masks: np.ndarray, beta: np.ndarray) -> np.ndarray:
     return out
 
 
-def fit_surrogate(masks: MaskSet | np.ndarray, targets: np.ndarray,
+def fit_surrogate(masks: np.ndarray, targets: np.ndarray,
                   weights: np.ndarray, alpha: float = 0.0) -> SurrogateFit:
-    """Weighted least squares with exact t-based p-values.
+    """Weighted least squares with exact t-based p-values on 0/1 masks.
 
     The proximity weights are rescaled to trace n. At alpha 0 the standard
     errors come from the plain WLS covariance; with ridge they use the
@@ -449,7 +417,17 @@ def fit_surrogate(masks: MaskSet | np.ndarray, targets: np.ndarray,
     per distinct weight value, so the fit is fastest when the weights take
     few values, as proximity weights do (one per popcount).
     """
-    m = masks.masks if isinstance(masks, MaskSet) else np.asarray(masks)
+    m = np.asarray(masks)
+    if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
+        raise ShapeMismatchError(f"masks must be a non-empty 2-D matrix, got {m.shape}")
+    # The exact counts of _weighted_gram hold for 0/1 entries only. On uint8,
+    # max() checks that without a copy of the matrix.
+    if m.dtype == np.uint8:
+        binary = m.max() <= 1
+    else:
+        binary = ((m == 0) | (m == 1)).all()
+    if not binary:
+        raise ValueError("mask entries must be 0 or 1")
     y = np.asarray(targets, dtype=np.float64)
     w = np.asarray(weights, dtype=np.float64)
     n, n_seg = m.shape
@@ -461,8 +439,8 @@ def fit_surrogate(masks: MaskSet | np.ndarray, targets: np.ndarray,
         raise ValueError("targets must be finite")
     if not np.all(np.isfinite(w)) or (w < 0).any() or math.fsum(w) <= 0:
         raise ValueError("weights must be finite, non-negative, not all zero")
-    if alpha < 0:
-        raise ConfigError(f"alpha must be >= 0, got {alpha}")
+    if not 0 <= alpha < math.inf:
+        raise ConfigError(f"alpha must be finite and >= 0, got {alpha}")
     dof = n - n_seg - 1
     if dof < 1:
         raise ConfigError(
@@ -558,19 +536,17 @@ def explain_instance(
     """
     if batch_size < 1 or workers < 1:
         raise ConfigError("batch_size and workers must be >= 1")
-    mask_set = sample_masks(seg_map.segment_count, config)
-    targets = _predict_masked(predict, spec, seg_map, mask_set.masks,
+    masks = sample_masks(seg_map.segment_count, config)
+    targets = _predict_masked(predict, spec, seg_map, masks,
                               config.fill, batch_size, workers)
-    weights = proximity_weights(mask_set.masks, config.kernel_width)
-    fit = fit_surrogate(mask_set, targets, weights, config.ridge_alpha)
+    weights = proximity_weights(masks, config.kernel_width)
+    fit = fit_surrogate(masks, targets, weights, config.ridge_alpha)
     selected = select_features(fit, config.ratio_threshold)
     positive = tuple(sorted(s.segment for s in selected if s.weight > 0))
     negative = tuple(sorted(s.segment for s in selected if s.weight < 0))
-    at_ones = float(targets[0])
     return LimeExplanation(
         target=target,
-        target_value=at_ones,
-        prediction_at_ones=at_ones,
+        prediction_at_ones=float(targets[0]),
         selected=selected,
         positive_ids=positive,
         negative_ids=negative,
@@ -657,7 +633,7 @@ def stability_score(explanations: Sequence[LimeExplanation]) -> StabilityScore:
 def explanation_to_json(expl: LimeExplanation) -> dict:
     return {
         "target": expl.target,
-        "target_value": expl.target_value,
+        "target_value": expl.prediction_at_ones,
         "prediction_at_ones": expl.prediction_at_ones,
         "selected": [
             {"segment": s.segment, "weight": s.weight, "p_value": s.p_value}

@@ -291,6 +291,7 @@ def _prepare(config: RunConfig, timings: dict) -> _Prepared:
             timeout=config.timeout, batch_size=config.batch_size,
         )
     try:
+        _check_input_spec(caps, dbspec)
         with _stage("prediction", timings):
             (mid, emotion), = predictor.predict([dbspec])
         effects = None
@@ -310,6 +311,17 @@ def _prepare(config: RunConfig, timings: dict) -> _Prepared:
         raise
     return _Prepared(clip, cspec, dbspec, predictor, caps, mid, emotion, effects,
                      discrepancy, target_info, seg_map)
+
+
+def _check_input_spec(caps: PredictorCapabilities, dbspec: Spectrogram) -> None:
+    """Refuse a spectrogram whose shape the predictor does not take."""
+    for key, size in zip(("bins", "frames"), dbspec.shape):
+        want = caps.input_spec[key]
+        if want != "variable" and want != size:
+            raise ConfigError(
+                f"the predictor takes {want} {key}, the spectrogram has {size}; "
+                "change the analysis settings or the clip"
+            )
 
 
 def _target_fn(predictor, target_info):
@@ -460,6 +472,10 @@ def run_explanation(config: RunConfig) -> ExplanationBundle:
 
 def _check_out_dir(out_dir: Path) -> None:
     """Refuse an output path that the bundle could not be renamed onto."""
+    if out_dir.is_symlink():
+        raise ConfigError(
+            f"output path {out_dir} is a symbolic link; pass a new or empty directory"
+        )
     if os.path.lexists(out_dir) and (not out_dir.is_dir() or any(out_dir.iterdir())):
         raise ConfigError(
             f"output path {out_dir} exists and is not an empty directory; "

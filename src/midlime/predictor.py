@@ -61,6 +61,8 @@ from .errors import (
 from .lime import MaskBatch, _tree_sum
 
 PROTOCOL_VERSION = 1
+# Most predict chunks that await a reply at any time.
+WINDOW = 4
 MID_COUNT = 7
 EMOTION_COUNT = 8
 
@@ -139,8 +141,17 @@ class PredictorCapabilities:
                 f"expected {EMOTION_COUNT} emotion names, got {len(emo)}",
                 field="emotion_names",
             )
+        if not isinstance(self.input_spec, dict):
+            raise CapabilitiesError("input_spec must be an object", field="input_spec")
+        spec = {key: self.input_spec.get(key, "variable") for key in ("bins", "frames")}
+        for key, value in spec.items():
+            if value != "variable" and (type(value) is not int or value < 1):
+                raise CapabilitiesError(
+                    f'input_spec {key} must be "variable" or a positive integer, '
+                    f"got {value!r}", field="input_spec")
         object.__setattr__(self, "mid_names", mid)
         object.__setattr__(self, "emotion_names", emo)
+        object.__setattr__(self, "input_spec", spec)
 
 
 def _check_batch(batch: Sequence[Spectrogram]) -> None:
@@ -178,7 +189,7 @@ class BuiltinPredictor:
         self.head = LinearHead(weights=head_w, bias=head_b)
 
     @staticmethod
-    def _rect(frac: np.ndarray, extent: int, lo: int) -> tuple[int, int]:
+    def _rect(frac: np.ndarray, extent: int) -> tuple[int, int]:
         start = int(frac[0] * 0.7 * extent)
         length = max(1, int(round((0.15 + 0.15 * frac[1]) * extent)))
         return start, min(extent, start + length)
@@ -187,19 +198,17 @@ class BuiltinPredictor:
         """Pixel rectangles ((r0, r1, c0, c1) positive, same negative) per mid
         dimension, for closed-form oracles."""
         h, w = shape
-        out = []
-        for j in range(MID_COUNT):
-            pr = self._rect(self._pos_frac[j, 0:2], h, 0) + self._rect(self._pos_frac[j, 2:4], w, 0)
-            nr = self._rect(self._neg_frac[j, 0:2], h, 0) + self._rect(self._neg_frac[j, 2:4], w, 0)
-            out.append(((pr[0], pr[1], pr[2], pr[3]), (nr[0], nr[1], nr[2], nr[3])))
-        return out
+
+        def rect(frac):
+            return self._rect(frac[0:2], h) + self._rect(frac[2:4], w)
+
+        return [(rect(self._pos_frac[j]), rect(self._neg_frac[j])) for j in range(MID_COUNT)]
 
     def capabilities(self) -> PredictorCapabilities:
         return PredictorCapabilities(
             mid_names=BUILTIN_MID_NAMES,
             emotion_names=BUILTIN_EMOTION_NAMES,
             linear_head=self.head,
-            input_spec={"bins": "variable", "frames": "variable"},
         )
 
     def predict(self, batch: Sequence[Spectrogram]) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -299,11 +308,9 @@ def _parse_capabilities(msg: dict) -> PredictorCapabilities:
         except (KeyError, TypeError, ValueError, ShapeMismatchError) as exc:
             raise CapabilitiesError(f"malformed linear_head: {exc}",
                                     field="linear_head") from exc
-    input_spec = msg.get("input_spec") or {"bins": "variable", "frames": "variable"}
-    if not isinstance(input_spec, dict):
-        raise CapabilitiesError("input_spec must be an object", field="input_spec")
     return PredictorCapabilities(mid_names=mid_names, emotion_names=emotion_names,
-                                 linear_head=head, input_spec=input_spec)
+                                 linear_head=head,
+                                 input_spec=msg.get("input_spec") or {})
 
 
 class ExternalPredictor:
@@ -316,18 +323,17 @@ class ExternalPredictor:
     """
 
     def __init__(self, command: str | Sequence[str], *, timeout: float = 30.0,
-                 batch_size: int = 256, window: int = 4):
+                 batch_size: int = 256):
         argv = shlex.split(command) if isinstance(command, str) else list(command)
         if not argv:
             raise ConfigError("empty predictor command")
         if not timeout > 0:
             raise ConfigError(f"timeout must be positive, got {timeout}")
-        if batch_size < 1 or window < 1:
-            raise ConfigError("batch_size and window must be >= 1")
+        if batch_size < 1:
+            raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
         self._argv = argv
         self._timeout = float(timeout)
         self.batch_size = int(batch_size)
-        self._window = int(window)
         self._proc: subprocess.Popen | None = None
         self._buf = bytearray()
         self._capabilities: PredictorCapabilities | None = None
@@ -371,8 +377,7 @@ class ExternalPredictor:
         self._capabilities = _parse_capabilities(msg)
         return self._capabilities
 
-    def predict(self, batch: Sequence[Spectrogram],
-                batch_size: int | None = None) -> list[tuple[np.ndarray, np.ndarray]]:
+    def predict(self, batch: Sequence[Spectrogram]) -> list[tuple[np.ndarray, np.ndarray]]:
         if self._proc is None:
             self.start()
         if not batch:
@@ -383,14 +388,11 @@ class ExternalPredictor:
                 raise ScaleMismatchError(
                     f"external predictors receive dB spectrograms, got '{s.scale}'"
                 )
-        size = self.batch_size if batch_size is None else int(batch_size)
-        if size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {size}")
         shape = list(batch[0].values.shape)
         bounds: dict[int, tuple[int, int]] = {}
         payloads: deque[bytes] = deque()
-        for start in range(0, len(batch), size):
-            stop = min(start + size, len(batch))
+        for start in range(0, len(batch), self.batch_size):
+            stop = min(start + self.batch_size, len(batch))
             cid = self._next_id
             self._next_id += 1
             bounds[cid] = (start, stop)
@@ -458,7 +460,7 @@ class ExternalPredictor:
                on_line: Callable[[bytes], None]) -> None:
         """Send and drop `payloads` in order; hand `want` reply lines to `on_line`.
 
-        At most `window` payloads await a reply at any time, and any read or
+        At most `WINDOW` payloads await a reply at any time, and any read or
         write that makes progress restarts the timeout.
         """
         outbox = bytearray()
@@ -469,7 +471,7 @@ class ExternalPredictor:
         try:
             deadline = time.monotonic() + self._timeout
             while payloads or outbox or got < want:
-                while payloads and sent - got < self._window:
+                while payloads and sent - got < WINDOW:
                     outbox += payloads.popleft()
                     sent += 1
                 if bool(outbox) != stdin_armed:
@@ -577,13 +579,3 @@ class ExternalPredictor:
             emotions.append(emo)
         pending.discard(cid)
         replies[cid] = (mids, emotions)
-
-
-def external_handshake(command: str | Sequence[str],
-                       timeout: float = 30.0) -> PredictorCapabilities:
-    """Spawn, handshake, shut down; returns the child's declared capabilities."""
-    gateway = ExternalPredictor(command, timeout=timeout)
-    try:
-        return gateway.start()
-    finally:
-        gateway.close()

@@ -108,6 +108,14 @@ def test_decode_rejects_missing_fmt(tmp_path):
     assert info.value.chunk == "fmt "
 
 
+def test_decode_rejects_zero_sample_rate(tmp_path):
+    path = tmp_path / "rate0.wav"
+    path.write_bytes(wav_bytes(b"\x00\x00" * 10, sample_rate=0))
+    with pytest.raises(WavDecodeError) as info:
+        decode_wav(path)
+    assert info.value.chunk == "fmt "
+
+
 def test_decode_rejects_unsupported_codec(tmp_path):
     path = tmp_path / "alaw.wav"
     path.write_bytes(wav_bytes(b"\x00" * 8, fmt=6, bits=8))

@@ -1,11 +1,13 @@
 """Command-line behaviour: argument handling, exit codes, printed summaries."""
 
+import struct
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import midlime
 from midlime.audio import AudioClip, encode_wav
 from midlime.cli import build_parser, exit_code_for, main
 from midlime.errors import (
@@ -83,6 +85,26 @@ class TestExplainCommand:
                        "--out", str(tmp_path / "b"))
         assert code == 5
         assert "error:" in capsys.readouterr().err
+
+    def test_zero_sample_rate_wav_exits_4(self, fixture_wav, tmp_path, capsys):
+        raw = bytearray(fixture_wav.read_bytes())
+        assert raw[12:16] == b"fmt "
+        struct.pack_into("<I", raw, 24, 0)  # the fmt chunk's sample rate
+        wav = tmp_path / "rate0.wav"
+        wav.write_bytes(bytes(raw))
+        code = run_cli("explain", "--audio", str(wav),
+                       "--out", str(tmp_path / "b"), *FAST)
+        assert code == 4
+        assert "sample rate 0" in capsys.readouterr().err
+        assert not (tmp_path / "b").exists()
+
+    @pytest.mark.parametrize("alpha", ["nan", "inf"])
+    def test_non_finite_alpha_exits_2(self, alpha, fixture_wav, tmp_path, capsys):
+        code = run_cli("explain", "--audio", str(fixture_wav),
+                       "--out", str(tmp_path / "b"), "--alpha", alpha, *FAST)
+        assert code == 2
+        assert "ridge_alpha" in capsys.readouterr().err
+        assert not (tmp_path / "b").exists()
 
     def test_bad_sample_count_exits_2(self, fixture_wav, tmp_path, capsys):
         code = run_cli("explain", "--audio", str(fixture_wav),
@@ -183,6 +205,11 @@ class TestExitCodeMapping:
         assert exit_code_for(nested) == 2
         assert exit_code_for(StageError("predictor", SpawnError("x"))) == 3
         assert exit_code_for(StageError("audio", AudioIOError("x"))) == 4
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in midlime.__all__ if not hasattr(midlime, name)]
+    assert missing == []
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():

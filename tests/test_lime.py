@@ -25,7 +25,6 @@ from midlime.lime import (
     LimeConfig,
     LimeExplanation,
     MaskBatch,
-    MaskSet,
     SelectedFeature,
     SurrogateFit,
     apply_mask,
@@ -33,7 +32,6 @@ from midlime.lime import (
     explanation_to_json,
     fit_surrogate,
     jaccard,
-    proximity_weight,
     proximity_weights,
     sample_masks,
     select_features,
@@ -90,8 +88,9 @@ class TestLimeConfig:
             LimeConfig(kernel_width=0.0)
         with pytest.raises(ConfigError):
             LimeConfig(ratio_threshold=0.0)
-        with pytest.raises(ConfigError):
-            LimeConfig(ridge_alpha=-1.0)
+        for alpha in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ConfigError):
+                LimeConfig(ridge_alpha=alpha)
 
     def test_echo_round_trips_through_json(self):
         echo = LimeConfig(seed=9).echo()
@@ -104,23 +103,23 @@ class TestSampleMasks:
         cfg = LimeConfig(n_samples=5, seed=0)
         a = sample_masks(3, cfg)
         b = sample_masks(3, cfg)
-        assert np.array_equal(a.masks[0], np.ones(3, dtype=np.uint8))
-        assert np.array_equal(a.masks, b.masks)
-        assert a.n_samples == 5 and a.n_segments == 3
+        assert np.array_equal(a[0], np.ones(3, dtype=np.uint8))
+        assert np.array_equal(a, b)
+        assert a.shape == (5, 3)
 
     def test_entries_binary_and_mean_centered(self):
-        masks = sample_masks(300, LimeConfig(n_samples=50000, seed=1)).masks
+        masks = sample_masks(300, LimeConfig(n_samples=50000, seed=1))
         assert set(np.unique(masks)) <= {0, 1}
         assert abs(float(masks[1:].mean()) - 0.5) < 0.01
 
     def test_different_seeds_differ(self):
-        a = sample_masks(16, LimeConfig(n_samples=64, seed=0)).masks
-        b = sample_masks(16, LimeConfig(n_samples=64, seed=1)).masks
+        a = sample_masks(16, LimeConfig(n_samples=64, seed=0))
+        b = sample_masks(16, LimeConfig(n_samples=64, seed=1))
         assert np.any(a != b)
 
     def test_blocked_fill_equals_one_shot_grid(self):
         n = 2 * lime_module._MASK_BLOCK + 5
-        masks = sample_masks(37, LimeConfig(n_samples=n, seed=9)).masks
+        masks = sample_masks(37, LimeConfig(n_samples=n, seed=9))
         grid = rng.bernoulli_grid(9, np.arange(1, n), np.arange(37))
         assert masks[1:].tobytes() == grid.tobytes()
 
@@ -140,10 +139,12 @@ class TestSampleMasks:
             sample_masks(10, LimeConfig(n_samples=11, seed=0))
 
     def test_mask_set_validation(self):
+        masks = sample_masks(3, LimeConfig(n_samples=20, seed=0))
+        masks[4, 1] = 2
         with pytest.raises(ValueError):
-            MaskSet(masks=np.array([[1, 2], [0, 1]]))
+            fit_surrogate(masks, np.arange(20.0), np.ones(20))
         with pytest.raises(ValueError):
-            MaskSet(masks=np.array([[1, 0], [1, 1]]))
+            fit_surrogate(np.full((20, 3), 0.5), np.arange(20.0), np.ones(20))
 
 
 class TestApplyMask:
@@ -198,26 +199,26 @@ class TestApplyMask:
 
 class TestProximity:
     def test_all_ones_weight_is_one(self):
-        assert proximity_weight(np.ones(10), 0.25) == pytest.approx(1.0)
+        assert proximity_weights(np.ones((1, 10)), 0.25)[0] == pytest.approx(1.0)
 
     def test_all_zeros_defined_case(self):
         expected = math.exp(-1.0 / 0.25**2)
-        assert proximity_weight(np.zeros(10), 0.25) == pytest.approx(expected)
+        assert proximity_weights(np.zeros((1, 10)), 0.25)[0] == pytest.approx(expected)
 
     def test_hand_computed_half_mask(self):
         d = 1.0 - 1.0 / math.sqrt(2.0)
         expected = math.exp(-(d * d) / 0.0625)
-        got = proximity_weight(np.array([1, 1, 0, 0]), 0.25)
+        got = proximity_weights(np.array([[1, 1, 0, 0]]), 0.25)[0]
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_matches_naive_loop(self):
-        masks = sample_masks(12, LimeConfig(n_samples=40, seed=3)).masks
+        masks = sample_masks(12, LimeConfig(n_samples=40, seed=3))
         fast = proximity_weights(masks, 0.3)
         slow = naive_proximity(masks, 0.3)
         assert np.allclose(fast, slow, rtol=1e-12)
 
     def test_equals_scalar_exp_per_row(self):
-        masks = sample_masks(50, LimeConfig(n_samples=300, seed=4)).masks
+        masks = sample_masks(50, LimeConfig(n_samples=300, seed=4))
         expected = []
         for row in masks:
             d = 1.0 - math.sqrt(int(row.sum()) / 50)
@@ -227,7 +228,7 @@ class TestProximity:
 
 class TestFitSurrogate:
     def _random_problem(self, seed, n=200, k=6, alpha=0.0):
-        masks = sample_masks(k, LimeConfig(n_samples=n, seed=seed)).masks
+        masks = sample_masks(k, LimeConfig(n_samples=n, seed=seed))
         noise = scipy.stats.norm.ppf(
             np.clip(rng.uniform_grid(seed + 100, np.arange(1), np.arange(n))[0],
                     1e-12, 1 - 1e-12))
@@ -237,7 +238,7 @@ class TestFitSurrogate:
         return masks, targets, weights
 
     def test_constant_targets(self):
-        masks = sample_masks(5, LimeConfig(n_samples=50, seed=1)).masks
+        masks = sample_masks(5, LimeConfig(n_samples=50, seed=1))
         fit = fit_surrogate(masks, np.full(50, 2.5), np.ones(50))
         assert np.max(np.abs(fit.weights)) <= 1e-9
         assert fit.intercept == pytest.approx(2.5, abs=1e-9)
@@ -245,7 +246,7 @@ class TestFitSurrogate:
         assert fit.dof == 50 - 5 - 1
 
     def test_exact_linear_recovery(self):
-        masks = sample_masks(6, LimeConfig(n_samples=120, seed=2)).masks
+        masks = sample_masks(6, LimeConfig(n_samples=120, seed=2))
         targets = 2.0 * masks[:, 0] - 1.0 * masks[:, 1] + 0.5
         weights = proximity_weights(masks, 0.25)
         fit = fit_surrogate(masks, targets, weights, alpha=0.0)
@@ -300,15 +301,21 @@ class TestFitSurrogate:
         # the intercept is not penalized
         assert abs(shrunk.intercept) > 1e-3
 
+    @pytest.mark.parametrize("alpha", [-1.0, float("nan"), float("inf")])
+    def test_rejects_negative_or_non_finite_alpha(self, alpha):
+        masks, targets, weights = self._random_problem(seed=3)
+        with pytest.raises(ConfigError):
+            fit_surrogate(masks, targets, weights, alpha=alpha)
+
     def test_rank_deficiency(self):
-        column = sample_masks(1, LimeConfig(n_samples=40, seed=7)).masks
+        column = sample_masks(1, LimeConfig(n_samples=40, seed=7))
         masks = np.hstack([column, column])  # identical features
         with pytest.raises(RankDeficiencyError):
             fit_surrogate(masks, np.arange(40.0), np.ones(40))
 
     def test_near_collinear_columns_rejected(self):
         # columns 1 and 2 differ only in one row, and that row weighs nothing
-        masks = sample_masks(3, LimeConfig(n_samples=40, seed=7)).masks.copy()
+        masks = sample_masks(3, LimeConfig(n_samples=40, seed=7))
         masks[:, 2] = masks[:, 1]
         masks[5, 2] = 1 - masks[5, 1]
         weights = np.ones(40)
@@ -335,13 +342,6 @@ class TestFitSurrogate:
         order = np.argsort(rng.uniform_grid(15, np.arange(1), np.arange(400))[0])
         assert np.array_equal(gram, lime_module._weighted_gram(masks[order], pi[order]))
 
-    def test_accepts_mask_set_wrapper(self):
-        mask_set = sample_masks(4, LimeConfig(n_samples=30, seed=8))
-        targets = mask_set.masks @ np.array([1.0, 0, 0, 0])
-        a = fit_surrogate(mask_set, targets, np.ones(30))
-        b = fit_surrogate(mask_set.masks, targets, np.ones(30))
-        assert np.array_equal(a.weights, b.weights)
-
     def test_p_values_in_unit_interval_and_se_nonnegative(self):
         masks, targets, weights = self._random_problem(seed=9)
         fit = fit_surrogate(masks, targets, weights)
@@ -350,7 +350,7 @@ class TestFitSurrogate:
 
     def test_null_p_values_close_to_uniform(self):
         n, k = 2000, 300
-        masks = sample_masks(k, LimeConfig(n_samples=n, seed=12)).masks
+        masks = sample_masks(k, LimeConfig(n_samples=n, seed=12))
         noise = scipy.stats.norm.ppf(
             np.clip(rng.uniform_grid(rng.derive(555, 0), np.arange(1),
                                      np.arange(n))[0],
@@ -425,7 +425,6 @@ class TestExplainInstance:
         assert expl.fit.r_squared >= 1.0 - 1e-9
         assert expl.prediction_at_ones == pytest.approx(
             0.25 + coefficients.sum(), abs=1e-12)
-        assert expl.target_value == expl.prediction_at_ones
 
     def test_constant_black_box_selects_nothing(self):
         seg_map, base = small_setup()
@@ -508,7 +507,7 @@ class TestStability:
                            std_errors=np.zeros(10), p_values=np.ones(10),
                            r_squared=0.0, dof=9)
         return LimeExplanation(
-            target=target, target_value=0.0, prediction_at_ones=0.0,
+            target=target, prediction_at_ones=0.0,
             selected=selected,
             positive_ids=tuple(segments), negative_ids=(),
             fit=fit, config=LimeConfig(n_samples=20, seed=0),
@@ -549,6 +548,7 @@ class TestSerialization:
             "positive_ids", "negative_ids", "r_squared", "config_echo",
         }
         assert payload["target"] == "mid:melodiousness"
+        assert payload["target_value"] == payload["prediction_at_ones"]
         for entry in payload["selected"]:
             assert set(entry) == {"segment", "weight", "p_value"}
         path = tmp_path / "expl.json"
@@ -582,7 +582,7 @@ class TestMaskBatch:
     def _rows(seg_map, count=48):
         """All ones first, then sampled rows, then all zeros."""
         n_seg = seg_map.segment_count
-        masks = sample_masks(n_seg, LimeConfig(n_samples=n_seg + 2, seed=3)).masks
+        masks = sample_masks(n_seg, LimeConfig(n_samples=n_seg + 2, seed=3))
         return np.vstack([masks[:count - 1], np.zeros((1, n_seg), dtype=np.uint8)])
 
     @pytest.mark.parametrize("fill", list(FillStrategy))

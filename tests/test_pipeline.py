@@ -2,6 +2,7 @@
 
 import json
 import os
+import shlex
 import signal
 import stat
 import subprocess
@@ -201,6 +202,24 @@ class TestPublish:
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
         assert os.listdir(tmp_path) == ["full"]
 
+    @pytest.mark.parametrize("command", ["explain", "stability"])
+    def test_symlinked_out_is_refused_untouched(self, command, fixture_wav, tmp_path,
+                                                monkeypatch, capsys):
+        target = tmp_path / "empty"
+        target.mkdir()
+        link = tmp_path / "link"
+        link.symlink_to(target, target_is_directory=True)
+        stages = []
+        monkeypatch.setattr(pipeline, "decode_wav", lambda *a: stages.append("audio"))
+        code = cli_main([command, "--audio", str(fixture_wav), "--out", str(link),
+                         "--samples", "600"])
+        assert code == 2
+        assert "symbolic link" in capsys.readouterr().err
+        assert stages == []
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert os.listdir(target) == []
+        assert sorted(os.listdir(tmp_path)) == ["empty", "link"]
+
     def test_stability_write_failure_leaves_no_out_dir(self, fixture_wav, tmp_path,
                                                        monkeypatch):
         score_of = pipeline.stability_score
@@ -334,6 +353,35 @@ class TestBundleEdges:
         assert result.report["predictor"]["mid_names"][0] == "m1"
         assert result.report["segments"]["count"] + 2 <= 60
         assert (result.out_dir / BUNDLE_FILES["report"]).is_file()
+
+    def test_fixed_input_spec_mismatch_exits_2_before_any_predict(self, fixture_wav,
+                                                                  tmp_path, capsys):
+        received = tmp_path / "received.txt"
+        code = (
+            "import json, sys\n"
+            "log = open(sys.argv[1], 'w')\n"
+            "for line in sys.stdin:\n"
+            "    msg = json.loads(line)\n"
+            "    log.write(msg['type'] + '\\n')\n"
+            "    log.flush()\n"
+            "    if msg['type'] == 'handshake':\n"
+            "        print(json.dumps({'type': 'capabilities',"
+            " 'mid_names': ['m' + str(i) for i in range(7)],"
+            " 'emotion_names': ['e' + str(i) for i in range(8)],"
+            " 'linear_head': None,"
+            " 'input_spec': {'bins': 9, 'frames': 'variable'}}), flush=True)\n"
+            "    elif msg['type'] == 'shutdown':\n"
+            "        break\n"
+        )
+        child = shlex.join([sys.executable, "-c", code, str(received)])
+        out = tmp_path / "b"
+        status = cli_main(["explain", "--audio", str(fixture_wav), "--out", str(out),
+                           "--predictor", f"exec:{child}", "--target", "mid:m0",
+                           "--samples", "600", "--timeout", "10"])
+        assert status == 2
+        assert "9 bins" in capsys.readouterr().err
+        assert received.read_text().split() == ["handshake", "shutdown"]
+        assert not out.exists()
 
 
 class TestChunking:

@@ -30,7 +30,6 @@ from midlime.predictor import (
     LinearHead,
     PredictorCapabilities,
     _parse_capabilities,
-    external_handshake,
 )
 
 from conftest import block_map, child_command, db_spec, random_db_image
@@ -173,6 +172,14 @@ class TestCapabilitiesParsing:
         assert np.allclose(caps.linear_head.weights, CHILD_HEAD_W)
         assert caps.input_spec["bins"] == 9
 
+    @pytest.mark.parametrize("bins", [True, 0, -3, 9.0, "9", None, "fixed"])
+    def test_input_spec_takes_variable_or_a_positive_int(self, bins):
+        msg = self._base()
+        msg["input_spec"] = {"bins": bins, "frames": "variable"}
+        with pytest.raises(CapabilitiesError) as info:
+            _parse_capabilities(msg)
+        assert info.value.field == "input_spec"
+
     def test_arity_error_names_field(self):
         msg = self._base()
         msg["mid_names"] = msg["mid_names"][:6]
@@ -301,8 +308,8 @@ class TestGateway:
             gateway.close()
 
     def test_headless_child(self):
-        caps = external_handshake(child_command("no-head"), timeout=10)
-        assert caps.linear_head is None
+        with ExternalPredictor(child_command("no-head"), timeout=10) as gateway:
+            assert gateway.capabilities.linear_head is None
 
     def test_nan_reply_carries_batch_index(self):
         gateway = ExternalPredictor(child_command("nan"), timeout=10, batch_size=4)
@@ -358,8 +365,8 @@ class TestGateway:
                 " 'linear_head': None}))\n"
                 "sys.stdout.flush()\n"
                 "sys.stdin.readline()\n")
-        caps = external_handshake([sys.executable, "-c", code], timeout=10)
-        assert caps.linear_head is None
+        with ExternalPredictor([sys.executable, "-c", code], timeout=10) as gateway:
+            assert gateway.capabilities.linear_head is None
 
 
 class TestGatewayMaskBatch:
@@ -368,7 +375,7 @@ class TestGatewayMaskBatch:
                                                                 monkeypatch):
         base = tiny_spec(3)
         seg_map = block_map(9, 6, 3, 3)
-        masks = sample_masks(6, LimeConfig(n_samples=9, seed=2)).masks
+        masks = sample_masks(6, LimeConfig(n_samples=9, seed=2))
         sent, renders = [], []
         encode = ExternalPredictor._encode
         render = MaskBatch._render
