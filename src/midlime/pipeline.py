@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import os
 import shutil
 import time
@@ -109,8 +110,9 @@ class RunConfig:
     def __post_init__(self):
         if self.gl_iterations < 0:
             raise ConfigError(f"gl_iterations must be >= 0, got {self.gl_iterations}")
-        if not self.synth_gain >= 0:
-            raise ConfigError(f"synth_gain must be >= 0, got {self.synth_gain}")
+        if not 0 <= self.synth_gain < math.inf:
+            raise ConfigError(
+                f"synth_gain must be finite and >= 0, got {self.synth_gain}")
         if self.workers < 1 or self.batch_size < 1:
             raise ConfigError("workers and batch_size must be >= 1")
 
@@ -224,8 +226,8 @@ def synthesize_modified(
     negative one; segment_ids overrides the set. Inversion runs with the
     original phase as the starting point.
     """
-    if not gain >= 0:
-        raise ConfigError(f"gain must be >= 0, got {gain}")
+    if not 0 <= gain < math.inf:
+        raise ConfigError(f"gain must be finite and >= 0, got {gain}")
     if iterations < 0:
         raise ConfigError(f"iterations must be >= 0, got {iterations}")
     if mode not in (MODE_MASK_ONLY, MODE_ADD, MODE_SUBTRACT):
@@ -293,7 +295,7 @@ def _prepare(config: RunConfig, timings: dict) -> _Prepared:
     try:
         _check_input_spec(caps, dbspec)
         with _stage("prediction", timings):
-            (mid, emotion), = predictor.predict([dbspec])
+            (mid,), (emotion,) = predictor.predict([dbspec])
         effects = None
         discrepancy = None
         if caps.linear_head is not None:
@@ -325,12 +327,11 @@ def _check_input_spec(caps: PredictorCapabilities, dbspec: Spectrogram) -> None:
 
 
 def _target_fn(predictor, target_info):
-    kind, index = target_info["kind"], target_info["index"]
+    position = 0 if target_info["kind"] == "mid" else 1
+    index = target_info["index"]
 
     def fn(batch):
-        results = predictor.predict(batch)
-        position = 0 if kind == "mid" else 1
-        return [float(pair[position][index]) for pair in results]
+        return predictor.predict(batch)[position][:, index]
 
     return fn
 
@@ -481,6 +482,13 @@ def _check_out_dir(out_dir: Path) -> None:
             f"output path {out_dir} exists and is not an empty directory; "
             "pass a new or empty directory"
         )
+    # `_publish` creates the missing directories, so the nearest existing
+    # ancestor must be a directory.
+    ancestor = next(p for p in out_dir.parents if os.path.lexists(p))
+    if not ancestor.is_dir():
+        raise ConfigError(
+            f"output path {out_dir} lies below {ancestor}, which is not a directory"
+        )
 
 
 def _publish(out_dir: Path, write: Callable[[Path], None]) -> None:
@@ -531,6 +539,11 @@ def run_stability(config: RunConfig, seeds: Sequence[int],
     if not sample_counts:
         raise ConfigError("stability needs at least one sample count")
 
+    # Built up front, so that a bad count is refused before any work.
+    lime_configs = {count: [replace(config.lime, seed=seed, n_samples=count)
+                            for seed in seeds]
+                    for count in sample_counts}
+
     timings: dict = {}
     prep = _prepare(config, timings)
     results: dict = {}
@@ -539,9 +552,8 @@ def run_stability(config: RunConfig, seeds: Sequence[int],
         workers = _lime_workers(config)
         for count in sample_counts:
             explanations = []
-            for seed in seeds:
-                lime_cfg = replace(config.lime, seed=seed, n_samples=count)
-                with _stage(f"lime[n={count},seed={seed}]", timings):
+            for lime_cfg in lime_configs[count]:
+                with _stage(f"lime[n={count},seed={lime_cfg.seed}]", timings):
                     explanations.append(explain_instance(
                         fn, prep.dbspec, prep.seg_map, lime_cfg,
                         target=prep.target_label,

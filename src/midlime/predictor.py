@@ -1,7 +1,8 @@
 """Black-box predictor access.
 
-Three implementations of the same contract (batch of spectrograms in, one
-(mid-level vector, emotion vector) pair per item out):
+Three implementations of the same contract: `predict(batch)` takes a
+sequence of spectrograms and returns two float64 matrices, the mid-level
+values `(n, 7)` and the emotions `(n, 8)`, with row i for item i:
 
 * ``BuiltinPredictor``: a seeded synthetic model, affine end to end, whose
   ground truth is computable in closed form. Used by tests and as a default.
@@ -22,7 +23,8 @@ The wire protocol, one UTF-8 JSON object per line:
 * parent sends ``{"type": "predict", "id": n, "shape": [B, F], "scale": "db",
   "batch": [flattened row-major arrays ...]}`` with monotonically increasing ids
 * child replies ``{"type": "prediction", "id": n, "mid": [[...7] x items],
-  "emotion": [[...8] x items]}`` in any order; the gateway reassembles by id
+  "emotion": [[...8] x items]}`` in any order; the gateway fills the rows of
+  chunk n from it
 * parent sends ``{"type": "shutdown"}`` and the child exits 0
 
 The child's stderr is inherited, so its diagnostics land in the host's logs.
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 import fcntl
 import json
+import math
 import os
 import selectors
 import shlex
@@ -211,16 +214,15 @@ class BuiltinPredictor:
             linear_head=self.head,
         )
 
-    def predict(self, batch: Sequence[Spectrogram]) -> list[tuple[np.ndarray, np.ndarray]]:
+    def predict(self, batch: Sequence[Spectrogram]) -> tuple[np.ndarray, np.ndarray]:
         if isinstance(batch, MaskBatch):
             mids = self._masked_mids(batch)
         elif not batch:
-            return []
+            mids = np.empty((0, MID_COUNT))
         else:
             _check_batch(batch)
             mids = self._mids(np.stack([s.values for s in batch]))
-        emotions = self.head.apply(mids)
-        return [(mids[i].copy(), emotions[i].copy()) for i in range(len(batch))]
+        return mids, self.head.apply(mids)
 
     def _mids(self, stack: np.ndarray) -> np.ndarray:
         mids = np.empty((len(stack), MID_COUNT))
@@ -277,11 +279,11 @@ class ConstantPredictor:
             linear_head=self.head,
         )
 
-    def predict(self, batch: Sequence[Spectrogram]) -> list[tuple[np.ndarray, np.ndarray]]:
+    def predict(self, batch: Sequence[Spectrogram]) -> tuple[np.ndarray, np.ndarray]:
         if not isinstance(batch, MaskBatch):
             _check_batch(batch)
-        emotion = self.head.apply(self._mid)
-        return [(self._mid.copy(), emotion.copy()) for _ in range(len(batch))]
+        mids = np.tile(self._mid, (len(batch), 1))
+        return mids, self.head.apply(mids)
 
     def close(self) -> None:
         pass
@@ -318,8 +320,9 @@ class ExternalPredictor:
 
     Requests are pipelined with a bounded window of outstanding chunks, and
     stdin/stdout are driven by one non-blocking event loop so a slow or
-    bursty child cannot deadlock the pipe pair. Not thread-safe: callers
-    sharing a gateway must serialize access themselves.
+    bursty child cannot deadlock the pipe pair. `predict` works only between
+    `start()` (or entering a `with` block) and `close()`. Not thread-safe:
+    callers sharing a gateway must serialize access themselves.
     """
 
     def __init__(self, command: str | Sequence[str], *, timeout: float = 30.0,
@@ -327,8 +330,8 @@ class ExternalPredictor:
         argv = shlex.split(command) if isinstance(command, str) else list(command)
         if not argv:
             raise ConfigError("empty predictor command")
-        if not timeout > 0:
-            raise ConfigError(f"timeout must be positive, got {timeout}")
+        if not 0 < timeout < math.inf:
+            raise ConfigError(f"timeout must be finite and positive, got {timeout}")
         if batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
         self._argv = argv
@@ -377,18 +380,17 @@ class ExternalPredictor:
         self._capabilities = _parse_capabilities(msg)
         return self._capabilities
 
-    def predict(self, batch: Sequence[Spectrogram]) -> list[tuple[np.ndarray, np.ndarray]]:
+    def predict(self, batch: Sequence[Spectrogram]) -> tuple[np.ndarray, np.ndarray]:
         if self._proc is None:
-            self.start()
-        if not batch:
-            return []
+            raise TransportError("predictor is not running; call start() first")
         _check_batch(batch)
         for s in batch:
             if s.scale != SCALE_DB:
                 raise ScaleMismatchError(
                     f"external predictors receive dB spectrograms, got '{s.scale}'"
                 )
-        shape = list(batch[0].values.shape)
+        mids = np.empty((len(batch), MID_COUNT))
+        emotions = np.empty((len(batch), EMOTION_COUNT))
         bounds: dict[int, tuple[int, int]] = {}
         payloads: deque[bytes] = deque()
         for start in range(0, len(batch), self.batch_size):
@@ -399,18 +401,13 @@ class ExternalPredictor:
             payloads.append(self._encode({
                 "type": "predict",
                 "id": cid,
-                "shape": shape,
+                "shape": list(batch[start].values.shape),
                 "scale": batch[start].scale,
                 "batch": [batch[i].values.ravel().tolist() for i in range(start, stop)],
             }))
-        pending = set(bounds)
-        replies: dict[int, tuple[list, list]] = {}
         self._relay(self._proc, payloads, len(bounds),
-                    lambda line: self._handle_prediction(line, pending, bounds, replies))
-        out: list[tuple[np.ndarray, np.ndarray]] = [None] * len(batch)  # type: ignore
-        for cid, (start, stop) in bounds.items():
-            out[start:stop] = zip(*replies[cid])
-        return out
+                    lambda line: self._handle_prediction(line, bounds, mids, emotions))
+        return mids, emotions
 
     def close(self) -> int | None:
         """Request shutdown and reap the child; returns its exit code."""
@@ -530,8 +527,9 @@ class ExternalPredictor:
         self._buf += chunk
         return True
 
-    def _handle_prediction(self, line: bytes, pending: set,
-                           bounds: dict, replies: dict) -> None:
+    def _handle_prediction(self, line: bytes, bounds: dict, mids: np.ndarray,
+                           emotions: np.ndarray) -> None:
+        """Check one prediction reply and fill its rows of `mids` and `emotions`."""
         msg = self._decode(line)
         if msg.get("type") != "prediction":
             raise ProtocolError(
@@ -539,11 +537,11 @@ class ExternalPredictor:
                 line=line.decode("utf-8", "replace"),
             )
         cid = msg.get("id")
-        if cid not in pending:
+        if cid not in bounds:
             raise TransportError(
                 f"prediction for unknown or already-answered id {cid!r}"
             )
-        start, stop = bounds[cid]
+        start, stop = bounds.pop(cid)
         count = stop - start
         mid_rows = msg.get("mid")
         emo_rows = msg.get("emotion")
@@ -554,28 +552,26 @@ class ExternalPredictor:
                 f"{len(mid_rows) if isinstance(mid_rows, list) else '?'} mid / "
                 f"{len(emo_rows) if isinstance(emo_rows, list) else '?'} emotion"
             )
-        mids, emotions = [], []
-        for k in range(count):
-            try:
-                mid = np.asarray(mid_rows[k], dtype=np.float64)
-                emo = np.asarray(emo_rows[k], dtype=np.float64)
-            except (TypeError, ValueError) as exc:
-                raise ProtocolError(
-                    f"non-numeric prediction entry in chunk {cid} item {k}",
-                    line=line.decode("utf-8", "replace"),
-                ) from exc
-            if mid.shape != (MID_COUNT,) or emo.shape != (EMOTION_COUNT,):
-                raise ProtocolError(
-                    f"prediction arity {mid.shape}/{emo.shape} in chunk {cid}, "
-                    f"expected ({MID_COUNT},)/({EMOTION_COUNT},)",
-                    line=line.decode("utf-8", "replace"),
-                )
-            if not (np.all(np.isfinite(mid)) and np.all(np.isfinite(emo))):
-                raise PredictionValueError(
-                    f"non-finite prediction for batch item {start + k}",
-                    index=start + k,
-                )
-            mids.append(mid)
-            emotions.append(emo)
-        pending.discard(cid)
-        replies[cid] = (mids, emotions)
+        try:
+            mid = np.asarray(mid_rows, dtype=np.float64)
+            emo = np.asarray(emo_rows, dtype=np.float64)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ProtocolError(
+                f"non-numeric or ragged prediction rows in chunk {cid}: {exc}",
+                line=line.decode("utf-8", "replace"),
+            ) from exc
+        if mid.shape != (count, MID_COUNT) or emo.shape != (count, EMOTION_COUNT):
+            raise ProtocolError(
+                f"prediction shapes {mid.shape}/{emo.shape} in chunk {cid}, "
+                f"expected ({count}, {MID_COUNT})/({count}, {EMOTION_COUNT})",
+                line=line.decode("utf-8", "replace"),
+            )
+        finite = np.isfinite(mid).all(axis=1) & np.isfinite(emo).all(axis=1)
+        bad = np.flatnonzero(~finite)
+        if bad.size:
+            raise PredictionValueError(
+                f"non-finite prediction for batch item {start + bad[0]}",
+                index=int(start + bad[0]),
+            )
+        mids[start:stop] = mid
+        emotions[start:stop] = emo

@@ -257,7 +257,7 @@ def test_08_protocol_relay_and_reassembly(capsys):
                            batch_size=256) as gateway:
         try:
             results = gateway.predict(specs)
-            mids = np.array([mid[0] for mid, _ in results])
+            mids = results[0][:, 0]
             if not np.allclose(mids, expected, rtol=1e-12, atol=0):
                 errors += 1
         except MidlimeError:
@@ -268,7 +268,7 @@ def test_08_protocol_relay_and_reassembly(capsys):
     with ExternalPredictor(child_command("reorder"), timeout=60.0,
                            batch_size=64) as gateway:
         results = gateway.predict(subset)
-        mids = np.array([mid[0] for mid, _ in results])
+        mids = results[0][:, 0]
         reordered_match = bool(np.allclose(mids, expected[:2000],
                                            rtol=1e-12, atol=0))
 

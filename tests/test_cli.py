@@ -20,7 +20,7 @@ from midlime.errors import (
 )
 from midlime.lime import FillStrategy
 
-from conftest import package_env, uniform_noise
+from conftest import child_command, package_env, uniform_noise
 
 FAST = [
     "--samples", "600",
@@ -104,6 +104,21 @@ class TestExplainCommand:
                        "--out", str(tmp_path / "b"), "--alpha", alpha, *FAST)
         assert code == 2
         assert "ridge_alpha" in capsys.readouterr().err
+        assert not (tmp_path / "b").exists()
+
+    def test_non_finite_synth_gain_exits_2(self, fixture_wav, tmp_path, capsys):
+        code = run_cli("explain", "--audio", str(fixture_wav),
+                       "--out", str(tmp_path / "b"), "--synth-gain", "inf", *FAST)
+        assert code == 2
+        assert "synth_gain must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "b").exists()
+
+    def test_non_finite_timeout_exits_2(self, fixture_wav, tmp_path, capsys):
+        code = run_cli("explain", "--audio", str(fixture_wav),
+                       "--out", str(tmp_path / "b"), "--timeout", "inf",
+                       "--predictor", f"exec:{child_command('echo')}", *FAST)
+        assert code == 2
+        assert "timeout must be finite" in capsys.readouterr().err
         assert not (tmp_path / "b").exists()
 
     def test_bad_sample_count_exits_2(self, fixture_wav, tmp_path, capsys):

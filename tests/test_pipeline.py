@@ -92,7 +92,7 @@ class TestBundle:
         payload = json.loads((bundle.out_dir / BUNDLE_FILES["prediction"]).read_text())
         clip = decode_wav(fixture_wav)
         spec = magnitude_db(stft(clip, FAST_STFT))
-        (mid, emotion), = BuiltinPredictor(seed=0).predict([spec])
+        (mid,), (emotion,) = BuiltinPredictor(seed=0).predict([spec])
         assert np.allclose(payload["mid"], mid, atol=1e-12)
         assert np.allclose(payload["emotion"], emotion, atol=1e-12)
         assert payload["mid_names"][0] == "melodiousness"
@@ -219,6 +219,37 @@ class TestPublish:
         assert link.is_symlink() and os.readlink(link) == str(target)
         assert os.listdir(target) == []
         assert sorted(os.listdir(tmp_path)) == ["empty", "link"]
+
+    @pytest.mark.parametrize("command", ["explain", "stability"])
+    def test_out_below_a_regular_file_is_refused_untouched(self, command, fixture_wav,
+                                                           tmp_path, monkeypatch,
+                                                           capsys):
+        found = tmp_path / "found"
+        found.mkdir()
+        (found / "file.txt").write_bytes(b"keep me\n")
+        stages = []
+        monkeypatch.setattr(pipeline, "decode_wav", lambda *a: stages.append("audio"))
+        code = cli_main([command, "--audio", str(fixture_wav),
+                         "--out", str(found / "file.txt" / "sub" / "out"),
+                         "--samples", "600"])
+        assert code == 2
+        assert "which is not a directory" in capsys.readouterr().err
+        assert stages == []
+        assert os.listdir(found) == ["file.txt"]
+        assert (found / "file.txt").read_bytes() == b"keep me\n"
+
+    def test_stability_refuses_a_bad_sample_count_before_any_work(self, fixture_wav,
+                                                                  tmp_path,
+                                                                  monkeypatch, capsys):
+        stages = []
+        monkeypatch.setattr(pipeline, "decode_wav", lambda *a: stages.append("audio"))
+        code = cli_main(["stability", "--audio", str(fixture_wav),
+                         "--out", str(tmp_path / "stab"),
+                         "--seeds", "1,2", "--sample-counts", "3000,2"])
+        assert code == 2
+        assert "n_samples must be >= 3" in capsys.readouterr().err
+        assert stages == []
+        assert os.listdir(tmp_path) == []
 
     def test_stability_write_failure_leaves_no_out_dir(self, fixture_wav, tmp_path,
                                                        monkeypatch):
@@ -504,8 +535,9 @@ class TestSynthesizeModified:
 
     def test_negative_gain_rejected(self, prepared):
         _, cspec, seg_map, expl = prepared
-        with pytest.raises(ConfigError):
-            synthesize_modified(cspec, expl, seg_map, MODE_ADD, -1.0)
+        for gain in (-1.0, np.inf, np.nan):
+            with pytest.raises(ConfigError):
+                synthesize_modified(cspec, expl, seg_map, MODE_ADD, gain)
 
     def test_unknown_mode_rejected(self, prepared):
         _, cspec, seg_map, expl = prepared
@@ -560,8 +592,9 @@ class TestRunStability:
 
 class TestRunConfigValidation:
     def test_rejects_negative_gain(self, fixture_wav, tmp_path):
-        with pytest.raises(ConfigError):
-            fast_config(fixture_wav, tmp_path, synth_gain=-0.5)
+        for gain in (-0.5, np.inf, np.nan):
+            with pytest.raises(ConfigError):
+                fast_config(fixture_wav, tmp_path, synth_gain=gain)
 
     def test_rejects_negative_iterations(self, fixture_wav, tmp_path):
         with pytest.raises(ConfigError):

@@ -1,5 +1,6 @@
 """Builtin predictor closed forms and the external stdio gateway."""
 
+import subprocess
 import sys
 import time
 
@@ -39,6 +40,29 @@ TINY = StftConfig(frame_size=16, hop_size=4)  # 9 bins
 CHILD_HEAD_W = np.array([[((i * 7 + j) % 5 - 2) / 3.0 for j in range(7)]
                          for i in range(8)])
 CHILD_HEAD_B = np.array([i / 10.0 for i in range(8)])
+
+# Replies with zeros, except that the Python statement in argv[2] edits the
+# `mid` and `emotion` rows of the reply to chunk id argv[1].
+EDITING_CHILD = (
+    "import json, sys\n"
+    "chunk, edit = int(sys.argv[1]), sys.argv[2]\n"
+    "for line in sys.stdin:\n"
+    "    msg = json.loads(line)\n"
+    "    if msg['type'] == 'handshake':\n"
+    "        print(json.dumps({'type': 'capabilities',"
+    " 'mid_names': ['m' + str(i) for i in range(7)],"
+    " 'emotion_names': ['e' + str(i) for i in range(8)],"
+    " 'linear_head': None}), flush=True)\n"
+    "    elif msg['type'] == 'predict':\n"
+    "        mid = [[0.0] * 7 for _ in msg['batch']]\n"
+    "        emotion = [[0.0] * 8 for _ in msg['batch']]\n"
+    "        if msg['id'] == chunk:\n"
+    "            exec(edit)\n"
+    "        print(json.dumps({'type': 'prediction', 'id': msg['id'],"
+    " 'mid': mid, 'emotion': emotion}), flush=True)\n"
+    "    else:\n"
+    "        break\n"
+)
 
 
 def tiny_spec(seed: int, frames: int = 6) -> Spectrogram:
@@ -80,7 +104,7 @@ class TestBuiltin:
     def test_all_floor_closed_form(self):
         predictor = BuiltinPredictor(seed=0)
         spec = db_spec(np.full((40, 30), -80.0))
-        (mid, emotion), = predictor.predict([spec])
+        (mid,), (emotion,) = predictor.predict([spec])
         # every region mean is -80, so mid_j = -80 + 0.5*80 + offset_j
         expected_mid = -80.0 + 40.0 + predictor.offsets
         assert np.allclose(mid, expected_mid, atol=1e-12)
@@ -90,7 +114,7 @@ class TestBuiltin:
         predictor = BuiltinPredictor(seed=3)
         values = random_db_image(40, 50, 36)
         spec = db_spec(values)
-        (mid, _), = predictor.predict([spec])
+        (mid,), _ = predictor.predict([spec])
         for j, (pos, neg) in enumerate(predictor.regions((50, 36))):
             pos_mean = values[pos[0]:pos[1], pos[2]:pos[3]].mean()
             neg_mean = values[neg[0]:neg[1], neg[2]:neg[3]].mean()
@@ -100,7 +124,7 @@ class TestBuiltin:
     def test_emotion_is_exactly_linear_in_mid(self):
         predictor = BuiltinPredictor(seed=1)
         for seed in range(4):
-            (mid, emotion), = predictor.predict([tiny_spec(seed)])
+            (mid,), (emotion,) = predictor.predict([tiny_spec(seed)])
             assert np.max(np.abs(emotion - predictor.head.apply(mid))) <= 1e-12
 
     def test_functional_is_affine_in_pixels(self):
@@ -108,18 +132,18 @@ class TestBuiltin:
         a, b = tiny_spec(1).values, tiny_spec(2).values
         lam = 0.3
         mix = db_spec(lam * a + (1 - lam) * b, config=TINY)
-        (mid_mix, _), = predictor.predict([mix])
-        (mid_a, _), = predictor.predict([db_spec(a, config=TINY)])
-        (mid_b, _), = predictor.predict([db_spec(b, config=TINY)])
+        (mid_mix,), _ = predictor.predict([mix])
+        (mid_a,), _ = predictor.predict([db_spec(a, config=TINY)])
+        (mid_b,), _ = predictor.predict([db_spec(b, config=TINY)])
         offset = predictor.offsets
         expected = lam * (mid_a - offset) + (1 - lam) * (mid_b - offset) + offset
         assert np.allclose(mid_mix, expected, atol=1e-10)
 
     def test_duplicate_batch_items_agree(self):
         spec = tiny_spec(7)
-        results = BuiltinPredictor(seed=0).predict([spec, spec])
-        assert np.array_equal(results[0][0], results[1][0])
-        assert np.array_equal(results[0][1], results[1][1])
+        mids, emotions = BuiltinPredictor(seed=0).predict([spec, spec])
+        assert np.array_equal(mids[0], mids[1])
+        assert np.array_equal(emotions[0], emotions[1])
 
     def test_seeded_reproducibility_and_variation(self):
         a = BuiltinPredictor(seed=5)
@@ -130,7 +154,8 @@ class TestBuiltin:
         assert not np.array_equal(a.head.weights, c.head.weights)
 
     def test_empty_batch(self):
-        assert BuiltinPredictor().predict([]) == []
+        mids, emotions = BuiltinPredictor().predict([])
+        assert mids.shape == (0, MID_COUNT) and emotions.shape == (0, EMOTION_COUNT)
 
     def test_mixed_shapes_rejected(self):
         with pytest.raises(BatchShapeError):
@@ -148,10 +173,10 @@ class TestBuiltin:
 class TestConstantPredictor:
     def test_constant_output(self):
         predictor = ConstantPredictor(mid_value=0.25)
-        results = predictor.predict([tiny_spec(0), tiny_spec(1)])
-        assert np.all(results[0][0] == 0.25)
-        assert np.array_equal(results[0][0], results[1][0])
-        assert np.all(results[0][1] == 0.0)
+        mids, emotions = predictor.predict([tiny_spec(0), tiny_spec(1)])
+        assert mids.shape == (2, MID_COUNT) and emotions.shape == (2, EMOTION_COUNT)
+        assert np.all(mids == 0.25)
+        assert np.all(emotions == 0.0)
 
 
 class TestCapabilitiesParsing:
@@ -213,9 +238,9 @@ class TestGateway:
             caps = gateway.capabilities
             assert caps.mid_names == tuple(f"m{i}" for i in range(1, 8))
             assert caps.linear_head is not None
-            results = gateway.predict(batch)
-        assert len(results) == 5
-        for spec, (mid, emotion) in zip(batch, results):
+            mids, emotions = gateway.predict(batch)
+        assert mids.shape == (5, MID_COUNT) and emotions.shape == (5, EMOTION_COUNT)
+        for spec, mid, emotion in zip(batch, mids, emotions):
             mean = float(spec.values.mean())
             assert np.allclose(mid, mean, rtol=1e-9, atol=1e-12)
             expected = CHILD_HEAD_W @ mid + CHILD_HEAD_B
@@ -229,12 +254,13 @@ class TestGateway:
         with ExternalPredictor(child_command("echo"), timeout=20,
                                batch_size=64) as big:
             whole = big.predict(batch)
-        for (m1, e1), (m2, e2) in zip(chunked, whole):
-            assert np.array_equal(m1, m2) and np.array_equal(e1, e2)
+        assert np.array_equal(chunked[0], whole[0])
+        assert np.array_equal(chunked[1], whole[1])
 
     def test_empty_batch_sends_nothing(self):
         with ExternalPredictor(child_command("silent"), timeout=5) as gateway:
-            assert gateway.predict([]) == []
+            mids, emotions = gateway.predict([])
+        assert mids.shape == (0, MID_COUNT) and emotions.shape == (0, EMOTION_COUNT)
 
     def test_out_of_order_replies_reassembled(self):
         batch = [tiny_spec(s) for s in range(8)]
@@ -244,14 +270,14 @@ class TestGateway:
         with ExternalPredictor(child_command("reorder"), timeout=20,
                                batch_size=2) as shuffled_gw:
             shuffled = shuffled_gw.predict(batch)
-        for (m1, e1), (m2, e2) in zip(expected, shuffled):
-            assert np.array_equal(m1, m2) and np.array_equal(e1, e2)
+        assert np.array_equal(expected[0], shuffled[0])
+        assert np.array_equal(expected[1], shuffled[1])
 
     def test_multiple_predict_calls_reuse_the_child(self):
         with ExternalPredictor(child_command("echo"), timeout=20) as gateway:
             first = gateway.predict([tiny_spec(0)])
             second = gateway.predict([tiny_spec(0)])
-        assert np.array_equal(first[0][0], second[0][0])
+        assert np.array_equal(first[0], second[0])
 
     def test_close_returns_zero_exit(self):
         gateway = ExternalPredictor(child_command("echo"), timeout=20)
@@ -314,16 +340,72 @@ class TestGateway:
     def test_nan_reply_carries_batch_index(self):
         gateway = ExternalPredictor(child_command("nan"), timeout=10, batch_size=4)
         try:
+            gateway.start()
             with pytest.raises(PredictionValueError) as info:
                 gateway.predict([tiny_spec(s) for s in range(4)])
         finally:
             gateway.close()
         assert info.value.index == 0
 
+    @pytest.mark.parametrize("edit", [
+        "mid = [row[:6] for row in mid]",
+        "mid[0][2] = 'x'",
+        "mid[1].pop()",
+    ], ids=["six-entry-mid", "string-entry", "ragged-rows"])
+    def test_malformed_reply_rows_are_protocol_errors(self, edit):
+        with ExternalPredictor([sys.executable, "-c", EDITING_CHILD, "1", edit],
+                               timeout=10, batch_size=2) as gateway:
+            with pytest.raises(ProtocolError) as info:
+                gateway.predict([tiny_spec(s) for s in range(4)])
+        assert info.value.line
+
+    def test_nan_in_a_later_chunk_carries_the_batch_index(self):
+        edit = "emotion[1][5] = float('nan')"
+        with ExternalPredictor([sys.executable, "-c", EDITING_CHILD, "1", edit],
+                               timeout=10, batch_size=2) as gateway:
+            with pytest.raises(PredictionValueError) as info:
+                gateway.predict([tiny_spec(s) for s in range(4)])
+        assert info.value.index == 3
+
+    def test_integer_too_large_for_a_float_is_a_protocol_error(self):
+        edit = "mid[0][0] = 10 ** 400"
+        with ExternalPredictor([sys.executable, "-c", EDITING_CHILD, "0", edit],
+                               timeout=10) as gateway:
+            with pytest.raises(ProtocolError) as info:
+                gateway.predict([tiny_spec(0)])
+        assert info.value.line
+
+    @pytest.mark.parametrize("started", [False, True], ids=["never-started", "closed"])
+    def test_predict_outside_start_and_close_spawns_nothing(self, started,
+                                                             monkeypatch):
+        gateway = ExternalPredictor(child_command("echo"), timeout=10)
+        if started:
+            gateway.start()
+            assert gateway.close() == 0
+        spawned = []
+        popen = subprocess.Popen
+
+        def recording_popen(*args, **kwargs):
+            proc = popen(*args, **kwargs)
+            spawned.append(proc)
+            return proc
+
+        monkeypatch.setattr(subprocess, "Popen", recording_popen)
+        try:
+            with pytest.raises(TransportError, match="start"):
+                gateway.predict([tiny_spec(0)])
+        finally:
+            gateway.close()
+            for proc in spawned:
+                proc.kill()
+                proc.wait()
+        assert spawned == []
+
     def test_short_reply_is_a_transport_error(self):
         gateway = ExternalPredictor(child_command("short-reply"), timeout=10,
                                     batch_size=4)
         try:
+            gateway.start()
             with pytest.raises(TransportError):
                 gateway.predict([tiny_spec(s) for s in range(4)])
         finally:
@@ -332,6 +414,7 @@ class TestGateway:
     def test_exit_early_is_a_transport_error(self):
         gateway = ExternalPredictor(child_command("exit-early"), timeout=10)
         try:
+            gateway.start()
             with pytest.raises(TransportError):
                 gateway.predict([tiny_spec(0)])
         finally:
@@ -340,6 +423,7 @@ class TestGateway:
     def test_silent_child_times_out(self):
         gateway = ExternalPredictor(child_command("silent"), timeout=1.0)
         try:
+            gateway.start()
             with pytest.raises(PredictorTimeoutError):
                 gateway.predict([tiny_spec(0)])
         finally:
@@ -350,6 +434,7 @@ class TestGateway:
                            config=TINY, sample_rate=22050)
         gateway = ExternalPredictor(child_command("echo"), timeout=10)
         try:
+            gateway.start()
             with pytest.raises(ScaleMismatchError):
                 gateway.predict([spec])
         finally:
@@ -402,5 +487,5 @@ class TestGatewayMaskBatch:
         assert len(mask_lines) == 5
         assert mask_lines == dense_lines
         assert renders == [1]
-        for (m1, e1), (m2, e2) in zip(dense, batched):
-            assert np.array_equal(m1, m2) and np.array_equal(e1, e2)
+        assert np.array_equal(dense[0], batched[0])
+        assert np.array_equal(dense[1], batched[1])
