@@ -24,7 +24,6 @@ from .dsp import (
 )
 from .effects import (
     EffectsMatrix,
-    global_effects,
     head_discrepancy,
     instance_effects,
     top_effect,
@@ -71,8 +70,7 @@ __all__ = [
     "SCALE_DB", "SCALE_MAGNITUDE", "ComplexSpectrogram", "Spectrogram",
     "StftConfig", "griffin_lim", "griffin_lim_trace",
     "istft", "magnitude_db", "stft",
-    "EffectsMatrix", "global_effects", "head_discrepancy", "instance_effects",
-    "top_effect",
+    "EffectsMatrix", "head_discrepancy", "instance_effects", "top_effect",
     "MidlimeError",
     "FillStrategy", "LimeConfig", "LimeExplanation", "MaskBatch",
     "SurrogateFit",

@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import EmptyInputError, ShapeMismatchError
+from .errors import ShapeMismatchError
 from .predictor import EMOTION_COUNT, MID_COUNT, LinearHead
 
 
@@ -52,22 +52,6 @@ def instance_effects(
     )
 
 
-def global_effects(mids: Sequence[np.ndarray], head: LinearHead) -> dict:
-    """Summary statistics of e_ij over a batch of instances."""
-    if len(mids) == 0:
-        raise EmptyInputError("cannot summarize effects over an empty batch")
-    stack = np.stack([np.asarray(m, dtype=np.float64) for m in mids])
-    if stack.shape[1:] != (MID_COUNT,):
-        raise ShapeMismatchError(f"each mid vector must have {MID_COUNT} entries")
-    all_effects = head.weights[None, :, :] * stack[:, None, :]
-    return {
-        "mean": all_effects.mean(axis=0),
-        "std": all_effects.std(axis=0),
-        "min": all_effects.min(axis=0),
-        "max": all_effects.max(axis=0),
-    }
-
-
 def top_effect(effects: EffectsMatrix, emotion_index: int) -> tuple[int, float]:
     """Strongest contributor to one emotion; ties go to the lowest index."""
     if not 0 <= emotion_index < effects.effects.shape[0]:
@@ -98,15 +82,3 @@ def write_effects_csv(effects: EffectsMatrix, head: LinearHead, path) -> None:
                     f"{float(effects.mid[j])!r},{float(effects.effects[i, j])!r}\n"
                 )
 
-
-def write_global_effects_csv(summary: dict, mid_names: Sequence[str],
-                             emotion_names: Sequence[str], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("emotion,mid,mean,std,min,max\n")
-        for i, emotion in enumerate(emotion_names):
-            for j, mid_name in enumerate(mid_names):
-                fh.write(
-                    f"{emotion},{mid_name},"
-                    f"{float(summary['mean'][i, j])!r},{float(summary['std'][i, j])!r},"
-                    f"{float(summary['min'][i, j])!r},{float(summary['max'][i, j])!r}\n"
-                )

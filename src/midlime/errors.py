@@ -113,10 +113,6 @@ class ComparabilityError(MidlimeError):
     """Explanations of different targets cannot be compared."""
 
 
-class EmptyInputError(MidlimeError):
-    """Operation requires at least one element."""
-
-
 # --- pipeline -----------------------------------------------------------------
 
 class StageError(MidlimeError):

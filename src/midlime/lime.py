@@ -173,8 +173,8 @@ class MaskBatch(Sequence):
     It holds the base dB spectrogram, the segment map, the fill, the filler
     pixels and the uint8 mask rows, one per item. A predictor that is affine
     in the mask can score `masks` directly and never render. Any other
-    consumer indexes the batch: the first access renders every row against
-    the shared filler, and later accesses reuse that render. Item i has the
+    consumer indexes the batch: each access renders the rows it reads
+    against the shared filler, and nothing rendered is kept. Item i has the
     values of `apply_mask(spec, seg_map, masks[i], fill)`.
     """
 
@@ -195,21 +195,17 @@ class MaskBatch(Sequence):
         # One filler serves every batch of an instance; pass it to skip the
         # recomputation.
         self.filler = _filler(spec, seg_map, self.fill) if filler is None else filler
-        self._rendered: list[Spectrogram] | None = None
 
     def __len__(self) -> int:
         return self.masks.shape[0]
 
     def __getitem__(self, index):
-        if self._rendered is None:
-            self._rendered = self._render()
-        return self._rendered[index]
-
-    def _render(self) -> list[Spectrogram]:
-        # Row by row, so that each row is still in cache when the
-        # Spectrogram checks it; one np.where over the whole block took
-        # twice as long.
-        return [self._render_row(row) for row in self.masks]
+        # A slice renders row by row, so that each row is still in cache
+        # when the Spectrogram checks it; one np.where over the whole block
+        # took twice as long.
+        if isinstance(index, slice):
+            return [self._render_row(row) for row in self.masks[index]]
+        return self._render_row(self.masks[index])
 
     def _render_row(self, row: np.ndarray) -> Spectrogram:
         spec = self.spec
@@ -229,7 +225,7 @@ def apply_mask(spec: Spectrogram, seg_map: SegmentMap, mask: np.ndarray,
     batch = MaskBatch(spec, seg_map, np.asarray(mask)[None, ...], fill)
     if batch.masks.all():
         return spec
-    return batch._render_row(batch.masks[0])
+    return batch[0]
 
 
 def proximity_weights(masks: np.ndarray, kernel_width: float) -> np.ndarray:
@@ -566,16 +562,12 @@ def _predict_masked(predict, spec, seg_map, masks, fill, batch_size, workers):
         batch = MaskBatch(spec, seg_map, masks[start:stop], fill, filler=filler)
         try:
             values = predict(batch)
-        except PredictionValueError as exc:
-            index = start + exc.index if exc.index is not None else None
-            raise PredictionValueError(
-                f"while predicting mask rows {start}..{stop - 1}: {exc}",
-                index=index,
-            ) from exc
         except MidlimeError as exc:
-            raise type(exc)(
-                f"while predicting mask rows {start}..{stop - 1}: {exc}"
-            ) from exc
+            # The same exception, so that its type and attributes survive.
+            exc.args = (f"while predicting mask rows {start}..{stop - 1}: {exc}",)
+            if isinstance(exc, PredictionValueError) and exc.index is not None:
+                exc.index += start
+            raise
         arr = np.asarray(list(values), dtype=np.float64)
         if arr.shape != (stop - start,):
             raise TransportError(

@@ -12,7 +12,8 @@ values `(n, 7)` and the emotions `(n, 8)`, with row i for item i:
 
 LIME hands each chunk of perturbations over as a ``MaskBatch``. The builtin
 and constant predictors score its mask rows without rendering them; the
-gateway renders the chunk once and sends its pixels.
+gateway renders each item once, as it encodes it, and keeps no rendered
+chunk.
 
 The wire protocol, one UTF-8 JSON object per line:
 
@@ -383,28 +384,41 @@ class ExternalPredictor:
     def predict(self, batch: Sequence[Spectrogram]) -> tuple[np.ndarray, np.ndarray]:
         if self._proc is None:
             raise TransportError("predictor is not running; call start() first")
-        _check_batch(batch)
-        for s in batch:
-            if s.scale != SCALE_DB:
-                raise ScaleMismatchError(
-                    f"external predictors receive dB spectrograms, got '{s.scale}'"
-                )
         mids = np.empty((len(batch), MID_COUNT))
         emotions = np.empty((len(batch), EMOTION_COUNT))
         bounds: dict[int, tuple[int, int]] = {}
         payloads: deque[bytes] = deque()
+        shape = None
+        # One pass: each item is rendered once, checked, and its pixels go
+        # into its chunk's payload. Nothing is sent until every item passed.
         for start in range(0, len(batch), self.batch_size):
             stop = min(start + self.batch_size, len(batch))
-            cid = self._next_id
-            self._next_id += 1
+            pixels = []
+            for i in range(start, stop):
+                spec = batch[i]
+                if spec.scale != SCALE_DB:
+                    raise ScaleMismatchError(
+                        f"external predictors receive dB spectrograms, got "
+                        f"'{spec.scale}' at batch item {i}"
+                    )
+                if shape is None:
+                    shape = spec.values.shape
+                elif spec.values.shape != shape:
+                    raise BatchShapeError(
+                        f"batch mixes spectrogram shapes: item {i} is "
+                        f"{spec.values.shape}, item 0 is {shape}"
+                    )
+                pixels.append(spec.values.ravel().tolist())
+            cid = self._next_id + len(bounds)
             bounds[cid] = (start, stop)
             payloads.append(self._encode({
                 "type": "predict",
                 "id": cid,
-                "shape": list(batch[start].values.shape),
-                "scale": batch[start].scale,
-                "batch": [batch[i].values.ravel().tolist() for i in range(start, stop)],
+                "shape": list(shape),
+                "scale": SCALE_DB,
+                "batch": pixels,
             }))
+        self._next_id += len(bounds)
         self._relay(self._proc, payloads, len(bounds),
                     lambda line: self._handle_prediction(line, bounds, mids, emotions))
         return mids, emotions
@@ -564,6 +578,14 @@ class ExternalPredictor:
             raise ProtocolError(
                 f"prediction shapes {mid.shape}/{emo.shape} in chunk {cid}, "
                 f"expected ({count}, {MID_COUNT})/({count}, {EMOTION_COUNT})",
+                line=line.decode("utf-8", "replace"),
+            )
+        # float64 conversion also takes numeric strings, booleans and null;
+        # the protocol allows JSON numbers only.
+        if any(type(v) not in (int, float)
+               for rows in (mid_rows, emo_rows) for row in rows for v in row):
+            raise ProtocolError(
+                f"prediction values in chunk {cid} must be JSON numbers",
                 line=line.decode("utf-8", "replace"),
             )
         finite = np.isfinite(mid).all(axis=1) & np.isfinite(emo).all(axis=1)

@@ -118,9 +118,10 @@ def _build_edges(img: np.ndarray):
     q = np.concatenate(targets)
     wts = np.concatenate(weights)
     ds = np.concatenate(dirs)
-    # Ascending weight; ties broken by origin row, column, then direction so
-    # the scan order is fully deterministic.
-    order = np.lexsort((ds, p % w, p // w, wts))
+    # Ascending weight; ties broken by the row-major origin index (so by
+    # row, then column), then direction, so the scan order is fully
+    # deterministic.
+    order = np.lexsort((ds, p, wts))
     return p[order], q[order], wts[order]
 
 

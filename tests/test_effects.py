@@ -1,4 +1,4 @@
-"""Linear-head effects decomposition: additivity, summaries, argmax."""
+"""Linear-head effects decomposition: additivity, argmax, CSV."""
 
 import numpy as np
 import pytest
@@ -8,14 +8,12 @@ from hypothesis import strategies as st
 from midlime import rng
 from midlime.effects import (
     EffectsMatrix,
-    global_effects,
     head_discrepancy,
     instance_effects,
     top_effect,
     write_effects_csv,
-    write_global_effects_csv,
 )
-from midlime.errors import EmptyInputError, ShapeMismatchError
+from midlime.errors import ShapeMismatchError
 from midlime.predictor import EMOTION_COUNT, MID_COUNT, LinearHead
 
 
@@ -95,39 +93,6 @@ class TestInstanceEffects:
         assert np.allclose(after[:, 3], c * base[:, 3], atol=1e-12)
         keep = [j for j in range(MID_COUNT) if j != 3]
         assert np.array_equal(after[:, keep], base[:, keep])
-
-
-class TestGlobalEffects:
-    def test_single_instance(self):
-        head = random_head(6)
-        mid = random_mid(7)
-        summary = global_effects([mid], head)
-        single = instance_effects(mid, head).effects
-        assert np.allclose(summary["mean"], single)
-        assert np.all(summary["std"] == 0.0)
-        assert np.allclose(summary["min"], single)
-        assert np.allclose(summary["max"], single)
-
-    def test_symmetric_pair_has_zero_mean(self):
-        head = LinearHead(weights=random_head(8).weights,
-                          bias=np.zeros(EMOTION_COUNT))
-        mid = random_mid(9)
-        summary = global_effects([mid, -mid], head)
-        assert np.allclose(summary["mean"], 0.0, atol=1e-12)
-
-    def test_hundred_random_mids_match_brute_force(self):
-        head = random_head(10)
-        mids = [random_mid(100 + i) for i in range(100)]
-        summary = global_effects(mids, head)
-        stack = np.stack([instance_effects(m, head).effects for m in mids])
-        assert np.allclose(summary["mean"], stack.mean(axis=0), atol=1e-9)
-        assert np.allclose(summary["std"], stack.std(axis=0), atol=1e-9)
-        assert np.allclose(summary["min"], stack.min(axis=0), atol=1e-9)
-        assert np.allclose(summary["max"], stack.max(axis=0), atol=1e-9)
-
-    def test_empty_batch_rejected(self):
-        with pytest.raises(EmptyInputError):
-            global_effects([], random_head(11))
 
 
 class TestTopEffect:
@@ -221,15 +186,3 @@ class TestCsv:
         assert float(first[2]) == pytest.approx(head.weights[0, 0])
         assert float(first[3]) == pytest.approx(mid[0])
         assert float(first[4]) == pytest.approx(head.weights[0, 0] * mid[0])
-
-    def test_global_csv_layout(self, tmp_path):
-        head = random_head(21)
-        mids = [random_mid(300 + i) for i in range(5)]
-        summary = global_effects(mids, head)
-        path = tmp_path / "global.csv"
-        effects = instance_effects(mids[0], head)
-        write_global_effects_csv(summary, effects.mid_names,
-                                 effects.emotion_names, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "emotion,mid,mean,std,min,max"
-        assert len(lines) == 1 + EMOTION_COUNT * MID_COUNT

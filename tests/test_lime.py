@@ -13,9 +13,11 @@ from hypothesis import strategies as st
 from midlime import lime as lime_module
 from midlime import rng
 from midlime.errors import (
+    CapabilitiesError,
     ComparabilityError,
     ConfigError,
     PredictionValueError,
+    ProtocolError,
     RankDeficiencyError,
     ScaleMismatchError,
     ShapeMismatchError,
@@ -487,6 +489,30 @@ class TestExplainInstance:
             explain_instance(short, base, seg_map,
                              LimeConfig(n_samples=100, seed=9), batch_size=25)
 
+    @pytest.mark.parametrize("make, attr, value", [
+        (lambda: ProtocolError("bad line", line="{oops"), "line", "{oops"),
+        (lambda: CapabilitiesError("bad names", field="mid_names"),
+         "field", "mid_names"),
+        (lambda: PredictionValueError("nan", index=3), "index", 35),
+    ], ids=["protocol", "capabilities", "prediction-value"])
+    def test_predictor_errors_keep_type_and_attributes(self, make, attr, value):
+        seg_map, base = small_setup()
+        seen = {"rows": 0}
+
+        def failing_third_chunk(batch):
+            if seen["rows"] == 32:
+                raise make()
+            seen["rows"] += len(batch)
+            return [0.5] * len(batch)
+
+        original = make()
+        with pytest.raises(type(original)) as info:
+            explain_instance(failing_third_chunk, base, seg_map,
+                             LimeConfig(n_samples=100, seed=8), batch_size=16)
+        assert type(info.value) is type(original)
+        assert getattr(info.value, attr) == value
+        assert str(info.value) == f"while predicting mask rows 32..47: {original}"
+
     def test_invalid_worker_and_batch_args(self):
         seg_map, base = small_setup()
         with pytest.raises(ConfigError):
@@ -595,10 +621,10 @@ class TestMaskBatch:
         dense = np.hstack(predictor.predict(
             [apply_mask(base, seg_map, row, fill) for row in masks]))
 
-        def no_render(self):
-            raise AssertionError("the predictor rendered the mask batch")
+        def no_render(self, row):
+            raise AssertionError("the predictor rendered a mask row")
 
-        monkeypatch.setattr(MaskBatch, "_render", no_render)
+        monkeypatch.setattr(MaskBatch, "_render_row", no_render)
         fast = np.hstack(predictor.predict(MaskBatch(base, seg_map, masks, fill)))
         # Relative to the largest magnitude of each output over the batch.
         assert np.all(np.abs(fast - dense) <= 1e-12 * np.abs(dense).max(axis=0))
@@ -609,19 +635,25 @@ class TestMaskBatch:
     def test_items_equal_apply_mask_and_render_once(self, instance, fill, monkeypatch):
         base, seg_map = instance
         masks = self._rows(seg_map, count=12)
-        renders = []
-        render = MaskBatch._render
-        monkeypatch.setattr(MaskBatch, "_render",
-                            lambda self: renders.append(1) or render(self))
+        expected = [apply_mask(base, seg_map, row, fill) for row in masks]
+        rendered = []
+        render_row = MaskBatch._render_row
+        monkeypatch.setattr(MaskBatch, "_render_row",
+                            lambda self, row: rendered.append(row.copy())
+                            or render_row(self, row))
         batch = MaskBatch(base, seg_map, masks, fill)
-        assert len(batch) == len(masks) and renders == []
-        for item, row in zip(batch, masks):
-            expected = apply_mask(base, seg_map, row, fill)
-            assert np.array_equal(item.values, expected.values)
-            assert item.scale == expected.scale and item.config == expected.config
+        assert len(batch) == len(masks) and rendered == []
+        for item, want in zip(batch, expected):
+            assert np.array_equal(item.values, want.values)
+            assert item.scale == want.scale and item.config == want.config
+        # Iteration rendered each row once, in order.
+        assert np.array_equal(np.array(rendered), masks)
+        rendered.clear()
         assert [s.values.shape for s in batch[1:3]] == [base.values.shape] * 2
-        assert batch[-1] is batch[len(masks) - 1]
-        assert renders == [1]
+        assert np.array_equal(batch[-1].values, expected[-1].values)
+        assert np.array_equal(np.array(rendered), masks[[1, 2, -1]])
+        with pytest.raises(IndexError):
+            batch[len(masks)]
 
     def test_mask_rows_are_read_only(self):
         _, _, base, seg_map = planted_small()

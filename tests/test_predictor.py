@@ -351,7 +351,10 @@ class TestGateway:
         "mid = [row[:6] for row in mid]",
         "mid[0][2] = 'x'",
         "mid[1].pop()",
-    ], ids=["six-entry-mid", "string-entry", "ragged-rows"])
+        "mid[0][2] = '1.5'",
+        "emotion[1][0] = True",
+    ], ids=["six-entry-mid", "string-entry", "ragged-rows", "numeric-string",
+            "boolean"])
     def test_malformed_reply_rows_are_protocol_errors(self, edit):
         with ExternalPredictor([sys.executable, "-c", EDITING_CHILD, "1", edit],
                                timeout=10, batch_size=2) as gateway:
@@ -440,6 +443,35 @@ class TestGateway:
         finally:
             gateway.close()
 
+    @pytest.mark.parametrize("faults, error", [
+        ({2: "shape", 3: "scale"}, BatchShapeError),
+        ({2: "scale", 3: "shape"}, ScaleMismatchError),
+    ], ids=["shape-first", "scale-first"])
+    def test_first_faulty_item_decides_and_nothing_is_sent(self, faults, error,
+                                                            monkeypatch):
+        def item(i):
+            if faults.get(i) == "shape":
+                return tiny_spec(i, frames=7)
+            if faults.get(i) == "scale":
+                return Spectrogram(values=np.ones((9, 6)), scale=SCALE_MAGNITUDE,
+                                   config=TINY, sample_rate=22050)
+            return tiny_spec(i)
+
+        relayed = []
+        relay = ExternalPredictor._relay
+        monkeypatch.setattr(ExternalPredictor, "_relay",
+                            lambda self, proc, payloads, want, on_line:
+                            relayed.append(len(payloads))
+                            or relay(self, proc, payloads, want, on_line))
+        with ExternalPredictor(child_command("echo"), timeout=10,
+                               batch_size=2) as gateway:
+            with pytest.raises(error, match="item 2"):
+                gateway.predict([item(i) for i in range(5)])
+            assert relayed == [1]
+            mids, _ = gateway.predict([tiny_spec(0), tiny_spec(1)])
+        assert np.allclose(mids[:, 0], [tiny_spec(s).values.mean() for s in (0, 1)],
+                           rtol=0, atol=1e-12)
+
     def test_stderr_does_not_corrupt_the_protocol(self, capfd):
         code = ("import sys, json\n"
                 "sys.stderr.write('chatter\\n')\n"
@@ -463,7 +495,7 @@ class TestGatewayMaskBatch:
         masks = sample_masks(6, LimeConfig(n_samples=9, seed=2))
         sent, renders = [], []
         encode = ExternalPredictor._encode
-        render = MaskBatch._render
+        render_row = MaskBatch._render_row
 
         def recording_encode(msg):
             line = encode(msg)
@@ -472,8 +504,9 @@ class TestGatewayMaskBatch:
             return line
 
         monkeypatch.setattr(ExternalPredictor, "_encode", staticmethod(recording_encode))
-        monkeypatch.setattr(MaskBatch, "_render",
-                            lambda self: renders.append(1) or render(self))
+        monkeypatch.setattr(MaskBatch, "_render_row",
+                            lambda self, row: renders.append(row.copy())
+                            or render_row(self, row))
 
         def relay(batch):
             sent.clear()
@@ -483,9 +516,10 @@ class TestGatewayMaskBatch:
             return list(sent), results
 
         dense_lines, dense = relay([apply_mask(base, seg_map, row, fill) for row in masks])
+        renders.clear()
         mask_lines, batched = relay(MaskBatch(base, seg_map, masks, fill))
         assert len(mask_lines) == 5
         assert mask_lines == dense_lines
-        assert renders == [1]
+        assert np.array_equal(np.array(renders), masks)
         assert np.array_equal(dense[0], batched[0])
         assert np.array_equal(dense[1], batched[1])
