@@ -11,9 +11,11 @@ values `(n, 7)` and the emotions `(n, 8)`, with row i for item i:
   delimited JSON protocol on stdin/stdout (see module docstring below).
 
 LIME hands each chunk of perturbations over as a ``MaskBatch``. The builtin
-and constant predictors score its mask rows without rendering them; the
-gateway renders each item once, as it encodes it, and keeps no rendered
-chunk.
+and constant predictors score its mask rows without rendering them. The
+gateway never renders them either: every pixel of a mask row is its base or
+its filler pixel, so it writes each row's request text from two texts per
+run of equal label, built once per instance. The bytes are those that
+``json.dumps`` writes for the rendered rows.
 
 The wire protocol, one UTF-8 JSON object per line:
 
@@ -41,9 +43,9 @@ import selectors
 import shlex
 import subprocess
 import time
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from itertools import islice
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -316,6 +318,85 @@ def _parse_capabilities(msg: dict) -> PredictorCapabilities:
                                  input_spec=msg.get("input_spec") or {})
 
 
+# A predict request as `json.dumps(msg, separators=(",", ":"))` writes it,
+# around its rows' pixel texts.
+_PREDICT_HEAD = b'{"type":"predict","id":%d,"shape":[%d,%d],"scale":"db","batch":[['
+_PREDICT_TAIL = b"]]}\n"
+
+
+def _predict_line(cid: int, shape: tuple[int, int], rows: Iterable[bytes]) -> bytes:
+    parts = [_PREDICT_HEAD % (cid, *shape)]
+    for row in rows:
+        parts += (row, b"],[")
+    parts[-1] = _PREDICT_TAIL
+    return b"".join(parts)
+
+
+def _pixel_text(values: np.ndarray) -> bytes:
+    """The row-major JSON text of `values`, as `json.dumps` writes its floats."""
+    return ",".join(map(float.__repr__, values.ravel().tolist())).encode()
+
+
+def _check_dense(batch: Sequence[Spectrogram]) -> tuple[int, int] | None:
+    """Item 0's shape, once every item is a dB spectrogram of that shape."""
+    shape = None
+    for i in range(len(batch)):
+        spec = batch[i]
+        if spec.scale != SCALE_DB:
+            raise ScaleMismatchError(
+                f"external predictors receive dB spectrograms, got "
+                f"'{spec.scale}' at batch item {i}"
+            )
+        if shape is None:
+            shape = spec.values.shape
+        elif spec.values.shape != shape:
+            raise BatchShapeError(
+                f"batch mixes spectrogram shapes: item {i} is "
+                f"{spec.values.shape}, item 0 is {shape}"
+            )
+    return shape
+
+
+class _RunTexts:
+    """The request texts of one instance's mask rows, by run.
+
+    A run is a maximal stretch of one label in the row-major segment map.
+    Each run has two texts, of its base pixels and of its filler pixels. A
+    row's text joins, run by run, the one its mask bit for the run's label
+    picks, which is the text of the row's rendered pixels.
+    """
+
+    def __init__(self, batch: MaskBatch):
+        self.spec, self.seg_map, self.filler = batch.spec, batch.seg_map, batch.filler
+        labels = batch.seg_map.labels.ravel()
+        starts = np.flatnonzero(np.diff(labels, prepend=-1))
+        self.labels = labels[starts]
+        bounds = starts.tolist() + [labels.size]
+        filler = np.broadcast_to(np.asarray(batch.filler, dtype=np.float64),
+                                 batch.spec.values.shape)
+
+        def texts(values):
+            reprs = list(map(float.__repr__, values.ravel().tolist()))
+            return np.array([",".join(reprs[a:b]).encode()
+                             for a, b in zip(bounds, bounds[1:])], dtype=object)
+
+        self.filler_texts = texts(filler)
+        self.base_texts = texts(batch.spec.values)
+        # Segments whose filler pixels no dB spectrogram may hold.
+        unfit = ~np.isfinite(filler) | (filler < batch.spec.config.floor_db)
+        self.unfit = np.unique(batch.seg_map.labels[unfit])
+
+    def check(self, batch: MaskBatch) -> None:
+        """Raise the render error of the first row that drops an unfit segment."""
+        faulty = np.flatnonzero((batch.masks[:, self.unfit] == 0).any(axis=1))
+        if faulty.size:
+            batch[int(faulty[0])]  # renders that row, which raises
+
+    def row(self, mask: np.ndarray) -> bytes:
+        keep = mask.astype(bool)[self.labels]
+        return b",".join(np.where(keep, self.base_texts, self.filler_texts).tolist())
+
+
 class ExternalPredictor:
     """Gateway owning a child predictor process.
 
@@ -342,6 +423,7 @@ class ExternalPredictor:
         self._buf = bytearray()
         self._capabilities: PredictorCapabilities | None = None
         self._next_id = 0
+        self._texts: _RunTexts | None = None
 
     def __enter__(self) -> "ExternalPredictor":
         self.start()
@@ -369,8 +451,8 @@ class ExternalPredictor:
         flags = fcntl.fcntl(self._proc.stdin.fileno(), fcntl.F_GETFL)
         fcntl.fcntl(self._proc.stdin.fileno(), fcntl.F_SETFL, flags | os.O_NONBLOCK)
         lines: list[bytes] = []
-        self._relay(self._proc, deque([self._encode(
-            {"type": "handshake", "protocol": PROTOCOL_VERSION})]), 1, lines.append)
+        self._relay(self._proc, [self._encode(
+            {"type": "handshake", "protocol": PROTOCOL_VERSION})], 1, lines.append)
         line = lines[0]
         msg = self._decode(line)
         if msg.get("type") != "capabilities":
@@ -384,44 +466,37 @@ class ExternalPredictor:
     def predict(self, batch: Sequence[Spectrogram]) -> tuple[np.ndarray, np.ndarray]:
         if self._proc is None:
             raise TransportError("predictor is not running; call start() first")
+        # Every check runs before anything is sent, and the first faulty
+        # item decides the error. A chunk's request is written only when the
+        # relay's window has room for it.
+        if isinstance(batch, MaskBatch):
+            texts = self._run_texts(batch)
+            texts.check(batch)
+            shape = batch.spec.values.shape
+            rows = map(texts.row, batch.masks)
+        else:
+            shape = _check_dense(batch)
+            rows = (_pixel_text(spec.values) for spec in batch)
         mids = np.empty((len(batch), MID_COUNT))
         emotions = np.empty((len(batch), EMOTION_COUNT))
-        bounds: dict[int, tuple[int, int]] = {}
-        payloads: deque[bytes] = deque()
-        shape = None
-        # One pass: each item is rendered once, checked, and its pixels go
-        # into its chunk's payload. Nothing is sent until every item passed.
-        for start in range(0, len(batch), self.batch_size):
-            stop = min(start + self.batch_size, len(batch))
-            pixels = []
-            for i in range(start, stop):
-                spec = batch[i]
-                if spec.scale != SCALE_DB:
-                    raise ScaleMismatchError(
-                        f"external predictors receive dB spectrograms, got "
-                        f"'{spec.scale}' at batch item {i}"
-                    )
-                if shape is None:
-                    shape = spec.values.shape
-                elif spec.values.shape != shape:
-                    raise BatchShapeError(
-                        f"batch mixes spectrogram shapes: item {i} is "
-                        f"{spec.values.shape}, item 0 is {shape}"
-                    )
-                pixels.append(spec.values.ravel().tolist())
-            cid = self._next_id + len(bounds)
-            bounds[cid] = (start, stop)
-            payloads.append(self._encode({
-                "type": "predict",
-                "id": cid,
-                "shape": list(shape),
-                "scale": SCALE_DB,
-                "batch": pixels,
-            }))
+        bounds = {self._next_id + k: (start, min(start + self.batch_size, len(batch)))
+                  for k, start in enumerate(range(0, len(batch), self.batch_size))}
         self._next_id += len(bounds)
+        # Replies pop their chunk from `bounds` while payloads are still being
+        # written, so the payloads walk a copy of it.
+        payloads = (_predict_line(cid, shape, islice(rows, stop - start))
+                    for cid, (start, stop) in list(bounds.items()))
         self._relay(self._proc, payloads, len(bounds),
                     lambda line: self._handle_prediction(line, bounds, mids, emotions))
         return mids, emotions
+
+    def _run_texts(self, batch: MaskBatch) -> _RunTexts:
+        """The run texts of `batch`'s instance, kept for the instance last seen."""
+        texts = self._texts
+        if texts is None or not (texts.spec is batch.spec and texts.seg_map is batch.seg_map
+                                 and texts.filler is batch.filler):
+            texts = self._texts = _RunTexts(batch)
+        return texts
 
     def close(self) -> int | None:
         """Request shutdown and reap the child; returns its exit code."""
@@ -432,7 +507,7 @@ class ExternalPredictor:
         try:
             if proc.poll() is None:
                 try:
-                    self._relay(proc, deque([self._encode({"type": "shutdown"})]), 0,
+                    self._relay(proc, [self._encode({"type": "shutdown"})], 0,
                                 lambda line: None)
                 except (TransportError, PredictorTimeoutError, OSError):
                     pass
@@ -467,13 +542,16 @@ class ExternalPredictor:
                                 line=line.decode("utf-8", "replace"))
         return msg
 
-    def _relay(self, proc: subprocess.Popen, payloads: deque[bytes], want: int,
+    def _relay(self, proc: subprocess.Popen, payloads: Iterable[bytes], want: int,
                on_line: Callable[[bytes], None]) -> None:
-        """Send and drop `payloads` in order; hand `want` reply lines to `on_line`.
+        """Send `payloads` in order; hand `want` reply lines to `on_line`.
 
-        At most `WINDOW` payloads await a reply at any time, and any read or
-        write that makes progress restarts the timeout.
+        The next payload is taken from `payloads` only while fewer than
+        `WINDOW` sent ones await a reply. Any read or write that makes
+        progress, and taking a payload, restarts the timeout.
         """
+        payloads = iter(payloads)
+        pending = True
         outbox = bytearray()
         sent = got = 0
         sel = selectors.DefaultSelector()
@@ -481,10 +559,16 @@ class ExternalPredictor:
         stdin_armed = False
         try:
             deadline = time.monotonic() + self._timeout
-            while payloads or outbox or got < want:
-                while payloads and sent - got < WINDOW:
-                    outbox += payloads.popleft()
-                    sent += 1
+            while True:
+                while pending and sent - got < WINDOW:
+                    payload = next(payloads, None)
+                    pending = payload is not None
+                    if pending:
+                        outbox += payload
+                        sent += 1
+                        deadline = time.monotonic() + self._timeout
+                if not (pending or outbox or got < want):
+                    break
                 if bool(outbox) != stdin_armed:
                     if outbox:
                         sel.register(proc.stdin, selectors.EVENT_WRITE)

@@ -1,12 +1,16 @@
 """Builtin predictor closed forms and the external stdio gateway."""
 
+import json
 import subprocess
 import sys
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from midlime import predictor
 from midlime.dsp import SCALE_MAGNITUDE, Spectrogram, StftConfig
 from midlime.errors import (
     BatchShapeError,
@@ -19,7 +23,14 @@ from midlime.errors import (
     SpawnError,
     TransportError,
 )
-from midlime.lime import FillStrategy, LimeConfig, MaskBatch, apply_mask, sample_masks
+from midlime.lime import (
+    FillStrategy,
+    LimeConfig,
+    MaskBatch,
+    apply_mask,
+    explain_instance,
+    sample_masks,
+)
 from midlime.predictor import (
     BUILTIN_EMOTION_NAMES,
     BUILTIN_MID_NAMES,
@@ -30,8 +41,10 @@ from midlime.predictor import (
     ExternalPredictor,
     LinearHead,
     PredictorCapabilities,
+    WINDOW,
     _parse_capabilities,
 )
+from midlime.segmentation import SegmentMap
 
 from conftest import block_map, child_command, db_spec, random_db_image
 
@@ -259,7 +272,10 @@ class TestGateway:
 
     def test_empty_batch_sends_nothing(self):
         with ExternalPredictor(child_command("silent"), timeout=5) as gateway:
+            began = time.monotonic()
             mids, emotions = gateway.predict([])
+            # Nothing to send or await: no wait on the silent child.
+            assert time.monotonic() - began < 2.5
         assert mids.shape == (0, MID_COUNT) and emotions.shape == (0, EMOTION_COUNT)
 
     def test_out_of_order_replies_reassembled(self):
@@ -459,10 +475,13 @@ class TestGateway:
 
         relayed = []
         relay = ExternalPredictor._relay
-        monkeypatch.setattr(ExternalPredictor, "_relay",
-                            lambda self, proc, payloads, want, on_line:
-                            relayed.append(len(payloads))
-                            or relay(self, proc, payloads, want, on_line))
+
+        def counting_relay(self, proc, payloads, want, on_line):
+            payloads = list(payloads)
+            relayed.append(len(payloads))
+            return relay(self, proc, payloads, want, on_line)
+
+        monkeypatch.setattr(ExternalPredictor, "_relay", counting_relay)
         with ExternalPredictor(child_command("echo"), timeout=10,
                                batch_size=2) as gateway:
             with pytest.raises(error, match="item 2"):
@@ -471,6 +490,23 @@ class TestGateway:
             mids, _ = gateway.predict([tiny_spec(0), tiny_spec(1)])
         assert np.allclose(mids[:, 0], [tiny_spec(s).values.mean() for s in (0, 1)],
                            rtol=0, atol=1e-12)
+
+    def test_chunks_are_written_only_when_the_window_has_room(self, monkeypatch):
+        replies, written = [], []
+        handle = ExternalPredictor._handle_prediction
+        predict_line = predictor._predict_line
+        monkeypatch.setattr(ExternalPredictor, "_handle_prediction",
+                            lambda self, line, *args: replies.append(line)
+                            or handle(self, line, *args))
+        monkeypatch.setattr(predictor, "_predict_line",
+                            lambda cid, *args: written.append((cid, len(replies)))
+                            or predict_line(cid, *args))
+        with ExternalPredictor(child_command("echo"), timeout=20,
+                               batch_size=1) as gateway:
+            gateway.predict([tiny_spec(s) for s in range(WINDOW + 4)])
+        assert [cid for cid, _ in written] == list(range(WINDOW + 4))
+        assert all(got >= cid - WINDOW + 1 for cid, got in written)
+        assert [got for _, got in written[:WINDOW]] == [0] * WINDOW
 
     def test_stderr_does_not_corrupt_the_protocol(self, capfd):
         code = ("import sys, json\n"
@@ -490,36 +526,133 @@ class TestGatewayMaskBatch:
     @pytest.mark.parametrize("fill", list(FillStrategy))
     def test_request_lines_match_rendered_rows_and_render_once(self, fill,
                                                                 monkeypatch):
+        # The dense list renders each row once; the gateway renders none.
         base = tiny_spec(3)
         seg_map = block_map(9, 6, 3, 3)
         masks = sample_masks(6, LimeConfig(n_samples=9, seed=2))
         sent, renders = [], []
-        encode = ExternalPredictor._encode
-        render_row = MaskBatch._render_row
+        relay = ExternalPredictor._relay
 
-        def recording_encode(msg):
-            line = encode(msg)
-            if msg["type"] == "predict":
-                sent.append(line)
-            return line
+        def recording_relay(self, proc, payloads, want, on_line):
+            def record():
+                for line in payloads:
+                    if line.startswith(b'{"type":"predict"'):
+                        sent.append(line)
+                    yield line
+            return relay(self, proc, record(), want, on_line)
 
-        monkeypatch.setattr(ExternalPredictor, "_encode", staticmethod(recording_encode))
-        monkeypatch.setattr(MaskBatch, "_render_row",
-                            lambda self, row: renders.append(row.copy())
-                            or render_row(self, row))
+        monkeypatch.setattr(ExternalPredictor, "_relay", recording_relay)
 
-        def relay(batch):
+        def relay_batch(batch):
             sent.clear()
             with ExternalPredictor(child_command("echo"), timeout=20,
                                    batch_size=2) as gateway:
                 results = gateway.predict(batch)
             return list(sent), results
 
-        dense_lines, dense = relay([apply_mask(base, seg_map, row, fill) for row in masks])
-        renders.clear()
-        mask_lines, batched = relay(MaskBatch(base, seg_map, masks, fill))
+        dense_lines, dense = relay_batch([apply_mask(base, seg_map, row, fill)
+                                          for row in masks])
+        monkeypatch.setattr(MaskBatch, "_render_row",
+                            lambda self, row: renders.append(row.copy()))
+        mask_lines, batched = relay_batch(MaskBatch(base, seg_map, masks, fill))
         assert len(mask_lines) == 5
         assert mask_lines == dense_lines
-        assert np.array_equal(np.array(renders), masks)
+        assert renders == []
         assert np.array_equal(dense[0], batched[0])
         assert np.array_equal(dense[1], batched[1])
+
+    @given(data=st.data(), height=st.integers(1, 6), width=st.integers(1, 6),
+           segments=st.integers(1, 5), fill=st.sampled_from(list(FillStrategy)),
+           batch_size=st.integers(1, 4))
+    @settings(max_examples=150, deadline=None)
+    def test_request_bytes_are_the_json_of_the_rendered_rows(
+            self, data, height, width, segments, fill, batch_size):
+        floor = TINY.floor_db
+        value = st.one_of(st.sampled_from([-0.0, 0.0, 0.1, 1e16, 5e-324, floor,
+                                           floor + 1e-13, 1 / 3, 123456.789]),
+                          st.floats(floor, 1e12))
+        values = np.array(data.draw(st.lists(value, min_size=height * width,
+                                             max_size=height * width)))
+        # Few labels over many pixels make runs that cross image-row bounds.
+        raw = data.draw(st.lists(st.integers(0, segments - 1),
+                                 min_size=height * width, max_size=height * width))
+        _, labels = np.unique(raw, return_inverse=True)
+        seg_map = SegmentMap(labels=labels.reshape(height, width),
+                             segment_count=int(labels.max()) + 1)
+        n = data.draw(st.integers(1, 6))
+        masks = np.array(data.draw(st.lists(
+            st.lists(st.integers(0, 1), min_size=seg_map.segment_count,
+                     max_size=seg_map.segment_count), min_size=n, max_size=n)),
+            dtype=np.uint8)
+        batch = MaskBatch(db_spec(values.reshape(height, width), config=TINY),
+                          seg_map, masks, fill)
+        gateway = WireGateway(batch_size)
+        gateway.predict(batch)
+        expected = [
+            json.dumps({"type": "predict", "id": cid, "shape": [height, width],
+                        "scale": "db",
+                        "batch": [s.values.ravel().tolist()
+                                  for s in batch[start:start + batch_size]]},
+                       separators=(",", ":")).encode() + b"\n"
+            for cid, start in enumerate(range(0, n, batch_size))]
+        assert gateway.lines == expected
+
+    def test_run_texts_are_built_once_per_instance(self, monkeypatch):
+        base = tiny_spec(4)
+        seg_map = block_map(9, 6, 3, 2)
+        built, renders = [], []
+        run_texts = predictor._RunTexts
+        monkeypatch.setattr(predictor, "_RunTexts",
+                            lambda batch: built.append(batch) or run_texts(batch))
+        monkeypatch.setattr(MaskBatch, "_render_row",
+                            lambda self, row: renders.append(row.copy()))
+        with ExternalPredictor(child_command("echo"), timeout=20) as gateway:
+            expl = explain_instance(lambda b: gateway.predict(b)[0][:, 0], base,
+                                    seg_map, LimeConfig(n_samples=40, seed=3),
+                                    batch_size=8)
+        assert expl.fit is not None
+        assert len(built) == 1
+        assert renders == []
+
+    def test_another_filler_gets_its_own_bytes(self):
+        base = tiny_spec(5)
+        seg_map = block_map(9, 6, 3, 3)
+        masks = sample_masks(6, LimeConfig(n_samples=9, seed=4))
+        gateway, dense = WireGateway(batch_size=8), WireGateway(batch_size=8)
+        for fill in (FillStrategy.SILENCE_FLOOR, FillStrategy.SEGMENT_MEAN,
+                     FillStrategy.SILENCE_FLOOR):
+            gateway.predict(MaskBatch(base, seg_map, masks, fill))
+            dense.predict([apply_mask(base, seg_map, row, fill) for row in masks])
+        assert len(gateway.lines) == 6
+        assert gateway.lines == dense.lines
+
+    def test_unfit_filler_raises_the_render_error_before_sending(self):
+        base = tiny_spec(6)
+        seg_map = block_map(9, 6, 3, 3)
+        masks = np.ones((4, 6), dtype=np.uint8)
+        masks[2, 5] = masks[3, 1] = 0
+        filler = np.full((9, 6), -30.0)
+        filler[0:3, 3:6] = np.nan  # segment 1
+        filler[6:9, 3:6] = -90.0  # segment 5, below the floor
+        batch = MaskBatch(base, seg_map, masks, FillStrategy.SILENCE_FLOOR,
+                          filler=filler)
+        gateway = WireGateway(batch_size=1)
+        with pytest.raises(ValueError, match="below floor"):
+            gateway.predict(batch)
+        assert gateway.lines == []
+        gateway.predict(MaskBatch(base, seg_map, masks[:2], FillStrategy.SILENCE_FLOOR,
+                                  filler=filler))
+        assert len(gateway.lines) == 2
+
+
+class WireGateway(ExternalPredictor):
+    """A gateway that stops at the wire: `predict` checks and writes its
+    requests, which are kept in `lines` instead of being sent."""
+
+    def __init__(self, batch_size: int):
+        super().__init__(["unused"], batch_size=batch_size)
+        self._proc = object()
+        self.lines = []
+
+    def _relay(self, proc, payloads, want, on_line):
+        self.lines += payloads
