@@ -67,6 +67,7 @@ from .segmentation import (
     SegmentationConfig,
     SegmentMap,
     felzenszwalb_segment,
+    segment_stats,
     write_segment_csv,
 )
 
@@ -270,6 +271,7 @@ class _Prepared:
     discrepancy: np.ndarray | None
     target: dict
     seg_map: SegmentMap
+    segments: dict
 
     @property
     def target_label(self) -> str:
@@ -307,12 +309,22 @@ def _prepare(config: RunConfig, timings: dict) -> _Prepared:
             target_info = _resolve_target(config.target, caps, effects, emotion)
         with _stage("segmentation", timings):
             seg_map = felzenszwalb_segment(dbspec, config.segmentation)
-        log.info("segmented into %d regions", seg_map.segment_count)
+            segments = _segment_summary(seg_map, dbspec)
+        log.info("segmented into %d regions of %d to %d pixels, median %g",
+                 segments["count"], segments["min_area"], segments["max_area"],
+                 segments["median_area"])
     except BaseException:
         predictor.close()
         raise
     return _Prepared(clip, cspec, dbspec, predictor, caps, mid, emotion, effects,
-                     discrepancy, target_info, seg_map)
+                     discrepancy, target_info, seg_map, segments)
+
+
+def _segment_summary(seg_map: SegmentMap, dbspec: Spectrogram) -> dict:
+    """Segment count and the smallest, median and largest area in pixels."""
+    areas = [s.area for s in segment_stats(seg_map, dbspec)]
+    return {"count": seg_map.segment_count, "min_area": min(areas),
+            "median_area": float(np.median(areas)), "max_area": max(areas)}
 
 
 def _check_input_spec(caps: PredictorCapabilities, dbspec: Spectrogram) -> None:
@@ -434,7 +446,7 @@ def run_explanation(config: RunConfig) -> ExplanationBundle:
             if prep.discrepancy is not None else None
         ),
         "spectrogram": {"bins": prep.dbspec.shape[0], "frames": prep.dbspec.shape[1]},
-        "segments": {"count": prep.seg_map.segment_count},
+        "segments": prep.segments,
         "selected": {
             "total": len(explanation.selected),
             "positive": len(explanation.positive_ids),

@@ -5,9 +5,14 @@ difference after Gaussian pre-smoothing. Edges are scanned in ascending
 weight order and two components merge when the edge is no heavier than
 ``min(Int(C) + scale/|C|)`` over the two, where Int(C) is the largest weight
 already absorbed into C. A second pass merges any component smaller than
-``min_size`` into its nearest neighbour (by edge order). Labels are then
-compacted to 0..K-1 in row-major order of each segment's first pixel, so
-results are reproducible bit for bit.
+``min_size`` into its nearest neighbour (by edge order). It visits only the
+edges between two distinct first-pass components of which one is smaller
+than ``min_size``, in the same order. That is exact: the pass only merges, so
+components only grow, and an edge inside one component, or between two that
+already hold ``min_size`` pixels, can never pass its test. Roots are resolved
+for all pixels at once in numpy, by pointer jumping on the parent array.
+Labels are then compacted to 0..K-1 in row-major order of each segment's
+first pixel, so results are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -125,6 +130,26 @@ def _build_edges(img: np.ndarray):
     return p[order], q[order], wts[order]
 
 
+def _find(parent: list[int], a: int) -> int:
+    """Root of `a`, compressing the path to it."""
+    root = a
+    while parent[root] != root:
+        root = parent[root]
+    while parent[a] != root:
+        parent[a], a = root, parent[a]
+    return root
+
+
+def _roots(parent: list[int]) -> np.ndarray:
+    """Every node's root, by pointer jumping until no pointer moves."""
+    roots = np.asarray(parent, dtype=np.int64)
+    while True:
+        up = roots[roots]
+        if np.array_equal(up, roots):
+            return roots
+        roots = up
+
+
 def felzenszwalb_segment(spec: Spectrogram, config: SegmentationConfig) -> SegmentMap:
     """Segment a dB spectrogram into contiguous regions."""
     if spec.scale != SCALE_DB:
@@ -144,38 +169,44 @@ def felzenszwalb_segment(spec: Spectrogram, config: SegmentationConfig) -> Segme
     internal = [0.0] * n
     k = float(config.scale)
 
-    def find(a: int) -> int:
-        root = a
-        while parent[root] != root:
-            root = parent[root]
-        while parent[a] != root:
-            parent[a], a = root, parent[a]
-        return root
-
-    def union(ra: int, rb: int, weight: float) -> None:
-        if size[ra] < size[rb]:
-            ra, rb = rb, ra
-        parent[rb] = ra
-        size[ra] += size[rb]
-        internal[ra] = weight
-
-    edges = list(zip(p_arr.tolist(), q_arr.tolist(), w_arr.tolist()))
-    for p, q, weight in edges:
-        ra, rb = find(p), find(q)
+    # A node that is a root, or whose parent is one, needs no _find call.
+    for p, q, weight in zip(p_arr.tolist(), q_arr.tolist(), w_arr.tolist()):
+        ra = parent[p]
+        if parent[ra] != ra:
+            ra = _find(parent, p)
+        rb = parent[q]
+        if parent[rb] != rb:
+            rb = _find(parent, q)
         if ra == rb:
             continue
-        if weight <= min(internal[ra] + k / size[ra], internal[rb] + k / size[rb]):
-            union(ra, rb, weight)
+        sa, sb = size[ra], size[rb]
+        if weight <= internal[ra] + k / sa and weight <= internal[rb] + k / sb:
+            if sa < sb:
+                ra, rb = rb, ra
+            parent[rb] = ra
+            size[ra] = sa + sb
+            internal[ra] = weight
 
     # Post-merge: absorb undersized components, revisiting edges in the same
-    # ascending order.
+    # ascending order. Only edges between distinct first-pass components, one
+    # of them undersized, can merge; components only grow.
     min_size = config.min_size
-    for p, q, weight in edges:
-        ra, rb = find(p), find(q)
+    roots = _roots(parent)
+    small = (np.asarray(size) < min_size)[roots]
+    a, b = roots[p_arr], roots[q_arr]
+    pending = (a != b) & (small[p_arr] | small[q_arr])
+    for ra, rb in zip(a[pending].tolist(), b[pending].tolist()):
+        if parent[ra] != ra:
+            ra = _find(parent, ra)
+        if parent[rb] != rb:
+            rb = _find(parent, rb)
         if ra != rb and (size[ra] < min_size or size[rb] < min_size):
-            union(ra, rb, weight)
+            if size[ra] < size[rb]:
+                ra, rb = rb, ra
+            parent[rb] = ra
+            size[ra] += size[rb]
 
-    roots = np.fromiter((find(i) for i in range(n)), dtype=np.int64, count=n)
+    roots = _roots(parent)
     # Compact labels in order of first appearance (row-major scan).
     _, first_index, inverse = np.unique(roots, return_index=True, return_inverse=True)
     rank = np.argsort(np.argsort(first_index))

@@ -118,6 +118,16 @@ class TestBundle:
         lines = (bundle.out_dir / BUNDLE_FILES["segments"]).read_text().splitlines()
         assert len(lines) == 1 + pixels
 
+    def test_report_segment_areas_match_segments_csv(self, bundle):
+        report = json.loads((bundle.out_dir / BUNDLE_FILES["report"]).read_text())
+        table = np.loadtxt(bundle.out_dir / BUNDLE_FILES["segments"], delimiter=",",
+                           skiprows=1, dtype=np.int64)
+        areas = np.bincount(table[:, 2])
+        assert report["segments"] == {
+            "count": len(areas), "min_area": int(areas.min()),
+            "median_area": float(np.median(areas)), "max_area": int(areas.max()),
+        }
+
     def test_report_echoes_effective_config(self, bundle):
         cfg = bundle.report["config"]
         assert cfg["stft"]["frame_size"] == 1024

@@ -1,8 +1,13 @@
 """Graph-based segmentation against a naive longhand reference."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from midlime import rng
 from midlime.errors import ConfigError, InputTooSmallError, ScaleMismatchError
 from midlime.segmentation import (
     SegmentationConfig,
@@ -101,6 +106,47 @@ class TestFelzenszwalb:
             seg = felzenszwalb_segment(db_spec(image), DEFAULTS)
             reference = naive_felzenszwalb(image, 25.0, 40, 0.8)
             assert same_partition(seg.labels, reference)
+
+    @given(data=st.data(), height=st.integers(1, 40), width=st.integers(2, 40),
+           seed=st.integers(0, 2**32 - 1), levels=st.integers(2, 5),
+           step=st.sampled_from([2.5, 5.0, 12.5]),
+           scale=st.sampled_from([2.5, 5.0, 25.0, 300.0]), sigma=st.sampled_from([0.0, 0.8]))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_naive_reference_on_tied_weights(self, data, height, width, seed,
+                                                     levels, step, scale, sigma):
+        # A few intensity levels make many edge weights tie, so the tie order
+        # decides which merges happen; a block at the -80 dB floor is a
+        # plateau of zero-weight edges.
+        u = rng.uniform_grid(seed, np.arange(height), np.arange(width))
+        image = -60.0 + step * np.floor(levels * u)
+        r0, r1 = sorted(data.draw(st.tuples(st.integers(0, height), st.integers(0, height))))
+        c0, c1 = sorted(data.draw(st.tuples(st.integers(0, width), st.integers(0, width))))
+        image[r0:r1, c0:c1] = -80.0
+        n = height * width
+        min_size = data.draw(st.sampled_from([m for m in (1, 40, n // 2 + 1) if m <= n]))
+        seg = felzenszwalb_segment(db_spec(image),
+                                   SegmentationConfig(scale, min_size, sigma))
+        # The reference gets the library's smoothing: its own longhand blur
+        # rounds differently, and one ulp reorders tied weights.
+        reference = naive_felzenszwalb(gaussian_smooth(image, sigma), scale, min_size, 0.0)
+        assert same_partition(seg.labels, reference)
+        first_seen: dict[int, int] = {}
+        for root in reference.ravel().tolist():
+            first_seen.setdefault(root, len(first_seen))
+        expected = np.array([first_seen[root] for root in reference.ravel().tolist()])
+        assert np.array_equal(seg.labels, expected.reshape(height, width))
+
+    def test_peak_memory_on_a_full_size_spectrogram(self):
+        # A 6 s clip is 1025 x 255 pixels and 1 041 662 edges; the edge list
+        # held as Python tuples peaked at 233 MB.
+        image = random_db_image(18, 1025, 255, low=-80.0, high=0.0)
+        tracemalloc.start()
+        try:
+            felzenszwalb_segment(db_spec(image), DEFAULTS)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 200e6
 
     def test_labels_are_compact_and_first_appearance_ordered(self):
         image = random_db_image(13, 48, 48)
