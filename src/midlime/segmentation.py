@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import correlate1d
 
 from .dsp import SCALE_DB, Spectrogram
 from .errors import ConfigError, InputTooSmallError, ScaleMismatchError, ShapeMismatchError
@@ -94,8 +93,24 @@ def gaussian_smooth(image: np.ndarray, sigma: float) -> np.ndarray:
     x = np.arange(-radius, radius + 1, dtype=np.float64)
     kernel = np.exp(-(x * x) / (2.0 * sigma * sigma))
     kernel /= kernel.sum()
-    out = correlate1d(image, kernel, axis=0, mode="nearest")
-    return correlate1d(out, kernel, axis=1, mode="nearest")
+    out = _correlate_nearest(image, kernel)
+    return np.ascontiguousarray(_correlate_nearest(out.T, kernel).T)
+
+
+def _correlate_nearest(a: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """Correlate the columns of `a` with a symmetric odd kernel.
+
+    Edge rows are replicated. The sum runs in a fixed elementwise order,
+    farthest tap pair first: ``a[i] * k[r]``, then ``(a[i-j] + a[i+j]) *
+    k[r-j]`` added for j = r .. 1.
+    """
+    r = len(kernel) // 2
+    n = a.shape[0]
+    padded = np.pad(a, ((r, r), (0, 0)), mode="edge")
+    out = a * kernel[r]
+    for j in range(r, 0, -1):
+        out += (padded[r - j:r - j + n] + padded[r + j:r + j + n]) * kernel[r - j]
+    return out
 
 
 # Edge direction offsets, in tie-break order: E, S, SE, SW. Each pixel owns

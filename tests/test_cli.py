@@ -227,11 +227,13 @@ def test_every_exported_name_resolves():
     assert missing == []
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.stats takes most of a second to import, on every launch.
+# scipy.stats takes most of a second to import, and scipy.ndimage about
+# 50 ms, on every launch; the CLI needs neither at import.
+@pytest.mark.parametrize("module", ["scipy.stats", "scipy.ndimage"])
+def test_cli_import_leaves_module_unloaded(module):
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, midlime.cli; print('scipy.stats' in sys.modules)"],
+         f"import sys, midlime.cli; print({module!r} in sys.modules)"],
         env=package_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"

@@ -1,5 +1,6 @@
 """End-to-end bundle runs, synthesis edits, stability tables."""
 
+import itertools
 import json
 import os
 import shlex
@@ -7,11 +8,15 @@ import signal
 import stat
 import subprocess
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import midlime
 from midlime import pipeline
@@ -423,6 +428,52 @@ class TestBundleEdges:
         assert "9 bins" in capsys.readouterr().err
         assert received.read_text().split() == ["handshake", "shutdown"]
         assert not out.exists()
+
+
+class TestSynthesisThreads:
+    WAVS = ("masked_pos", "masked_neg", "modified_add", "modified_sub")
+
+    def test_thread_count_does_not_change_a_byte(self, fixture_wav, tmp_path,
+                                                 monkeypatch):
+        produced = []
+        for cpus in (1, 4):
+            monkeypatch.setattr(pipeline.os, "cpu_count", lambda: cpus)
+            result = run_explanation(fast_config(fixture_wav, tmp_path / str(cpus)))
+            produced.append([(result.out_dir / BUNDLE_FILES[k]).read_bytes()
+                             for k in self.WAVS])
+        assert produced[0] == produced[1]
+
+    def test_failed_rendering_is_a_synthesis_stage_error(self, fixture_wav, tmp_path,
+                                                         monkeypatch):
+        real = pipeline.griffin_lim
+        calls = itertools.count()
+
+        def second_fails(*args, **kwargs):
+            if next(calls) == 1:
+                raise ShapeMismatchError("injected")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "griffin_lim", second_fails)
+        out = tmp_path / "out"
+        with pytest.raises(StageError) as info:
+            run_explanation(fast_config(fixture_wav, out))
+        assert info.value.stage == "synthesis"
+        assert str(info.value.cause) == "injected"
+        assert not out.exists()
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestWriteCsv:
+    @settings(max_examples=60, deadline=None)
+    @given(arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 6)),
+                  elements=st.sampled_from([-0.0, 0.0, 5e-324, 1e16, -80.0])
+                  | st.floats(allow_nan=False)))
+    def test_bytes_match_savetxt(self, values):
+        with tempfile.TemporaryDirectory() as tmp:
+            ours, numpy_s = Path(tmp) / "ours.csv", Path(tmp) / "numpy.csv"
+            pipeline._write_csv(ours, values)
+            np.savetxt(numpy_s, values, fmt="%.17g", delimiter=",")
+            assert ours.read_bytes() == numpy_s.read_bytes()
 
 
 class TestChunking:

@@ -1,11 +1,14 @@
 """Graph-based segmentation against a naive longhand reference."""
 
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.ndimage import correlate1d
 
 from midlime import rng
 from midlime.errors import ConfigError, InputTooSmallError, ScaleMismatchError
@@ -73,6 +76,23 @@ class TestGaussianSmooth:
         kernel /= kernel.sum()
         assert out[8, 8] == pytest.approx(kernel[radius] ** 2, abs=1e-12)
         assert out.sum() == pytest.approx(1.0, abs=1e-6)
+
+    @settings(max_examples=60, deadline=None)
+    @given(image=arrays(np.float64, st.tuples(st.integers(1, 30), st.integers(1, 30)),
+                        elements=st.floats(-200.0, 200.0)),
+           sigma=st.sampled_from([0.3, 0.8, 1.7, 3.0]))
+    @example(image=np.array([[-12.5]]), sigma=3.0)
+    @example(image=np.linspace(-80.0, 0.0, 9).reshape(1, 9), sigma=1.7)
+    @example(image=np.linspace(-80.0, 0.0, 9).reshape(9, 1), sigma=0.3)
+    def test_bit_identical_to_scipy_correlate1d(self, image, sigma):
+        # One-pixel-wide images and kernels wider than the image included.
+        radius = int(math.ceil(4.0 * sigma))
+        x = np.arange(-radius, radius + 1, dtype=np.float64)
+        kernel = np.exp(-(x * x) / (2.0 * sigma * sigma))
+        kernel /= kernel.sum()
+        expected = correlate1d(correlate1d(image, kernel, axis=0, mode="nearest"),
+                               kernel, axis=1, mode="nearest")
+        assert gaussian_smooth(image, sigma).tobytes() == expected.tobytes()
 
     def test_matches_direct_convolution(self):
         for seed, sigma in ((3, 0.8), (4, 1.5), (5, 2.3)):
