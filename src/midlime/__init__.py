@@ -61,7 +61,6 @@ from .segmentation import (
     SegmentMap,
     felzenszwalb_segment,
     gaussian_smooth,
-    segment_stats,
 )
 
 __all__ = [
@@ -81,5 +80,5 @@ __all__ = [
     "ExplanationBundle", "RunConfig", "run_explanation", "run_stability",
     "synthesize_modified",
     "SegmentationConfig", "SegmentMap", "felzenszwalb_segment",
-    "gaussian_smooth", "segment_stats",
+    "gaussian_smooth",
 ]

@@ -11,7 +11,6 @@ of chunking and worker count.
 
 from __future__ import annotations
 
-import json
 import math
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
@@ -167,6 +166,23 @@ def _filler(spec: Spectrogram, seg_map: SegmentMap, fill: FillStrategy) -> np.nd
     return np.full_like(values, values.mean())
 
 
+def _check_filler(spec: Spectrogram, filler: np.ndarray) -> np.ndarray:
+    """`filler`, once it holds only pixels a dB spectrogram of `spec` may hold."""
+    filler = np.asarray(filler, dtype=np.float64)
+    if filler.shape != spec.values.shape:
+        raise ShapeMismatchError(
+            f"filler {filler.shape} does not match spectrogram {spec.values.shape}"
+        )
+    # A NaN minimum fails the comparison, so it is refused too.
+    low, high = filler.min(), filler.max()
+    if not (low >= spec.config.floor_db and high < math.inf):
+        raise ValueError(
+            f"filler must be finite and >= floor {spec.config.floor_db}, "
+            f"got range [{low}, {high}]"
+        )
+    return filler
+
+
 class MaskBatch(Sequence):
     """The spectrograms that a block of mask rows renders, as a read-only sequence.
 
@@ -194,7 +210,8 @@ class MaskBatch(Sequence):
         self.fill = FillStrategy.coerce(fill)
         # One filler serves every batch of an instance; pass it to skip the
         # recomputation.
-        self.filler = _filler(spec, seg_map, self.fill) if filler is None else filler
+        self.filler = _filler(spec, seg_map, self.fill) if filler is None \
+            else _check_filler(spec, filler)
 
     def __len__(self) -> int:
         return self.masks.shape[0]
@@ -636,10 +653,3 @@ def explanation_to_json(expl: LimeExplanation) -> dict:
         "r_squared": expl.fit.r_squared,
         "config_echo": expl.config.echo(),
     }
-
-
-def write_explanation_json(expl: LimeExplanation, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(explanation_to_json(expl), fh, indent=2)
-        fh.write("\n")
-

@@ -58,8 +58,8 @@ from .lime import (
     LimeExplanation,
     apply_mask,
     explain_instance,
+    explanation_to_json,
     stability_score,
-    write_explanation_json,
 )
 from .predictor import (
     BuiltinPredictor,
@@ -71,7 +71,6 @@ from .segmentation import (
     SegmentationConfig,
     SegmentMap,
     felzenszwalb_segment,
-    segment_stats,
     write_segment_csv,
 )
 
@@ -118,6 +117,9 @@ class RunConfig:
         if not 0 <= self.synth_gain < math.inf:
             raise ConfigError(
                 f"synth_gain must be finite and >= 0, got {self.synth_gain}")
+        if not 0 < self.timeout < math.inf:
+            raise ConfigError(
+                f"timeout must be finite and positive, got {self.timeout}")
         if self.workers < 1 or self.batch_size < 1:
             raise ConfigError("workers and batch_size must be >= 1")
 
@@ -313,7 +315,7 @@ def _prepare(config: RunConfig, timings: dict) -> _Prepared:
             target_info = _resolve_target(config.target, caps, effects, emotion)
         with _stage("segmentation", timings):
             seg_map = felzenszwalb_segment(dbspec, config.segmentation)
-            segments = _segment_summary(seg_map, dbspec)
+            segments = _segment_summary(seg_map)
         log.info("segmented into %d regions of %d to %d pixels, median %g",
                  segments["count"], segments["min_area"], segments["max_area"],
                  segments["median_area"])
@@ -324,11 +326,11 @@ def _prepare(config: RunConfig, timings: dict) -> _Prepared:
                      discrepancy, target_info, seg_map, segments)
 
 
-def _segment_summary(seg_map: SegmentMap, dbspec: Spectrogram) -> dict:
+def _segment_summary(seg_map: SegmentMap) -> dict:
     """Segment count and the smallest, median and largest area in pixels."""
-    areas = [s.area for s in segment_stats(seg_map, dbspec)]
-    return {"count": seg_map.segment_count, "min_area": min(areas),
-            "median_area": float(np.median(areas)), "max_area": max(areas)}
+    areas = np.bincount(seg_map.labels.ravel(), minlength=seg_map.segment_count)
+    return {"count": seg_map.segment_count, "min_area": int(areas.min()),
+            "median_area": float(np.median(areas)), "max_area": int(areas.max())}
 
 
 def _check_input_spec(caps: PredictorCapabilities, dbspec: Spectrogram) -> None:
@@ -474,7 +476,7 @@ def run_explanation(config: RunConfig) -> ExplanationBundle:
         })
         if prep.effects is not None:
             write_effects_csv(prep.effects, caps.linear_head, path["effects"])
-        write_explanation_json(explanation, path["explanation"])
+        _write_json(path["explanation"], explanation_to_json(explanation))
         write_segment_csv(prep.seg_map, path["segments"])
         _write_csv(path["pos_mask"], pos_spec.values)
         _write_csv(path["neg_mask"], neg_spec.values)

@@ -26,8 +26,8 @@ The wire protocol, one UTF-8 JSON object per line:
 * parent sends ``{"type": "predict", "id": n, "shape": [B, F], "scale": "db",
   "batch": [flattened row-major arrays ...]}`` with monotonically increasing ids
 * child replies ``{"type": "prediction", "id": n, "mid": [[...7] x items],
-  "emotion": [[...8] x items]}`` in any order; the gateway fills the rows of
-  chunk n from it
+  "emotion": [[...8] x items]}`` in any order, with n the request's integer
+  id; the gateway fills the rows of chunk n from it
 * parent sends ``{"type": "shutdown"}`` and the child exits 0
 
 The child's stderr is inherited, so its diagnostics land in the host's logs.
@@ -293,10 +293,12 @@ class ConstantPredictor:
 
 
 def _parse_capabilities(msg: dict) -> PredictorCapabilities:
-    if "protocol" in msg and msg["protocol"] != PROTOCOL_VERSION:
+    protocol = msg.get("protocol", PROTOCOL_VERSION)
+    if type(protocol) is not int:
+        raise ProtocolError(f"protocol must be an integer, got {protocol!r}")
+    if protocol != PROTOCOL_VERSION:
         raise ProtocolVersionError(
-            f"child speaks protocol {msg['protocol']!r}, this gateway speaks "
-            f"{PROTOCOL_VERSION}"
+            f"child speaks protocol {protocol}, this gateway speaks {PROTOCOL_VERSION}"
         )
     mid_names = msg.get("mid_names")
     emotion_names = msg.get("emotion_names")
@@ -372,25 +374,14 @@ class _RunTexts:
         starts = np.flatnonzero(np.diff(labels, prepend=-1))
         self.labels = labels[starts]
         bounds = starts.tolist() + [labels.size]
-        filler = np.broadcast_to(np.asarray(batch.filler, dtype=np.float64),
-                                 batch.spec.values.shape)
 
         def texts(values):
             reprs = list(map(float.__repr__, values.ravel().tolist()))
             return np.array([",".join(reprs[a:b]).encode()
                              for a, b in zip(bounds, bounds[1:])], dtype=object)
 
-        self.filler_texts = texts(filler)
+        self.filler_texts = texts(batch.filler)
         self.base_texts = texts(batch.spec.values)
-        # Segments whose filler pixels no dB spectrogram may hold.
-        unfit = ~np.isfinite(filler) | (filler < batch.spec.config.floor_db)
-        self.unfit = np.unique(batch.seg_map.labels[unfit])
-
-    def check(self, batch: MaskBatch) -> None:
-        """Raise the render error of the first row that drops an unfit segment."""
-        faulty = np.flatnonzero((batch.masks[:, self.unfit] == 0).any(axis=1))
-        if faulty.size:
-            batch[int(faulty[0])]  # renders that row, which raises
 
     def row(self, mask: np.ndarray) -> bytes:
         keep = mask.astype(bool)[self.labels]
@@ -467,11 +458,11 @@ class ExternalPredictor:
         if self._proc is None:
             raise TransportError("predictor is not running; call start() first")
         # Every check runs before anything is sent, and the first faulty
-        # item decides the error. A chunk's request is written only when the
-        # relay's window has room for it.
+        # item decides the error; a MaskBatch was checked when it was made.
+        # A chunk's request is written only when the relay's window has room
+        # for it.
         if isinstance(batch, MaskBatch):
             texts = self._run_texts(batch)
-            texts.check(batch)
             shape = batch.spec.values.shape
             rows = map(texts.row, batch.masks)
         else:
@@ -635,6 +626,9 @@ class ExternalPredictor:
                 line=line.decode("utf-8", "replace"),
             )
         cid = msg.get("id")
+        if type(cid) is not int:
+            raise ProtocolError(f"reply id must be an integer, got {cid!r}",
+                                line=line.decode("utf-8", "replace"))
         if cid not in bounds:
             raise TransportError(
                 f"prediction for unknown or already-answered id {cid!r}"

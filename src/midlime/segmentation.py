@@ -72,14 +72,6 @@ class SegmentMap:
         return self.labels.shape
 
 
-@dataclass(frozen=True)
-class SegmentStats:
-    label: int
-    area: int
-    bbox: tuple[int, int, int, int]  # (row0, row1, col0, col1), half-open
-    mean_value: float
-
-
 def gaussian_smooth(image: np.ndarray, sigma: float) -> np.ndarray:
     """Separable Gaussian blur with edge replication; sigma 0 is a copy."""
     image = np.asarray(image, dtype=np.float64)
@@ -229,39 +221,6 @@ def felzenszwalb_segment(spec: Spectrogram, config: SegmentationConfig) -> Segme
     return SegmentMap(labels=labels, segment_count=int(labels.max()) + 1)
 
 
-def segment_stats(seg_map: SegmentMap, spec: Spectrogram) -> list[SegmentStats]:
-    """Per-segment area, bounding box and mean intensity."""
-    if seg_map.labels.shape != spec.values.shape:
-        raise ShapeMismatchError(
-            f"segment map {seg_map.labels.shape} does not match "
-            f"spectrogram {spec.values.shape}"
-        )
-    h, w = seg_map.labels.shape
-    flat = seg_map.labels.ravel()
-    n = seg_map.segment_count
-    areas = np.bincount(flat, minlength=n)
-    sums = np.bincount(flat, weights=spec.values.ravel(), minlength=n)
-    rows = np.repeat(np.arange(h), w)
-    cols = np.tile(np.arange(w), h)
-    row_min = np.full(n, h)
-    row_max = np.full(n, -1)
-    col_min = np.full(n, w)
-    col_max = np.full(n, -1)
-    np.minimum.at(row_min, flat, rows)
-    np.maximum.at(row_max, flat, rows)
-    np.minimum.at(col_min, flat, cols)
-    np.maximum.at(col_max, flat, cols)
-    return [
-        SegmentStats(
-            label=i,
-            area=int(areas[i]),
-            bbox=(int(row_min[i]), int(row_max[i]) + 1, int(col_min[i]), int(col_max[i]) + 1),
-            mean_value=float(sums[i] / areas[i]),
-        )
-        for i in range(n)
-    ]
-
-
 def write_segment_csv(seg_map: SegmentMap, path) -> None:
     """Dense per-pixel dump: one `row,col,label` line per pixel.
 
@@ -277,39 +236,3 @@ def write_segment_csv(seg_map: SegmentMap, path) -> None:
             prefix = str(r)
             fh.write(prefix + prefix.join([c + names[label]
                                            for c, label in zip(columns, row)]))
-
-
-def segment_map_to_rle(seg_map: SegmentMap) -> str:
-    """Compact text form: header, dimensions, then per-row `label:runlength` runs."""
-    h, w = seg_map.labels.shape
-    lines = ["rle v1", f"{h} {w} {seg_map.segment_count}"]
-    for r in range(h):
-        row = seg_map.labels[r]
-        boundaries = np.flatnonzero(np.diff(row)) + 1
-        starts = np.concatenate(([0], boundaries))
-        ends = np.concatenate((boundaries, [w]))
-        lines.append(" ".join(
-            f"{int(row[s])}:{int(e - s)}" for s, e in zip(starts, ends)
-        ))
-    return "\n".join(lines) + "\n"
-
-
-def segment_map_from_rle(text: str) -> SegmentMap:
-    """Inverse of segment_map_to_rle."""
-    lines = text.strip().split("\n")
-    if not lines or lines[0].strip() != "rle v1":
-        raise ValueError("not an rle v1 payload")
-    h, w, count = (int(f) for f in lines[1].split())
-    if len(lines) != 2 + h:
-        raise ValueError(f"expected {h} row lines, got {len(lines) - 2}")
-    labels = np.empty((h, w), dtype=np.int32)
-    for r in range(h):
-        col = 0
-        for run in lines[2 + r].split():
-            label_s, length_s = run.split(":")
-            length = int(length_s)
-            labels[r, col:col + length] = int(label_s)
-            col += length
-        if col != w:
-            raise ValueError(f"row {r} spans {col} columns, expected {w}")
-    return SegmentMap(labels=labels, segment_count=count)

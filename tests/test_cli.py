@@ -113,10 +113,16 @@ class TestExplainCommand:
         assert "synth_gain must be finite" in capsys.readouterr().err
         assert not (tmp_path / "b").exists()
 
-    def test_non_finite_timeout_exits_2(self, fixture_wav, tmp_path, capsys):
+    @pytest.mark.parametrize("timeout, predictor", [
+        ("inf", "exec"), ("-5", "builtin"), ("0", "builtin"), ("nan", "builtin"),
+    ])
+    def test_non_finite_timeout_exits_2(self, timeout, predictor, fixture_wav,
+                                        tmp_path, capsys):
+        if predictor == "exec":
+            predictor = f"exec:{child_command('echo')}"
         code = run_cli("explain", "--audio", str(fixture_wav),
-                       "--out", str(tmp_path / "b"), "--timeout", "inf",
-                       "--predictor", f"exec:{child_command('echo')}", *FAST)
+                       "--out", str(tmp_path / "b"), "--timeout", timeout,
+                       "--predictor", predictor, *FAST)
         assert code == 2
         assert "timeout must be finite" in capsys.readouterr().err
         assert not (tmp_path / "b").exists()

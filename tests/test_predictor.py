@@ -20,6 +20,7 @@ from midlime.errors import (
     ProtocolError,
     ProtocolVersionError,
     ScaleMismatchError,
+    ShapeMismatchError,
     SpawnError,
     TransportError,
 )
@@ -237,11 +238,15 @@ class TestCapabilitiesParsing:
             _parse_capabilities(msg)
         assert info.value.field == "linear_head"
 
-    def test_protocol_version_mismatch(self):
+    @pytest.mark.parametrize("protocol, error", [
+        (0, ProtocolVersionError), (True, ProtocolError), (1.0, ProtocolError),
+    ], ids=["version-0", "boolean", "float"])
+    def test_protocol_version_mismatch(self, protocol, error):
         msg = self._base()
-        msg["protocol"] = 0
-        with pytest.raises(ProtocolVersionError):
+        msg["protocol"] = protocol
+        with pytest.raises(ProtocolError) as info:
             _parse_capabilities(msg)
+        assert type(info.value) is error
 
 
 class TestGateway:
@@ -369,8 +374,11 @@ class TestGateway:
         "mid[1].pop()",
         "mid[0][2] = '1.5'",
         "emotion[1][0] = True",
+        "msg['id'] = True",
+        "msg['id'] = 1.0",
+        "msg['id'] = '1'",
     ], ids=["six-entry-mid", "string-entry", "ragged-rows", "numeric-string",
-            "boolean"])
+            "boolean", "boolean-id", "float-id", "string-id"])
     def test_malformed_reply_rows_are_protocol_errors(self, edit):
         with ExternalPredictor([sys.executable, "-c", EDITING_CHILD, "1", edit],
                                timeout=10, batch_size=2) as gateway:
@@ -626,23 +634,22 @@ class TestGatewayMaskBatch:
         assert len(gateway.lines) == 6
         assert gateway.lines == dense.lines
 
-    def test_unfit_filler_raises_the_render_error_before_sending(self):
+    def test_unfit_filler_is_refused_before_sending(self):
         base = tiny_spec(6)
         seg_map = block_map(9, 6, 3, 3)
         masks = np.ones((4, 6), dtype=np.uint8)
-        masks[2, 5] = masks[3, 1] = 0
-        filler = np.full((9, 6), -30.0)
-        filler[0:3, 3:6] = np.nan  # segment 1
-        filler[6:9, 3:6] = -90.0  # segment 5, below the floor
-        batch = MaskBatch(base, seg_map, masks, FillStrategy.SILENCE_FLOOR,
-                          filler=filler)
+        masks[2, 5] = 0
+        nan, below, inf = (np.full((9, 6), -30.0) for _ in range(3))
+        nan[0:3, 3:6] = np.nan  # segment 1
+        below[6:9, 3:6] = -90.0  # segment 5, below the floor
+        inf[3:6, 0:3] = np.inf  # segment 2
         gateway = WireGateway(batch_size=1)
-        with pytest.raises(ValueError, match="below floor"):
-            gateway.predict(batch)
+        for filler, error in ((nan, ValueError), (below, ValueError), (inf, ValueError),
+                              (np.full((9, 5), -30.0), ShapeMismatchError)):
+            with pytest.raises(error, match="filler"):
+                gateway.predict(MaskBatch(base, seg_map, masks,
+                                          FillStrategy.SILENCE_FLOOR, filler=filler))
         assert gateway.lines == []
-        gateway.predict(MaskBatch(base, seg_map, masks[:2], FillStrategy.SILENCE_FLOOR,
-                                  filler=filler))
-        assert len(gateway.lines) == 2
 
 
 class WireGateway(ExternalPredictor):

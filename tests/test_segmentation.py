@@ -17,9 +17,6 @@ from midlime.segmentation import (
     SegmentMap,
     felzenszwalb_segment,
     gaussian_smooth,
-    segment_map_from_rle,
-    segment_map_to_rle,
-    segment_stats,
     write_segment_csv,
 )
 
@@ -206,58 +203,7 @@ class TestFelzenszwalb:
         assert a.segment_count == b.segment_count
 
 
-class TestSegmentStats:
-    def test_single_segment(self):
-        spec = db_spec(np.full((20, 20), -30.0))
-        seg = felzenszwalb_segment(spec, DEFAULTS)
-        stats = segment_stats(seg, spec)
-        assert len(stats) == 1
-        assert stats[0].area == 400
-        assert stats[0].mean_value == pytest.approx(-30.0)
-
-    def test_two_half_stats(self):
-        values = np.full((20, 20), 0.0)
-        values[:, :10] = -80.0
-        spec = db_spec(values)
-        seg = felzenszwalb_segment(
-            spec, SegmentationConfig(scale=25.0, min_size=40, sigma=0.0))
-        stats = sorted(segment_stats(seg, spec), key=lambda s: s.mean_value)
-        assert [s.area for s in stats] == [200, 200]
-        assert stats[0].mean_value == pytest.approx(-80.0)
-        assert stats[1].mean_value == pytest.approx(0.0)
-        r0, r1, c0, c1 = stats[0].bbox
-        assert (r0, r1, c0, c1) == (0, 20, 0, 10)
-
-    def test_areas_sum_to_matrix_size(self):
-        image = random_db_image(17, 48, 64)
-        spec = db_spec(image)
-        seg = felzenszwalb_segment(spec, DEFAULTS)
-        stats = segment_stats(seg, spec)
-        assert sum(s.area for s in stats) == 48 * 64
-        assert [s.label for s in stats] == list(range(seg.segment_count))
-        # spot-check one mean against a direct masked average
-        target = stats[len(stats) // 2]
-        direct = image[seg.labels == target.label].mean()
-        assert target.mean_value == pytest.approx(direct, abs=1e-12)
-
-
 class TestSerialization:
-    def test_rle_round_trip(self):
-        for seed in (20, 21):
-            image = random_db_image(seed, 40, 56)
-            seg = felzenszwalb_segment(db_spec(image), DEFAULTS)
-            back = segment_map_from_rle(segment_map_to_rle(seg))
-            assert np.array_equal(back.labels, seg.labels)
-            assert back.segment_count == seg.segment_count
-
-    def test_rle_header(self):
-        seg = block_map(4, 6, 2, 3)
-        text = segment_map_to_rle(seg)
-        lines = text.splitlines()
-        assert lines[0] == "rle v1"
-        assert lines[1] == "4 6 4"
-        assert len(lines) == 2 + 4
-
     def test_csv_layout(self, tmp_path):
         seg = block_map(4, 4, 2, 2)
         path = tmp_path / "segments.csv"
