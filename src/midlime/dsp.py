@@ -288,7 +288,10 @@ def _griffin_lim(
     w = window_samples(cfg.window, cfg.frame_size)
     hop = cfg.hop_size
     den = _window_sum(w, hop, target.shape[0])
+    # Each spectrum is dropped once it is synthesised, so that no two are
+    # alive while the next one is analysed.
     x = _synthesise(spec, w, hop, den)
+    del spec
     errors = []
     for _ in range(iterations):
         spec = _analyse(x, w, hop)
@@ -296,7 +299,9 @@ def _griffin_lim(
         if trace:
             errors.append(float(np.linalg.norm(magnitude - target)))
         _project(spec, target, magnitude)
+        del magnitude
         x = _synthesise(spec, w, hop, den)
+        del spec
     if trace:
         errors.append(float(np.linalg.norm(np.abs(_analyse(x, w, hop)) - target)))
     clip = AudioClip(samples=x, sample_rate=target_magnitude.sample_rate)

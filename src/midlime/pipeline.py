@@ -17,7 +17,9 @@ import json
 import logging
 import math
 import os
+import resource
 import shutil
+import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
@@ -257,6 +259,7 @@ def synthesize_modified(
         edited = magnitude + gain * magnitude * selected
     else:
         edited = np.maximum(magnitude - gain * magnitude * selected, 0.0)
+    del magnitude, selected
     target = Spectrogram(values=edited, scale=SCALE_MAGNITUDE,
                          config=original.config, sample_rate=original.sample_rate)
     return griffin_lim(target, original.config, iterations, init_phase=original)
@@ -484,6 +487,7 @@ def run_explanation(config: RunConfig) -> ExplanationBundle:
             encode_wav(clips[key], path[key])
         report["timings_s"] = {**timings,
                                "total": round(time.perf_counter() - started, 6)}
+        report["peak_rss_mb"] = _peak_rss_mb()
         _write_json(path["report"], report)
 
     out_dir = Path(config.out_dir)
@@ -492,6 +496,13 @@ def run_explanation(config: RunConfig) -> ExplanationBundle:
     return ExplanationBundle(out_dir=out_dir,
                              files={k: out_dir / v for k, v in names.items()},
                              report=report, explanation=explanation)
+
+
+def _peak_rss_mb() -> float:
+    """This process's peak resident set so far, in MiB."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    # ru_maxrss is in bytes on macOS and in KiB elsewhere.
+    return peak / (1024.0 * 1024.0 if sys.platform == "darwin" else 1024.0)
 
 
 def _check_out_dir(out_dir: Path) -> None:

@@ -43,6 +43,7 @@ import selectors
 import shlex
 import subprocess
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import Callable, Iterable, Sequence
@@ -326,12 +327,14 @@ _PREDICT_HEAD = b'{"type":"predict","id":%d,"shape":[%d,%d],"scale":"db","batch"
 _PREDICT_TAIL = b"]]}\n"
 
 
-def _predict_line(cid: int, shape: tuple[int, int], rows: Iterable[bytes]) -> bytes:
+def _predict_line(cid: int, shape: tuple[int, int],
+                  rows: Iterable[bytes]) -> list[bytes]:
+    """A predict request as its pieces: head, rows and separators, tail."""
     parts = [_PREDICT_HEAD % (cid, *shape)]
     for row in rows:
         parts += (row, b"],[")
     parts[-1] = _PREDICT_TAIL
-    return b"".join(parts)
+    return parts
 
 
 def _pixel_text(values: np.ndarray) -> bytes:
@@ -388,6 +391,27 @@ class _RunTexts:
         return b",".join(np.where(keep, self.base_texts, self.filler_texts).tolist())
 
 
+def _front(outbox: deque[memoryview], limit: int) -> bytes:
+    """The first `limit` bytes of `outbox`, or all of it if it is shorter."""
+    parts, size = [], 0
+    for view in outbox:
+        parts.append(view[:limit - size])
+        size += len(parts[-1])
+        if size == limit:
+            break
+    return b"".join(parts)
+
+
+def _drop_front(outbox: deque[memoryview], n: int) -> None:
+    """Remove the first `n` bytes of `outbox`."""
+    while n:
+        view = outbox.popleft()
+        if n < len(view):
+            outbox.appendleft(view[n:])
+            return
+        n -= len(view)
+
+
 class ExternalPredictor:
     """Gateway owning a child predictor process.
 
@@ -442,8 +466,8 @@ class ExternalPredictor:
         flags = fcntl.fcntl(self._proc.stdin.fileno(), fcntl.F_GETFL)
         fcntl.fcntl(self._proc.stdin.fileno(), fcntl.F_SETFL, flags | os.O_NONBLOCK)
         lines: list[bytes] = []
-        self._relay(self._proc, [self._encode(
-            {"type": "handshake", "protocol": PROTOCOL_VERSION})], 1, lines.append)
+        self._relay(self._proc, [[self._encode(
+            {"type": "handshake", "protocol": PROTOCOL_VERSION})]], 1, lines.append)
         line = lines[0]
         msg = self._decode(line)
         if msg.get("type") != "capabilities":
@@ -498,7 +522,7 @@ class ExternalPredictor:
         try:
             if proc.poll() is None:
                 try:
-                    self._relay(proc, [self._encode({"type": "shutdown"})], 0,
+                    self._relay(proc, [[self._encode({"type": "shutdown"})]], 0,
                                 lambda line: None)
                 except (TransportError, PredictorTimeoutError, OSError):
                     pass
@@ -533,17 +557,20 @@ class ExternalPredictor:
                                 line=line.decode("utf-8", "replace"))
         return msg
 
-    def _relay(self, proc: subprocess.Popen, payloads: Iterable[bytes], want: int,
-               on_line: Callable[[bytes], None]) -> None:
+    def _relay(self, proc: subprocess.Popen, payloads: Iterable[Sequence[bytes]],
+               want: int, on_line: Callable[[bytes], None]) -> None:
         """Send `payloads` in order; hand `want` reply lines to `on_line`.
 
+        Each payload is a sequence of pieces whose concatenation is one line.
         The next payload is taken from `payloads` only while fewer than
-        `WINDOW` sent ones await a reply. Any read or write that makes
-        progress, and taking a payload, restarts the timeout.
+        `WINDOW` sent ones await a reply. The outbox holds views of the
+        pieces, not copies, and drops each piece once it is written. Any read
+        or write that makes progress, and taking a payload, restarts the
+        timeout.
         """
         payloads = iter(payloads)
         pending = True
-        outbox = bytearray()
+        outbox: deque[memoryview] = deque()
         sent = got = 0
         sel = selectors.DefaultSelector()
         sel.register(proc.stdout, selectors.EVENT_READ)
@@ -552,12 +579,14 @@ class ExternalPredictor:
             deadline = time.monotonic() + self._timeout
             while True:
                 while pending and sent - got < WINDOW:
-                    payload = next(payloads, None)
-                    pending = payload is not None
+                    pieces = next(payloads, None)
+                    pending = pieces is not None
                     if pending:
-                        outbox += payload
+                        outbox.extend(memoryview(piece) for piece in pieces if piece)
                         sent += 1
                         deadline = time.monotonic() + self._timeout
+                    # Only the outbox's views hold the pieces from here on.
+                    del pieces
                 if not (pending or outbox or got < want):
                     break
                 if bool(outbox) != stdin_armed:
@@ -584,7 +613,7 @@ class ExternalPredictor:
                         progressed |= self._fill_buffer(proc)
                     else:
                         try:
-                            n = os.write(proc.stdin.fileno(), outbox[:65536])
+                            n = os.write(proc.stdin.fileno(), _front(outbox, 65536))
                         except BlockingIOError:
                             n = 0
                         except BrokenPipeError as exc:
@@ -592,7 +621,7 @@ class ExternalPredictor:
                                 f"predictor closed stdin pipe (exit code "
                                 f"{proc.poll()})"
                             ) from exc
-                        del outbox[:n]
+                        _drop_front(outbox, n)
                         progressed |= n > 0
                 if progressed:
                     deadline = time.monotonic() + self._timeout

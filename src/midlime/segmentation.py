@@ -4,7 +4,12 @@ Pixels are graph nodes, 8-connected; edge weight is the absolute intensity
 difference after Gaussian pre-smoothing. Edges are scanned in ascending
 weight order and two components merge when the edge is no heavier than
 ``min(Int(C) + scale/|C|)`` over the two, where Int(C) is the largest weight
-already absorbed into C. A second pass merges any component smaller than
+already absorbed into C; each root keeps that bound, updated at each merge.
+The scan order comes from one stable sort of the weights laid out by
+(pixel, direction), so ties fall to the row-major origin, then direction.
+The edges are int32 index arrays when the image has fewer than 2**31
+pixels, and become Python objects one block at a time, so the scan never
+holds all of them as objects. A second pass merges any component smaller than
 ``min_size`` into its nearest neighbour (by edge order). It visits only the
 edges between two distinct first-pass components of which one is smaller
 than ``min_size``, in the same order. That is exact: the pass only merges, so
@@ -108,33 +113,34 @@ def _correlate_nearest(a: np.ndarray, kernel: np.ndarray) -> np.ndarray:
 # Edge direction offsets, in tie-break order: E, S, SE, SW. Each pixel owns
 # the edges it originates, so every undirected edge appears exactly once.
 _DIRECTIONS = ((0, 1), (1, 0), (1, 1), (1, -1))
+# Edges become Python objects this many at a time.
+_BLOCK = 1 << 16
 
 
 def _build_edges(img: np.ndarray):
+    """Origins, targets and weights of all edges, in scan order.
+
+    The order is ascending weight, ties broken by the row-major origin index
+    (so by row, then column), then direction, so the scan is fully
+    deterministic. The weights sit in one (h, w, 4) array whose flat index
+    is ``4 * origin + direction``; one stable sort of it gives that order,
+    and the slots of edges that would leave the image are then dropped.
+    """
     h, w = img.shape
-    flat = img.ravel()
-    origins, targets, weights, dirs = [], [], [], []
+    weights = np.zeros((h, w, len(_DIRECTIONS)))
+    inside = np.zeros(weights.shape, dtype=bool)
     for d, (dr, dc) in enumerate(_DIRECTIONS):
-        r0, r1 = max(0, -dr), h - max(0, dr)
         c0, c1 = max(0, -dc), w - max(0, dc)
-        if r0 >= r1 or c0 >= c1:
-            continue
-        rr, cc = np.meshgrid(np.arange(r0, r1), np.arange(c0, c1), indexing="ij")
-        p = (rr * w + cc).ravel()
-        q = ((rr + dr) * w + (cc + dc)).ravel()
-        origins.append(p)
-        targets.append(q)
-        weights.append(np.abs(flat[p] - flat[q]))
-        dirs.append(np.full(p.shape, d, dtype=np.int8))
-    p = np.concatenate(origins)
-    q = np.concatenate(targets)
-    wts = np.concatenate(weights)
-    ds = np.concatenate(dirs)
-    # Ascending weight; ties broken by the row-major origin index (so by
-    # row, then column), then direction, so the scan order is fully
-    # deterministic.
-    order = np.lexsort((ds, p, wts))
-    return p[order], q[order], wts[order]
+        np.abs(img[:h - dr, c0:c1] - img[dr:, c0 + dc:c1 + dc],
+               out=weights[:h - dr, c0:c1, d])
+        inside[:h - dr, c0:c1, d] = True
+    index = np.int32 if h * w < 2**31 else np.int64
+    offsets = np.array([dr * w + dc for dr, dc in _DIRECTIONS], dtype=index)
+    flat = weights.ravel()
+    order = np.argsort(flat, kind="stable")
+    order = order[inside.ravel()[order]]
+    p = (order >> 2).astype(index)
+    return p, p + offsets[order & 3], flat[order]
 
 
 def _find(parent: list[int], a: int) -> int:
@@ -147,9 +153,9 @@ def _find(parent: list[int], a: int) -> int:
     return root
 
 
-def _roots(parent: list[int]) -> np.ndarray:
+def _roots(parent: list[int], dtype) -> np.ndarray:
     """Every node's root, by pointer jumping until no pointer moves."""
-    roots = np.asarray(parent, dtype=np.int64)
+    roots = np.asarray(parent, dtype=dtype)
     while True:
         up = roots[roots]
         if np.array_equal(up, roots):
@@ -173,32 +179,36 @@ def felzenszwalb_segment(spec: Spectrogram, config: SegmentationConfig) -> Segme
 
     parent = list(range(n))
     size = [1] * n
-    internal = [0.0] * n
     k = float(config.scale)
+    # limit[r] is Int(C) + scale/|C| for the component rooted at r.
+    limit = [k] * n
 
     # A node that is a root, or whose parent is one, needs no _find call.
-    for p, q, weight in zip(p_arr.tolist(), q_arr.tolist(), w_arr.tolist()):
-        ra = parent[p]
-        if parent[ra] != ra:
-            ra = _find(parent, p)
-        rb = parent[q]
-        if parent[rb] != rb:
-            rb = _find(parent, q)
-        if ra == rb:
-            continue
-        sa, sb = size[ra], size[rb]
-        if weight <= internal[ra] + k / sa and weight <= internal[rb] + k / sb:
-            if sa < sb:
-                ra, rb = rb, ra
-            parent[rb] = ra
-            size[ra] = sa + sb
-            internal[ra] = weight
+    for start in range(0, len(w_arr), _BLOCK):
+        block = slice(start, start + _BLOCK)
+        for p, q, weight in zip(p_arr[block].tolist(), q_arr[block].tolist(),
+                                w_arr[block].tolist()):
+            ra = parent[p]
+            if parent[ra] != ra:
+                ra = _find(parent, p)
+            rb = parent[q]
+            if parent[rb] != rb:
+                rb = _find(parent, q)
+            if ra == rb:
+                continue
+            if weight <= limit[ra] and weight <= limit[rb]:
+                sa, sb = size[ra], size[rb]
+                if sa < sb:
+                    ra, rb = rb, ra
+                parent[rb] = ra
+                size[ra] = sa + sb
+                limit[ra] = weight + k / (sa + sb)
 
     # Post-merge: absorb undersized components, revisiting edges in the same
     # ascending order. Only edges between distinct first-pass components, one
     # of them undersized, can merge; components only grow.
     min_size = config.min_size
-    roots = _roots(parent)
+    roots = _roots(parent, p_arr.dtype)
     small = (np.asarray(size) < min_size)[roots]
     a, b = roots[p_arr], roots[q_arr]
     pending = (a != b) & (small[p_arr] | small[q_arr])
@@ -213,7 +223,7 @@ def felzenszwalb_segment(spec: Spectrogram, config: SegmentationConfig) -> Segme
             parent[rb] = ra
             size[ra] += size[rb]
 
-    roots = _roots(parent)
+    roots = _roots(parent, p_arr.dtype)
     # Compact labels in order of first appearance (row-major scan).
     _, first_index, inverse = np.unique(roots, return_index=True, return_inverse=True)
     rank = np.argsort(np.argsort(first_index))

@@ -64,6 +64,32 @@ class _DictForest:
 _DIRECTIONS = ((0, 1), (1, 0), (1, 1), (1, -1))
 
 
+def lexsort_edges(img: np.ndarray):
+    """Origins, targets and weights of the 8-connected edges, built one
+    direction at a time and ordered by one lexsort on (weight, origin,
+    direction). Needs at least one edge."""
+    h, w = img.shape
+    flat = img.ravel()
+    origins, targets, weights, dirs = [], [], [], []
+    for d, (dr, dc) in enumerate(_DIRECTIONS):
+        r0, r1 = max(0, -dr), h - max(0, dr)
+        c0, c1 = max(0, -dc), w - max(0, dc)
+        if r0 >= r1 or c0 >= c1:
+            continue
+        rr, cc = np.meshgrid(np.arange(r0, r1), np.arange(c0, c1), indexing="ij")
+        p = (rr * w + cc).ravel()
+        q = ((rr + dr) * w + (cc + dc)).ravel()
+        origins.append(p)
+        targets.append(q)
+        weights.append(np.abs(flat[p] - flat[q]))
+        dirs.append(np.full(p.shape, d, dtype=np.int8))
+    p = np.concatenate(origins)
+    q = np.concatenate(targets)
+    wts = np.concatenate(weights)
+    order = np.lexsort((np.concatenate(dirs), p, wts))
+    return p[order], q[order], wts[order]
+
+
 def naive_felzenszwalb(image: np.ndarray, scale: float, min_size: int,
                        sigma: float) -> np.ndarray:
     """Graph-based segmentation written longhand.

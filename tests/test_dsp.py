@@ -1,5 +1,7 @@
 """STFT, dB mapping, inversion, Griffin-Lim: examples plus oracle checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -238,6 +240,23 @@ class TestInversion:
         c = griffin_lim(target, SMALL, 8, seed=2)
         assert np.array_equal(a.samples, b.samples)
         assert not np.array_equal(a.samples, c.samples)
+
+    def test_peak_memory_of_a_full_size_job(self):
+        # A 6 s clip's job is 1025 x 255. Holding the last iteration's
+        # spectrum while the next one was analysed peaked at 18.9 MB.
+        cfg = StftConfig()
+        clip = AudioClip(samples=0.5 * uniform_noise(95, 2048 + 254 * 512),
+                         sample_rate=SAMPLE_RATE)
+        cspec = stft(clip, cfg)
+        target = Spectrogram(values=np.abs(cspec.values), scale=SCALE_MAGNITUDE,
+                             config=cfg, sample_rate=SAMPLE_RATE)
+        tracemalloc.start()
+        try:
+            griffin_lim(target, cfg, 4, init_phase=cspec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
     def test_rejects_db_scale_target(self):
         cfg = StftConfig(frame_size=8, hop_size=2)

@@ -3,6 +3,7 @@
 import itertools
 import json
 import os
+import resource
 import shlex
 import signal
 import stat
@@ -132,6 +133,14 @@ class TestBundle:
             "count": len(areas), "min_area": int(areas.min()),
             "median_area": float(np.median(areas)), "max_area": int(areas.max()),
         }
+
+    def test_report_gives_the_peak_rss(self, bundle):
+        written = json.loads((bundle.out_dir / BUNDLE_FILES["report"]).read_text())
+        peak = written["peak_rss_mb"]
+        assert peak == bundle.report["peak_rss_mb"]
+        # The run is this process, so its peak is at most the peak so far.
+        unit = 1024.0 * 1024.0 if sys.platform == "darwin" else 1024.0
+        assert 0 < peak <= resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / unit
 
     def test_report_echoes_effective_config(self, bundle):
         cfg = bundle.report["config"]

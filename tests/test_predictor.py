@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from midlime import predictor
-from midlime.dsp import SCALE_MAGNITUDE, Spectrogram, StftConfig
+from midlime.audio import AudioClip
+from midlime.dsp import SCALE_MAGNITUDE, Spectrogram, StftConfig, magnitude_db, stft
 from midlime.errors import (
     BatchShapeError,
     CapabilitiesError,
@@ -45,9 +47,16 @@ from midlime.predictor import (
     WINDOW,
     _parse_capabilities,
 )
-from midlime.segmentation import SegmentMap
+from midlime.segmentation import SegmentationConfig, SegmentMap, felzenszwalb_segment
 
-from conftest import block_map, child_command, db_spec, random_db_image
+from conftest import (
+    SAMPLE_RATE,
+    block_map,
+    child_command,
+    db_spec,
+    make_fixture_samples,
+    random_db_image,
+)
 
 TINY = StftConfig(frame_size=16, hop_size=4)  # 9 bins
 
@@ -543,10 +552,11 @@ class TestGatewayMaskBatch:
 
         def recording_relay(self, proc, payloads, want, on_line):
             def record():
-                for line in payloads:
+                for pieces in payloads:
+                    line = b"".join(pieces)
                     if line.startswith(b'{"type":"predict"'):
                         sent.append(line)
-                    yield line
+                    yield pieces
             return relay(self, proc, record(), want, on_line)
 
         monkeypatch.setattr(ExternalPredictor, "_relay", recording_relay)
@@ -634,6 +644,27 @@ class TestGatewayMaskBatch:
         assert len(gateway.lines) == 6
         assert gateway.lines == dense.lines
 
+    def test_a_request_is_held_once(self):
+        # 224 rows of the fixture's first second at 257 x 85 make a 47.6 MB
+        # request; joining it into one line and copying that into the outbox
+        # peaked at 95.9 MB.
+        config = StftConfig(frame_size=512, hop_size=256)
+        clip = AudioClip(samples=make_fixture_samples()[:SAMPLE_RATE],
+                         sample_rate=SAMPLE_RATE)
+        spec = magnitude_db(stft(clip, config))
+        seg_map = felzenszwalb_segment(spec, SegmentationConfig())
+        masks = sample_masks(seg_map.segment_count, LimeConfig(n_samples=224, seed=0))
+        batch = MaskBatch(spec, seg_map, masks, FillStrategy.SEGMENT_MEAN)
+        with ExternalPredictor(child_command("echo"), timeout=60) as gateway:
+            tracemalloc.start()
+            try:
+                mids, _ = gateway.predict(batch)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert mids.shape == (224, MID_COUNT)
+        assert peak < 60e6
+
     def test_unfit_filler_is_refused_before_sending(self):
         base = tiny_spec(6)
         seg_map = block_map(9, 6, 3, 3)
@@ -662,4 +693,4 @@ class WireGateway(ExternalPredictor):
         self.lines = []
 
     def _relay(self, proc, payloads, want, on_line):
-        self.lines += payloads
+        self.lines += map(b"".join, payloads)
