@@ -101,7 +101,8 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--predictor-seed", type=int, default=0,
                    help="seed of the builtin synthetic predictor (default: 0)")
     p.add_argument("--workers", type=int, default=1,
-                   help="worker threads for perturbation evaluation (default: 1)")
+                   help="perturbation evaluation workers: threads for builtin, "
+                        "child processes for exec: (default: 1)")
     p.add_argument("--batch-size", type=int, default=256,
                    help="predictor batch size (default: 256)")
     p.add_argument("--timeout", type=float, default=30.0,

@@ -92,6 +92,12 @@ BUNDLE_FILES = {
     "report": "report.json",
 }
 
+STABILITY_FILES = {
+    "pairs": "stability.csv",
+    "summary": "stability_summary.csv",
+    "report": "report.json",
+}
+
 MODE_MASK_ONLY = "mask-only"
 MODE_ADD = "add"
 MODE_SUBTRACT = "subtract"
@@ -150,8 +156,12 @@ def _stage(name: str, timings: dict):
 
 
 def make_predictor(spec_string: str, *, seed: int = 0, timeout: float = 30.0,
-                   batch_size: int = 256):
-    """Predictor handle + capabilities from a CLI-style predictor string."""
+                   batch_size: int = 256, workers: int = 1):
+    """Predictor handle + capabilities from a CLI-style predictor string.
+
+    An exec: predictor runs one child per worker, but no more than there
+    are CPUs.
+    """
     if spec_string == "builtin":
         handle = BuiltinPredictor(seed)
         return handle, handle.capabilities()
@@ -160,7 +170,8 @@ def make_predictor(spec_string: str, *, seed: int = 0, timeout: float = 30.0,
         return handle, handle.capabilities()
     if spec_string.startswith("exec:"):
         command = spec_string[len("exec:"):]
-        handle = ExternalPredictor(command, timeout=timeout, batch_size=batch_size)
+        handle = ExternalPredictor(command, timeout=timeout, batch_size=batch_size,
+                                   children=min(workers, os.cpu_count() or 1))
         try:
             return handle, handle.start()
         except BaseException:
@@ -302,6 +313,7 @@ def _prepare(config: RunConfig, timings: dict) -> _Prepared:
         predictor, caps = make_predictor(
             config.predictor, seed=config.predictor_seed,
             timeout=config.timeout, batch_size=config.batch_size,
+            workers=config.workers,
         )
     try:
         _check_input_spec(caps, dbspec)
@@ -358,11 +370,8 @@ def _target_fn(predictor, target_info):
 
 
 def _lime_workers(config: RunConfig) -> int:
-    if config.workers > 1 and config.predictor.startswith("exec:"):
-        log.warning("external predictor gateway is serial; ignoring workers=%d",
-                    config.workers)
-        return 1
-    return config.workers
+    # An exec: predictor spreads each chunk over its own children.
+    return 1 if config.predictor.startswith("exec:") else config.workers
 
 
 def run_explanation(config: RunConfig) -> ExplanationBundle:
@@ -415,6 +424,54 @@ def run_explanation(config: RunConfig) -> ExplanationBundle:
     names = {k: v for k, v in BUNDLE_FILES.items()
              if k != "effects" or prep.effects is not None}
     report = {
+        **_report(config, prep, predictor_exit),
+        "selected": {
+            "total": len(explanation.selected),
+            "positive": len(explanation.positive_ids),
+            "negative": len(explanation.negative_ids),
+        },
+        "files": names,
+    }
+
+    def write(tmp: Path) -> None:
+        path = {k: tmp / v for k, v in names.items()}
+        _write_json(path["prediction"], {
+            "mid_names": list(caps.mid_names),
+            "mid": [float(v) for v in prep.mid],
+            "emotion_names": list(caps.emotion_names),
+            "emotion": [float(v) for v in prep.emotion],
+        })
+        if prep.effects is not None:
+            write_effects_csv(prep.effects, caps.linear_head, path["effects"])
+        _write_json(path["explanation"], explanation_to_json(explanation))
+        write_segment_csv(prep.seg_map, path["segments"])
+        _write_csv(path["pos_mask"], pos_spec.values)
+        _write_csv(path["neg_mask"], neg_spec.values)
+        for key in ("masked_pos", "masked_neg", "modified_add", "modified_sub"):
+            encode_wav(clips[key], path[key])
+        _write_report(path["report"], report, timings, started)
+
+    out_dir = Path(config.out_dir)
+    with _stage("write", timings):
+        _publish(out_dir, write)
+    return ExplanationBundle(out_dir=out_dir,
+                             files={k: out_dir / v for k, v in names.items()},
+                             report=report, explanation=explanation)
+
+
+def _report(config: RunConfig, prep: _Prepared, predictor_exit: int | None) -> dict:
+    """The report sections that both commands write: the input, every
+    effective parameter, the predictor, the target and the segments."""
+    caps = prep.caps
+    predictor = {
+        "mid_names": list(caps.mid_names),
+        "emotion_names": list(caps.emotion_names),
+        "has_linear_head": caps.linear_head is not None,
+        "exit_code": predictor_exit,
+    }
+    if isinstance(prep.predictor, ExternalPredictor):
+        predictor.update(prep.predictor.counters)
+    return {
         "version": __version__,
         "audio": {
             "path": str(config.audio_path),
@@ -444,12 +501,7 @@ def run_explanation(config: RunConfig) -> ExplanationBundle:
             "batch_size": config.batch_size,
             "timeout": config.timeout,
         },
-        "predictor": {
-            "mid_names": list(caps.mid_names),
-            "emotion_names": list(caps.emotion_names),
-            "has_linear_head": caps.linear_head is not None,
-            "exit_code": predictor_exit,
-        },
+        "predictor": predictor,
         "target": prep.target,
         "prediction": {
             "mid": [float(v) for v in prep.mid],
@@ -461,41 +513,14 @@ def run_explanation(config: RunConfig) -> ExplanationBundle:
         ),
         "spectrogram": {"bins": prep.dbspec.shape[0], "frames": prep.dbspec.shape[1]},
         "segments": prep.segments,
-        "selected": {
-            "total": len(explanation.selected),
-            "positive": len(explanation.positive_ids),
-            "negative": len(explanation.negative_ids),
-        },
-        "files": names,
     }
 
-    def write(tmp: Path) -> None:
-        path = {k: tmp / v for k, v in names.items()}
-        _write_json(path["prediction"], {
-            "mid_names": list(caps.mid_names),
-            "mid": [float(v) for v in prep.mid],
-            "emotion_names": list(caps.emotion_names),
-            "emotion": [float(v) for v in prep.emotion],
-        })
-        if prep.effects is not None:
-            write_effects_csv(prep.effects, caps.linear_head, path["effects"])
-        _write_json(path["explanation"], explanation_to_json(explanation))
-        write_segment_csv(prep.seg_map, path["segments"])
-        _write_csv(path["pos_mask"], pos_spec.values)
-        _write_csv(path["neg_mask"], neg_spec.values)
-        for key in ("masked_pos", "masked_neg", "modified_add", "modified_sub"):
-            encode_wav(clips[key], path[key])
-        report["timings_s"] = {**timings,
-                               "total": round(time.perf_counter() - started, 6)}
-        report["peak_rss_mb"] = _peak_rss_mb()
-        _write_json(path["report"], report)
 
-    out_dir = Path(config.out_dir)
-    with _stage("write", timings):
-        _publish(out_dir, write)
-    return ExplanationBundle(out_dir=out_dir,
-                             files={k: out_dir / v for k, v in names.items()},
-                             report=report, explanation=explanation)
+def _write_report(path: Path, report: dict, timings: dict, started: float) -> None:
+    """Write `report` with the stage timings so far, the total and the peak RSS."""
+    report["timings_s"] = {**timings, "total": round(time.perf_counter() - started, 6)}
+    report["peak_rss_mb"] = _peak_rss_mb()
+    _write_json(path, report)
 
 
 def _peak_rss_mb() -> float:
@@ -579,7 +604,8 @@ def run_stability(config: RunConfig, seeds: Sequence[int],
     """Re-run the attribution per (seed, sample count); write Jaccard tables.
 
     Returns {sample_count: {"score": StabilityScore, "selected_counts": [...]}}
-    and writes stability.csv (pairwise) plus stability_summary.csv.
+    and writes stability.csv (pairwise), stability_summary.csv and a
+    report.json that adds the time and selected count of each attribution.
     """
     seeds = [int(s) for s in seeds]
     sample_counts = [int(c) for c in sample_counts]
@@ -594,40 +620,49 @@ def run_stability(config: RunConfig, seeds: Sequence[int],
                     for count in sample_counts}
 
     timings: dict = {}
+    started = time.perf_counter()
     prep = _prepare(config, timings)
     results: dict = {}
+    runs = []
     try:
         fn = _target_fn(prep.predictor, prep.target)
         workers = _lime_workers(config)
         for count in sample_counts:
             explanations = []
             for lime_cfg in lime_configs[count]:
-                with _stage(f"lime[n={count},seed={lime_cfg.seed}]", timings):
+                stage = f"lime[n={count},seed={lime_cfg.seed}]"
+                with _stage(stage, timings):
                     explanations.append(explain_instance(
                         fn, prep.dbspec, prep.seg_map, lime_cfg,
                         target=prep.target_label,
                         batch_size=config.batch_size, workers=workers,
                     ))
+                runs.append({"sample_count": count, "seed": lime_cfg.seed,
+                             "lime_s": timings[stage],
+                             "selected": len(explanations[-1].selected)})
             results[count] = {
                 "score": stability_score(explanations),
                 "selected_counts": [len(e.selected) for e in explanations],
             }
     finally:
-        prep.predictor.close()
+        predictor_exit = prep.predictor.close()
+    report = {**_report(config, prep, predictor_exit), "runs": runs,
+              "files": STABILITY_FILES}
 
     def write(tmp: Path) -> None:
-        with open(tmp / "stability.csv", "w", encoding="utf-8") as fh:
+        with open(tmp / STABILITY_FILES["pairs"], "w", encoding="utf-8") as fh:
             fh.write("sample_count,seed_i,seed_j,jaccard\n")
             for count in sample_counts:
                 for i, j, value in results[count]["score"].per_pair:
                     fh.write(f"{count},{seeds[i]},{seeds[j]},{value!r}\n")
-        with open(tmp / "stability_summary.csv", "w", encoding="utf-8") as fh:
+        with open(tmp / STABILITY_FILES["summary"], "w", encoding="utf-8") as fh:
             fh.write("sample_count,mean_pairwise_jaccard,seeds,selected_counts\n")
             for count in sample_counts:
                 score = results[count]["score"]
                 counts = " ".join(str(c) for c in results[count]["selected_counts"])
                 fh.write(f"{count},{score.mean_pairwise_jaccard!r},"
                          f"{' '.join(map(str, seeds))},{counts}\n")
+        _write_report(tmp / STABILITY_FILES["report"], report, timings, started)
 
     _publish(Path(config.out_dir), write)
     return results

@@ -24,12 +24,16 @@ The wire protocol, one UTF-8 JSON object per line:
   [...8], "linear_head": {"weights": [[...7] x8], "bias": [...8]} | null,
   "input_spec": {"bins": B | "variable", "frames": F | "variable"}}``
 * parent sends ``{"type": "predict", "id": n, "shape": [B, F], "scale": "db",
-  "batch": [flattened row-major arrays ...]}`` with monotonically increasing ids
+  "batch": [flattened row-major arrays ...]}`` with increasing ids
 * child replies ``{"type": "prediction", "id": n, "mid": [[...7] x items],
   "emotion": [[...8] x items]}`` in any order, with n the request's integer
-  id; the gateway fills the rows of chunk n from it
+  id; the gateway fills the rows of request n from it
 * parent sends ``{"type": "shutdown"}`` and the child exits 0
 
+A request holds at most ``REQUEST_BYTES`` of text, or a single row. The
+gateway may run several children of one command. Each gets the handshake,
+the next request goes to the child with the fewest replies outstanding, so
+each child sees increasing ids, and the children are stopped one at a time.
 The child's stderr is inherited, so its diagnostics land in the host's logs.
 """
 
@@ -68,8 +72,10 @@ from .errors import (
 from .lime import MaskBatch, _tree_sum
 
 PROTOCOL_VERSION = 1
-# Most predict chunks that await a reply at any time.
+# Most predict requests that await a reply from one child at any time.
 WINDOW = 4
+# Most bytes of one predict request, framing included, unless it holds one row.
+REQUEST_BYTES = 1 << 22
 MID_COUNT = 7
 EMOTION_COUNT = 8
 
@@ -321,6 +327,17 @@ def _parse_capabilities(msg: dict) -> PredictorCapabilities:
                                  input_spec=msg.get("input_spec") or {})
 
 
+def _unlike_field(a: PredictorCapabilities, b: PredictorCapabilities) -> str | None:
+    """The first capabilities field in which `a` and `b` differ, if any."""
+    for name in ("mid_names", "emotion_names", "input_spec"):
+        if getattr(a, name) != getattr(b, name):
+            return name
+    heads = [None if c.linear_head is None
+             else (c.linear_head.weights.tolist(), c.linear_head.bias.tolist())
+             for c in (a, b)]
+    return "linear_head" if heads[0] != heads[1] else None
+
+
 # A predict request as `json.dumps(msg, separators=(",", ":"))` writes it,
 # around its rows' pixel texts.
 _PREDICT_HEAD = b'{"type":"predict","id":%d,"shape":[%d,%d],"scale":"db","batch":[['
@@ -368,7 +385,9 @@ class _RunTexts:
     A run is a maximal stretch of one label in the row-major segment map.
     Each run has two texts, of its base pixels and of its filler pixels. A
     row's text joins, run by run, the one its mask bit for the run's label
-    picks, which is the text of the row's rendered pixels.
+    picks, which is the text of the row's rendered pixels. `row_bytes`
+    bounds the length of any row's text: per run the longer of its two
+    texts, plus the commas between runs.
     """
 
     def __init__(self, batch: MaskBatch):
@@ -385,6 +404,9 @@ class _RunTexts:
 
         self.filler_texts = texts(batch.filler)
         self.base_texts = texts(batch.spec.values)
+        longer = np.maximum(np.fromiter(map(len, self.base_texts), np.int64),
+                            np.fromiter(map(len, self.filler_texts), np.int64))
+        self.row_bytes = int(longer.sum()) + len(longer) - 1
 
     def row(self, mask: np.ndarray) -> bytes:
         keep = mask.astype(bool)[self.labels]
@@ -412,18 +434,45 @@ def _drop_front(outbox: deque[memoryview], n: int) -> None:
         n -= len(view)
 
 
-class ExternalPredictor:
-    """Gateway owning a child predictor process.
+class _Child:
+    """One child process, and the reply bytes read from it but not yet taken."""
 
-    Requests are pipelined with a bounded window of outstanding chunks, and
-    stdin/stdout are driven by one non-blocking event loop so a slow or
-    bursty child cannot deadlock the pipe pair. `predict` works only between
-    `start()` (or entering a `with` block) and `close()`. Not thread-safe:
-    callers sharing a gateway must serialize access themselves.
+    def __init__(self, proc: subprocess.Popen):
+        self.proc = proc
+        self.buf = bytearray()
+
+    def take_line(self) -> bytes | None:
+        i = self.buf.find(b"\n")
+        if i < 0:
+            return None
+        line = bytes(self.buf[:i])
+        del self.buf[:i + 1]
+        return line
+
+
+def _reap(proc: subprocess.Popen) -> None:
+    """Kill `proc` if it still runs, wait for it and close its pipes."""
+    if proc.poll() is None:
+        proc.kill()
+    proc.wait()
+    proc.stdin.close()
+    proc.stdout.close()
+
+
+class ExternalPredictor:
+    """Gateway owning a pool of child predictor processes of one command.
+
+    Requests are pipelined with a bounded window of outstanding requests per
+    child, and every child's stdin/stdout are driven by one non-blocking
+    event loop so a slow or bursty child cannot deadlock its pipe pair.
+    `predict` works only between `start()` (or entering a `with` block) and
+    `close()`. Not thread-safe: callers sharing a gateway must serialize
+    access themselves. `counters` counts the requests, the items and the
+    bytes that crossed the wire.
     """
 
     def __init__(self, command: str | Sequence[str], *, timeout: float = 30.0,
-                 batch_size: int = 256):
+                 batch_size: int = 256, children: int = 1):
         argv = shlex.split(command) if isinstance(command, str) else list(command)
         if not argv:
             raise ConfigError("empty predictor command")
@@ -431,14 +480,18 @@ class ExternalPredictor:
             raise ConfigError(f"timeout must be finite and positive, got {timeout}")
         if batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
+        if children < 1:
+            raise ConfigError(f"children must be >= 1, got {children}")
         self._argv = argv
         self._timeout = float(timeout)
         self.batch_size = int(batch_size)
-        self._proc: subprocess.Popen | None = None
-        self._buf = bytearray()
+        self.children = int(children)
+        self._pool: list[_Child] = []
         self._capabilities: PredictorCapabilities | None = None
         self._next_id = 0
         self._texts: _RunTexts | None = None
+        self.counters = {"children": self.children, "requests": 0, "items": 0,
+                         "bytes_out": 0, "bytes_in": 0}
 
     def __enter__(self) -> "ExternalPredictor":
         self.start()
@@ -454,54 +507,84 @@ class ExternalPredictor:
         return self._capabilities
 
     def start(self) -> PredictorCapabilities:
-        if self._proc is not None:
+        """Spawn the children, then shake hands with each in turn; every
+        child must report the same capabilities."""
+        if self._pool:
             return self.capabilities
+        procs: list[subprocess.Popen] = []
         try:
-            self._proc = subprocess.Popen(
-                self._argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-                stderr=None, bufsize=0,
-            )
-        except OSError as exc:
-            raise SpawnError(f"cannot spawn predictor {self._argv!r}: {exc}") from exc
-        flags = fcntl.fcntl(self._proc.stdin.fileno(), fcntl.F_GETFL)
-        fcntl.fcntl(self._proc.stdin.fileno(), fcntl.F_SETFL, flags | os.O_NONBLOCK)
-        lines: list[bytes] = []
-        self._relay(self._proc, [[self._encode(
-            {"type": "handshake", "protocol": PROTOCOL_VERSION})]], 1, lines.append)
-        line = lines[0]
-        msg = self._decode(line)
-        if msg.get("type") != "capabilities":
-            raise ProtocolError(
-                f"expected a capabilities reply, got type {msg.get('type')!r}",
-                line=line,
-            )
-        self._capabilities = _parse_capabilities(msg)
-        return self._capabilities
+            for _ in range(self.children):
+                procs.append(subprocess.Popen(
+                    self._argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                    stderr=None, bufsize=0,
+                ))
+        except BaseException as exc:
+            for proc in procs:
+                _reap(proc)
+            if isinstance(exc, OSError):
+                raise SpawnError(f"cannot spawn predictor {self._argv!r}: {exc}") from exc
+            raise
+        for proc in procs:
+            flags = fcntl.fcntl(proc.stdin.fileno(), fcntl.F_GETFL)
+            fcntl.fcntl(proc.stdin.fileno(), fcntl.F_SETFL, flags | os.O_NONBLOCK)
+        self._pool = [_Child(proc) for proc in procs]
+        first = None
+        for k, child in enumerate(self._pool):
+            lines: list[bytes] = []
+            self._relay([child], [[self._encode(
+                {"type": "handshake", "protocol": PROTOCOL_VERSION})]], 1, lines.append)
+            line = lines[0]
+            msg = self._decode(line)
+            if msg.get("type") != "capabilities":
+                raise ProtocolError(
+                    f"expected a capabilities reply, got type {msg.get('type')!r}",
+                    line=line,
+                )
+            caps = _parse_capabilities(msg)
+            if first is None:
+                first = caps
+            elif (unlike := _unlike_field(first, caps)) is not None:
+                raise CapabilitiesError(
+                    f"predictor child {k} reports other {unlike} than child 0",
+                    field=unlike)
+        self._capabilities = first
+        return first
 
     def predict(self, batch: Sequence[Spectrogram]) -> tuple[np.ndarray, np.ndarray]:
-        if self._proc is None:
+        if not self._pool:
             raise TransportError("predictor is not running; call start() first")
         # Every check runs before anything is sent, and the first faulty
         # item decides the error; a MaskBatch was checked when it was made.
-        # A chunk's request is written only when the relay's window has room
-        # for it.
+        # A request is written only when a child's window has room for it.
         if isinstance(batch, MaskBatch):
             texts = self._run_texts(batch)
             shape = batch.spec.values.shape
             rows = map(texts.row, batch.masks)
+            # A request is its head, its rows with "],[" between them, and
+            # its tail; the head is longest for the largest id.
+            frame = len(_PREDICT_HEAD % (self._next_id + len(batch), *shape)
+                        + _PREDICT_TAIL)
+            step = max(1, min(self.batch_size,
+                              (REQUEST_BYTES - frame) // (texts.row_bytes + 3)))
         else:
             shape = _check_dense(batch)
             rows = (_pixel_text(spec.values) for spec in batch)
+            step = self.batch_size
         mids = np.empty((len(batch), MID_COUNT))
         emotions = np.empty((len(batch), EMOTION_COUNT))
-        bounds = {self._next_id + k: (start, min(start + self.batch_size, len(batch)))
-                  for k, start in enumerate(range(0, len(batch), self.batch_size))}
+        bounds = {self._next_id + k: (start, min(start + step, len(batch)))
+                  for k, start in enumerate(range(0, len(batch), step))}
         self._next_id += len(bounds)
-        # Replies pop their chunk from `bounds` while payloads are still being
-        # written, so the payloads walk a copy of it.
-        payloads = (_predict_line(cid, shape, islice(rows, stop - start))
-                    for cid, (start, stop) in list(bounds.items()))
-        self._relay(self._proc, payloads, len(bounds),
+
+        # Replies pop their request from `bounds` while payloads are still
+        # being written, so the payloads walk a copy of it.
+        def payloads():
+            for cid, (start, stop) in list(bounds.items()):
+                self.counters["requests"] += 1
+                self.counters["items"] += stop - start
+                yield _predict_line(cid, shape, islice(rows, stop - start))
+
+        self._relay(self._pool, payloads(), len(bounds),
                     lambda line: self._handle_prediction(line, bounds, mids, emotions))
         return mids, emotions
 
@@ -514,30 +597,31 @@ class ExternalPredictor:
         return texts
 
     def close(self) -> int | None:
-        """Request shutdown and reap the child; returns its exit code."""
-        if self._proc is None:
-            return None
-        proc = self._proc
-        self._proc = None
+        """Stop and reap the children one at a time, in order, each gone
+        before the next is told to stop; returns 0, or the first nonzero
+        exit code in child order."""
+        children, self._pool = self._pool, []
         try:
-            if proc.poll() is None:
+            for child in children:
+                proc = child.proc
+                if proc.poll() is None:
+                    try:
+                        self._relay([child], [[self._encode({"type": "shutdown"})]], 0,
+                                    lambda line: None)
+                    except (TransportError, PredictorTimeoutError, OSError):
+                        pass
+                proc.stdin.close()
                 try:
-                    self._relay(proc, [[self._encode({"type": "shutdown"})]], 0,
-                                lambda line: None)
-                except (TransportError, PredictorTimeoutError, OSError):
-                    pass
-            proc.stdin.close()
-            try:
-                proc.wait(timeout=5.0)
-            except subprocess.TimeoutExpired:
-                proc.kill()
-                proc.wait()
+                    proc.wait(timeout=5.0)
+                except subprocess.TimeoutExpired:
+                    proc.kill()
+                    proc.wait()
         finally:
-            if proc.poll() is None:
-                proc.kill()
-                proc.wait()
-            proc.stdout.close()
-        return proc.returncode
+            for child in children:
+                _reap(child.proc)
+        if not children:
+            return None
+        return next((c.proc.returncode for c in children if c.proc.returncode), 0)
 
     # -- wire helpers ------------------------------------------------------
 
@@ -557,47 +641,58 @@ class ExternalPredictor:
                                 line=line.decode("utf-8", "replace"))
         return msg
 
-    def _relay(self, proc: subprocess.Popen, payloads: Iterable[Sequence[bytes]],
+    def _relay(self, children: Sequence[_Child], payloads: Iterable[Sequence[bytes]],
                want: int, on_line: Callable[[bytes], None]) -> None:
         """Send `payloads` in order; hand `want` reply lines to `on_line`.
 
         Each payload is a sequence of pieces whose concatenation is one line.
-        The next payload is taken from `payloads` only while fewer than
-        `WINDOW` sent ones await a reply. The outbox holds views of the
-        pieces, not copies, and drops each piece once it is written. Any read
-        or write that makes progress, and taking a payload, restarts the
-        timeout.
+        The next payload goes to the child with the fewest replies
+        outstanding, the first on a tie, and is taken from `payloads` only
+        while that child has fewer than `WINDOW`. Each child's outbox holds
+        views of the pieces, not copies, and drops each piece once it is
+        written. Any read or write that makes progress, and taking a
+        payload, restarts the timeout.
         """
         payloads = iter(payloads)
         pending = True
-        outbox: deque[memoryview] = deque()
-        sent = got = 0
+        outboxes: list[deque[memoryview]] = [deque() for _ in children]
+        waiting = [0] * len(children)
+        armed = [False] * len(children)
+        got = 0
         sel = selectors.DefaultSelector()
-        sel.register(proc.stdout, selectors.EVENT_READ)
-        stdin_armed = False
+        for k, child in enumerate(children):
+            sel.register(child.proc.stdout, selectors.EVENT_READ, k)
         try:
             deadline = time.monotonic() + self._timeout
             while True:
-                while pending and sent - got < WINDOW:
+                while pending:
+                    k = waiting.index(min(waiting))
+                    if waiting[k] >= WINDOW:
+                        break
                     pieces = next(payloads, None)
                     pending = pieces is not None
                     if pending:
-                        outbox.extend(memoryview(piece) for piece in pieces if piece)
-                        sent += 1
+                        outboxes[k].extend(memoryview(piece) for piece in pieces if piece)
+                        waiting[k] += 1
                         deadline = time.monotonic() + self._timeout
                     # Only the outbox's views hold the pieces from here on.
                     del pieces
-                if not (pending or outbox or got < want):
+                if not (pending or any(outboxes) or got < want):
                     break
-                if bool(outbox) != stdin_armed:
-                    if outbox:
-                        sel.register(proc.stdin, selectors.EVENT_WRITE)
-                    else:
-                        sel.unregister(proc.stdin)
-                    stdin_armed = bool(outbox)
-                line = self._take_line()
+                for k, child in enumerate(children):
+                    if bool(outboxes[k]) != armed[k]:
+                        if outboxes[k]:
+                            sel.register(child.proc.stdin, selectors.EVENT_WRITE, k)
+                        else:
+                            sel.unregister(child.proc.stdin)
+                        armed[k] = bool(outboxes[k])
+                for k, child in enumerate(children):
+                    line = child.take_line()
+                    if line is not None:
+                        break
                 if line is not None:
                     on_line(line)
+                    waiting[k] -= 1
                     got += 1
                     deadline = time.monotonic() + self._timeout
                     continue
@@ -609,8 +704,17 @@ class ExternalPredictor:
                     )
                 progressed = False
                 for key, _ in sel.select(remaining):
+                    child, outbox = children[key.data], outboxes[key.data]
+                    proc = child.proc
                     if key.fileobj is proc.stdout:
-                        progressed |= self._fill_buffer(proc)
+                        chunk = os.read(proc.stdout.fileno(), 1 << 16)
+                        if not chunk:
+                            raise TransportError(
+                                f"predictor closed stdout (exit code {proc.poll()})"
+                            )
+                        child.buf += chunk
+                        self.counters["bytes_in"] += len(chunk)
+                        progressed = True
                     else:
                         try:
                             n = os.write(proc.stdin.fileno(), _front(outbox, 65536))
@@ -622,28 +726,12 @@ class ExternalPredictor:
                                 f"{proc.poll()})"
                             ) from exc
                         _drop_front(outbox, n)
+                        self.counters["bytes_out"] += n
                         progressed |= n > 0
                 if progressed:
                     deadline = time.monotonic() + self._timeout
         finally:
             sel.close()
-
-    def _take_line(self) -> bytes | None:
-        i = self._buf.find(b"\n")
-        if i < 0:
-            return None
-        line = bytes(self._buf[:i])
-        del self._buf[:i + 1]
-        return line
-
-    def _fill_buffer(self, proc: subprocess.Popen) -> bool:
-        chunk = os.read(proc.stdout.fileno(), 1 << 16)
-        if not chunk:
-            raise TransportError(
-                f"predictor closed stdout (exit code {proc.poll()})"
-            )
-        self._buf += chunk
-        return True
 
     def _handle_prediction(self, line: bytes, bounds: dict, mids: np.ndarray,
                            emotions: np.ndarray) -> None:

@@ -1,5 +1,7 @@
 """Command-line behaviour: argument handling, exit codes, printed summaries."""
 
+import json
+import os
 import struct
 import subprocess
 import sys
@@ -8,6 +10,7 @@ import numpy as np
 import pytest
 
 import midlime
+from midlime import predictor
 from midlime.audio import AudioClip, encode_wav
 from midlime.cli import build_parser, exit_code_for, main
 from midlime.errors import (
@@ -134,6 +137,71 @@ class TestExplainCommand:
                        "--hop", "512")
         assert code == 2
         assert not (tmp_path / "b").exists()
+
+
+# A short noise clip with few segments: 60 mask rows of about 150 kB each.
+POOL = ["--frame-size", "256", "--hop", "128", "--min-size", "800",
+        "--samples", "60", "--gl-iters", "1"]
+
+
+@pytest.fixture
+def short_wav(tmp_path):
+    wav = tmp_path / "short.wav"
+    encode_wav(AudioClip(samples=0.3 * uniform_noise(400, 8000), sample_rate=22050),
+               wav)
+    return wav
+
+
+class TestChildPool:
+    @pytest.mark.parametrize("mode", ["echo", "reorder"])
+    def test_bundles_are_identical_across_pool_sizes(self, mode, short_wav, tmp_path,
+                                                     monkeypatch):
+        # About seven rows per request, so that the chunk spreads over the pool.
+        monkeypatch.setattr(predictor, "REQUEST_BYTES", 1 << 20)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        bundles = []
+        for workers in (1, 2, 3):
+            out = tmp_path / f"workers-{workers}"
+            code = run_cli("explain", "--audio", str(short_wav), "--out", str(out),
+                           *POOL, "--workers", str(workers),
+                           "--predictor", f"exec:{child_command(mode)}")
+            assert code == 0
+            report = json.loads((out / "report.json").read_text())
+            counters = {k: report["predictor"][k] for k in ("children", "items",
+                                                            "exit_code")}
+            assert counters == {"children": workers, "items": 60 + 1, "exit_code": 0}
+            assert report["predictor"]["requests"] >= 8
+            bundles.append({p.name: p.read_bytes() for p in out.iterdir()
+                            if p.name != "report.json"})
+        assert len(bundles[0]) == 10
+        assert bundles[1] == bundles[0]
+        assert bundles[2] == bundles[0]
+
+    def test_a_child_that_exits_early_exits_3_and_leaves_no_process(
+            self, short_wav, tmp_path, monkeypatch, capsys):
+        spawned = []
+        popen = subprocess.Popen
+
+        def recording_popen(*args, **kwargs):
+            spawned.append(popen(*args, **kwargs))
+            return spawned[-1]
+
+        monkeypatch.setattr(subprocess, "Popen", recording_popen)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        try:
+            code = run_cli("explain", "--audio", str(short_wav),
+                           "--out", str(tmp_path / "b"), *POOL, "--workers", "3",
+                           "--predictor", f"exec:{child_command('exit-early')}")
+            assert code == 3
+            assert "error:" in capsys.readouterr().err
+            assert len(spawned) == 3
+            assert all(proc.poll() is not None for proc in spawned)
+            assert not (tmp_path / "b").exists()
+        finally:
+            for proc in spawned:
+                if proc.poll() is None:
+                    proc.kill()
+                    proc.wait()
 
 
 class TestStabilityCommand:

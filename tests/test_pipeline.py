@@ -522,6 +522,24 @@ class TestMakePredictor:
         with pytest.raises(ConfigError):
             make_predictor("mystery")
 
+    @pytest.mark.parametrize("cpus, children", [(2, 2), (None, 1)])
+    def test_exec_children_are_capped_at_the_cpu_count(self, cpus, children,
+                                                       monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        predictor, _ = make_predictor(f"exec:{child_command('echo')}", timeout=15.0,
+                                      workers=64)
+        try:
+            assert predictor.counters["children"] == children
+            assert len(predictor._pool) == children
+        finally:
+            assert predictor.close() == 0
+
+    def test_lime_runs_one_thread_for_exec(self, fixture_wav, tmp_path):
+        config = fast_config(fixture_wav, tmp_path, workers=3)
+        assert pipeline._lime_workers(config) == 3
+        config = replace(config, predictor=f"exec:{child_command('echo')}")
+        assert pipeline._lime_workers(config) == 1
+
     def test_failed_handshake_reaps_the_child(self, monkeypatch):
         spawned = []
         popen = subprocess.Popen
@@ -646,6 +664,24 @@ class TestRunStability:
         for count in (600, 700):
             assert len(results[count]["selected_counts"]) == 2
             assert 0.0 <= results[count]["score"].mean_pairwise_jaccard <= 1.0
+
+    def test_writes_a_report_with_each_attribution(self, fixture_wav, tmp_path, bundle):
+        out = tmp_path / "stab"
+        config = fast_config(fixture_wav, out, lime=LimeConfig(n_samples=600, seed=0))
+        results = run_stability(config, seeds=[1, 2], sample_counts=[600, 700])
+        report = json.loads((out / "report.json").read_text())
+        assert sorted(p.name for p in out.iterdir()) == sorted(report["files"].values())
+        shared = set(bundle.report) - {"selected", "files"}
+        assert shared <= set(report)
+        assert report["predictor"]["exit_code"] is None
+        runs = report["runs"]
+        assert [(r["sample_count"], r["seed"]) for r in runs] == [
+            (600, 1), (600, 2), (700, 1), (700, 2)]
+        assert [r["selected"] for r in runs] == (results[600]["selected_counts"]
+                                                 + results[700]["selected_counts"])
+        for r in runs:
+            stage = f"lime[n={r['sample_count']},seed={r['seed']}]"
+            assert r["lime_s"] == report["timings_s"][stage]
 
     def test_rejects_fewer_than_two_seeds(self, fixture_wav, tmp_path):
         config = fast_config(fixture_wav, tmp_path / "x")

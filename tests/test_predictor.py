@@ -1,6 +1,8 @@
 """Builtin predictor closed forms and the external stdio gateway."""
 
 import json
+import shlex
+import signal
 import subprocess
 import sys
 import time
@@ -44,6 +46,7 @@ from midlime.predictor import (
     ExternalPredictor,
     LinearHead,
     PredictorCapabilities,
+    REQUEST_BYTES,
     WINDOW,
     _parse_capabilities,
 )
@@ -539,6 +542,175 @@ class TestGateway:
             assert gateway.capabilities.linear_head is None
 
 
+def child_with(mode: str, option: str, path) -> str:
+    return f"{child_command(mode)} {option} {shlex.quote(str(path))}"
+
+
+def recorded_requests(directory) -> list[list[tuple[int, int, int]]]:
+    """Per child, the (id, rows, bytes) of each request it received, in order."""
+    return [[tuple(map(int, line.split())) for line in path.read_text().splitlines()]
+            for path in sorted(directory.iterdir())]
+
+
+class TestGatewayPool:
+    def test_spawn_failure_of_the_second_child_reaps_the_first(self, monkeypatch):
+        spawned = []
+        popen = subprocess.Popen
+
+        def failing_popen(*args, **kwargs):
+            if spawned:
+                raise OSError("no more processes")
+            spawned.append(popen(*args, **kwargs))
+            return spawned[-1]
+
+        monkeypatch.setattr(subprocess, "Popen", failing_popen)
+        gateway = ExternalPredictor(child_command("echo"), timeout=10, children=2)
+        try:
+            with pytest.raises(SpawnError, match="no more processes"):
+                gateway.start()
+            assert len(spawned) == 1
+            assert spawned[0].poll() is not None, "the first child outlived start()"
+            assert gateway.close() is None
+        finally:
+            for proc in spawned:
+                if proc.poll() is None:
+                    proc.kill()
+                    proc.wait()
+
+    def test_children_must_report_the_same_capabilities(self):
+        with ExternalPredictor(child_command("pid-names"), timeout=10) as single:
+            assert single.capabilities.mid_names[0].startswith("m1-")
+        gateway = ExternalPredictor(child_command("pid-names"), timeout=10, children=2)
+        try:
+            with pytest.raises(CapabilitiesError, match="child 1") as info:
+                gateway.start()
+        finally:
+            assert gateway.close() == 0
+        assert info.value.field == "mid_names"
+
+    def test_a_differing_or_missing_head_is_named(self):
+        head = BuiltinPredictor(0).head
+        other = LinearHead(weights=head.weights, bias=head.bias + 1.0)
+
+        def caps(linear_head):
+            return PredictorCapabilities(BUILTIN_MID_NAMES, BUILTIN_EMOTION_NAMES,
+                                         linear_head)
+
+        assert predictor._unlike_field(caps(head), caps(LinearHead(
+            weights=head.weights.copy(), bias=head.bias.copy()))) is None
+        assert predictor._unlike_field(caps(None), caps(None)) is None
+        for a, b in ((head, other), (head, None), (None, head)):
+            assert predictor._unlike_field(caps(a), caps(b)) == "linear_head"
+
+    def test_bench_size_requests_stay_under_the_limit_and_ids_increase_per_child(
+            self, tmp_path):
+        # The fixture's first second at 257 x 85: about 0.4 MB per row.
+        config = StftConfig(frame_size=512, hop_size=256)
+        clip = AudioClip(samples=make_fixture_samples()[:SAMPLE_RATE],
+                         sample_rate=SAMPLE_RATE)
+        spec = magnitude_db(stft(clip, config))
+        seg_map = felzenszwalb_segment(spec, SegmentationConfig())
+        masks = sample_masks(seg_map.segment_count, LimeConfig(n_samples=64, seed=0))
+        batch = MaskBatch(spec, seg_map, masks, FillStrategy.SILENCE_FLOOR)
+        record = tmp_path / "record"
+        record.mkdir()
+        with ExternalPredictor(child_with("echo", "--record", record), timeout=60,
+                               children=2) as gateway:
+            mids, _ = gateway.predict(batch)
+        expected = [batch[i].values.mean() for i in range(len(batch))]
+        assert np.allclose(mids[:, 0], expected, rtol=1e-12, atol=0)
+        per_child = recorded_requests(record)
+        assert len(per_child) == 2
+        requests = [r for child in per_child for r in child]
+        assert sorted(cid for cid, _, _ in requests) == list(range(len(requests)))
+        assert sum(rows for _, rows, _ in requests) == 64
+        assert len(requests) >= 4
+        for child in per_child:
+            ids = [cid for cid, _, _ in child]
+            assert ids == sorted(set(ids))
+        assert all(size <= REQUEST_BYTES or rows == 1 for _, rows, size in requests)
+        assert max(size for _, _, size in requests) > REQUEST_BYTES // 2
+
+    def test_each_child_has_its_own_window(self, monkeypatch):
+        replies, written = [], []
+        handle = ExternalPredictor._handle_prediction
+        predict_line = predictor._predict_line
+        monkeypatch.setattr(ExternalPredictor, "_handle_prediction",
+                            lambda self, line, *args: replies.append(line)
+                            or handle(self, line, *args))
+        monkeypatch.setattr(predictor, "_predict_line",
+                            lambda cid, *args: written.append((cid, len(replies)))
+                            or predict_line(cid, *args))
+        with ExternalPredictor(child_command("reorder"), timeout=20, batch_size=1,
+                               children=2) as gateway:
+            mids, _ = gateway.predict([tiny_spec(s) for s in range(3 * WINDOW)])
+        assert np.allclose(mids[:, 0], [tiny_spec(s).values.mean()
+                                        for s in range(3 * WINDOW)], rtol=0, atol=1e-12)
+        assert [cid for cid, _ in written] == list(range(3 * WINDOW))
+        assert [got for _, got in written[:2 * WINDOW]] == [0] * (2 * WINDOW)
+        assert all(got >= cid - 2 * WINDOW + 1 for cid, got in written)
+
+    def test_requests_are_as_full_as_the_byte_limit_allows(self, monkeypatch):
+        # Every pixel's text is 18 bytes long, so unmasked rows reach the
+        # bound on a row's length, 54 * 18 + 53 bytes.
+        base = db_spec(np.full((9, 6), 1 / 3), config=TINY)
+        batch = MaskBatch(base, block_map(9, 6, 3, 3), np.ones((12, 6), dtype=np.uint8),
+                          FillStrategy.SILENCE_FLOOR)
+        row = 54 * 18 + 53
+        for limit in range(1000, 6200):
+            monkeypatch.setattr(predictor, "REQUEST_BYTES", limit)
+            gateway = WireGateway(batch_size=256)
+            gateway.predict(batch)
+            rows = [line.count(b"],[") + 1 for line in gateway.lines]
+            assert sum(rows) == 12
+            if limit < 2 * row + 70:
+                assert rows == [1] * 12, limit
+                continue
+            for line in gateway.lines[:-1]:
+                assert len(line) <= limit
+                # One more row would not have fitted, but for the head's
+                # allowance for a longer id.
+                assert len(line) + row + 3 > limit - 4, limit
+
+    def test_children_are_stopped_one_at_a_time(self, tmp_path):
+        tally = tmp_path / "tally.json"
+        gateway = ExternalPredictor(child_with("echo", "--tally", tally), timeout=20,
+                                    batch_size=1, children=3)
+        with gateway:
+            gateway.predict([tiny_spec(s) for s in range(6)])
+        assert gateway.close() is None
+        assert json.loads(tally.read_text())["writers"] == 3
+
+    def test_close_returns_the_first_nonzero_exit_code_in_child_order(self):
+        gateway = ExternalPredictor(child_command("echo"), timeout=10, children=3)
+        gateway.start()
+        procs = [child.proc for child in gateway._pool]
+        procs[2].send_signal(signal.SIGTERM)
+        procs[1].kill()
+        procs[1].wait()
+        assert gateway.close() == -signal.SIGKILL
+        assert [proc.returncode for proc in procs] == [0, -signal.SIGKILL,
+                                                        -signal.SIGTERM]
+
+    def test_counters_count_the_wire(self, tmp_path):
+        record = tmp_path / "record"
+        record.mkdir()
+        gateway = ExternalPredictor(child_with("echo", "--record", record), timeout=20,
+                                    batch_size=2, children=2)
+        with gateway:
+            gateway.predict([tiny_spec(s) for s in range(7)])
+        requests = [r for child in recorded_requests(record) for r in child]
+        handshake = len(gateway._encode({"type": "handshake", "protocol": 1}))
+        shutdown = len(gateway._encode({"type": "shutdown"}))
+        counters = gateway.counters
+        assert counters["children"] == 2
+        assert counters["requests"] == len(requests) == 4
+        assert counters["items"] == 7
+        assert counters["bytes_out"] == (sum(size for _, _, size in requests)
+                                         + 2 * (handshake + shutdown))
+        assert counters["bytes_in"] > 0
+
+
 class TestGatewayMaskBatch:
     @pytest.mark.parametrize("fill", list(FillStrategy))
     def test_request_lines_match_rendered_rows_and_render_once(self, fill,
@@ -689,8 +861,8 @@ class WireGateway(ExternalPredictor):
 
     def __init__(self, batch_size: int):
         super().__init__(["unused"], batch_size=batch_size)
-        self._proc = object()
+        self._pool = [object()]
         self.lines = []
 
-    def _relay(self, proc, payloads, want, on_line):
+    def _relay(self, children, payloads, want, on_line):
         self.lines += map(b"".join, payloads)
