@@ -613,6 +613,12 @@ def run_stability(config: RunConfig, seeds: Sequence[int],
         raise ConfigError(f"stability needs at least 2 seeds, got {len(seeds)}")
     if not sample_counts:
         raise ConfigError("stability needs at least one sample count")
+    # A repeat would compare a seed with itself, or write a count's rows twice.
+    for name, values in (("seed", seeds), ("sample count", sample_counts)):
+        repeated = sorted({v for v in values if values.count(v) > 1})
+        if repeated:
+            raise ConfigError(f"stability {name}s must differ; repeated: "
+                              f"{', '.join(map(str, repeated))}")
 
     # Built up front, so that a bad count is refused before any work.
     lime_configs = {count: [replace(config.lime, seed=seed, n_samples=count)

@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.special
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -41,7 +42,13 @@ from midlime.lime import (
 )
 from midlime.predictor import BuiltinPredictor, ConstantPredictor
 
-from conftest import PlantedBlackBox, block_map, db_spec, random_db_image
+from conftest import (
+    PlantedBlackBox,
+    block_map,
+    db_spec,
+    planted_fixture,
+    random_db_image,
+)
 from naive_reference import naive_proximity, naive_wls
 
 
@@ -359,6 +366,64 @@ class TestFitSurrogate:
         fit = fit_surrogate(masks, noise, np.ones(n))
         stat = scipy.stats.kstest(fit.p_values, "uniform").statistic
         assert stat <= 0.05
+
+
+# 10**7 is beyond any fit here; there a lambda taken from the wrong one of
+# x and y in the continued fraction loses 4e-10, relative.
+TAIL_DOFS = [1, 2, 3, 5, 10, 30, 130, 217, 1530, 4000, 49077, 10**5, 10**7]
+TAIL_T = np.concatenate([[0.0], np.logspace(-6, 3.5, 4000)])
+
+
+def scipy_two_sided(dof, t):
+    return 2.0 * scipy.special.stdtr(dof, -np.abs(t))
+
+
+def assert_near_scipy(p, ref):
+    """1e-10 relative, 1e-11 where p <= 1e-6, 1e-300 absolute below 1e-300."""
+    normal = ref >= 1e-300
+    rel = np.abs(p[normal] - ref[normal]) / ref[normal]
+    assert rel.max(initial=0.0) <= 1e-10
+    assert rel[ref[normal] <= 1e-6].max(initial=0.0) <= 1e-11
+    assert np.abs(p[~normal] - ref[~normal]).max(initial=0.0) <= 1e-300
+
+
+class TestTwoSidedT:
+    @pytest.mark.parametrize("dof", TAIL_DOFS)
+    def test_matches_scipy(self, dof):
+        p = lime_module._t_two_sided(dof, TAIL_T)
+        assert TAIL_T[0] == 0.0 and p[0] == 1.0
+        assert_near_scipy(p, scipy_two_sided(dof, TAIL_T))
+
+    def test_limits_and_signs(self):
+        t = np.array([np.inf, -np.inf, 1e200, np.nan, 5e-324, -0.0, -2.5, 2.5])
+        p = lime_module._t_two_sided(7, t)
+        assert p[:3].tolist() == [0.0, 0.0, 0.0]
+        assert np.isnan(p[3])
+        assert p[4:6].tolist() == [1.0, 1.0]
+        assert p[6] == p[7] == pytest.approx(scipy_two_sided(7, 2.5), rel=1e-13)
+        assert lime_module._t_two_sided(7, np.array([])).shape == (0,)
+
+    @settings(max_examples=25, deadline=None)
+    @given(dof=st.sampled_from(TAIL_DOFS), seed=st.integers(0, 2**32 - 1))
+    def test_entry_bits_do_not_depend_on_the_vector(self, dof, seed):
+        tail = lime_module._t_two_sided
+        order = np.argsort(rng.uniform_grid(seed, np.arange(1),
+                                            np.arange(TAIL_T.size))[0])
+        full = tail(dof, TAIL_T)
+        shuffled = np.empty_like(full)
+        shuffled[order] = tail(dof, TAIL_T[order])
+        assert np.array_equal(full, shuffled)
+        for i in order[:20]:
+            assert tail(dof, TAIL_T[i:i + 1])[0] == full[i]
+
+    def test_noisy_planted_fit_matches_scipy(self):
+        box, _, _, base, seg_map = planted_fixture(noise_sigma=0.18, jitter_count=8)
+        expl = explain_instance(box, base, seg_map, LimeConfig(n_samples=1150, seed=4))
+        fit = expl.fit
+        ref = scipy_two_sided(fit.dof, fit.weights / fit.std_errors)
+        assert fit.std_errors.min() > 0
+        assert ((ref > 1e-300) & (ref < 1e-6)).sum() >= 10
+        assert_near_scipy(fit.p_values, ref)
 
 
 class TestSelectFeatures:

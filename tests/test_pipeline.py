@@ -642,19 +642,37 @@ class TestSynthesizeModified:
 
 
 class TestRunStability:
-    def test_duplicate_seeds_give_unit_jaccard(self, fixture_wav, tmp_path):
+    def test_writes_pairwise_and_summary_tables(self, fixture_wav, tmp_path):
         out = tmp_path / "stab"
         config = fast_config(fixture_wav, out,
                              lime=LimeConfig(n_samples=600, seed=0))
-        results = run_stability(config, seeds=[3, 3], sample_counts=[600])
+        results = run_stability(config, seeds=[3, 5], sample_counts=[600])
         score = results[600]["score"]
-        assert score.mean_pairwise_jaccard == 1.0
         pairwise = (out / "stability.csv").read_text().splitlines()
-        assert pairwise[0] == "sample_count,seed_i,seed_j,jaccard"
-        assert pairwise[1] == "600,3,3,1.0"
+        assert pairwise == ["sample_count,seed_i,seed_j,jaccard",
+                            f"600,3,5,{score.mean_pairwise_jaccard!r}"]
         summary = (out / "stability_summary.csv").read_text().splitlines()
-        assert summary[0] == "sample_count,mean_pairwise_jaccard,seeds,selected_counts"
-        assert summary[1].startswith("600,1.0,3 3,")
+        counts = " ".join(map(str, results[600]["selected_counts"]))
+        assert summary == [
+            "sample_count,mean_pairwise_jaccard,seeds,selected_counts",
+            f"600,{score.mean_pairwise_jaccard!r},3 5,{counts}"]
+
+    @pytest.mark.parametrize("seeds, counts, named", [
+        ([3, 3], [600], "seeds must differ; repeated: 3"),
+        ([1, 2, 1, 4, 2], [600], "seeds must differ; repeated: 1, 2"),
+        ([1, 2], [300, 300], "sample counts must differ; repeated: 300"),
+    ])
+    def test_rejects_repeats_before_any_work(self, fixture_wav, tmp_path,
+                                             monkeypatch, seeds, counts, named):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(pipeline, "_prepare", no_work)
+        out = tmp_path / "stab"
+        config = fast_config(fixture_wav, out)
+        with pytest.raises(ConfigError, match=named):
+            run_stability(config, seeds=seeds, sample_counts=counts)
+        assert not out.exists()
 
     def test_distinct_seeds_report_counts(self, fixture_wav, tmp_path):
         config = fast_config(fixture_wav, tmp_path / "stab2",
