@@ -140,19 +140,29 @@ class ExplanationBundle:
     explanation: LimeExplanation
 
 
-@contextmanager
-def _stage(name: str, timings: dict):
-    started = time.perf_counter()
-    log.info("stage %s: start", name)
-    try:
-        yield
-    except StageError:
-        raise
-    except (MidlimeError, OSError) as exc:
-        raise StageError(name, exc) from exc
-    finally:
-        timings[name] = round(time.perf_counter() - started, 6)
-        log.info("stage %s: %.3fs", name, timings[name])
+class _Stages:
+    """The run's clock: the wall time and the peak RSS at the end of each
+    stage, in stage order."""
+
+    def __init__(self):
+        self.started = time.perf_counter()
+        self.timings: dict = {}
+        self.peaks: dict = {}
+
+    @contextmanager
+    def __call__(self, name: str):
+        started = time.perf_counter()
+        log.info("stage %s: start", name)
+        try:
+            yield
+        except StageError:
+            raise
+        except (MidlimeError, OSError) as exc:
+            raise StageError(name, exc) from exc
+        finally:
+            self.timings[name] = round(time.perf_counter() - started, 6)
+            self.peaks[name] = _peak_rss_mb()
+            log.info("stage %s: %.3fs", name, self.timings[name])
 
 
 def make_predictor(spec_string: str, *, seed: int = 0, timeout: float = 30.0,
@@ -298,18 +308,18 @@ class _Prepared:
         return f"{self.target['kind']}:{self.target['name']}"
 
 
-def _prepare(config: RunConfig, timings: dict) -> _Prepared:
+def _prepare(config: RunConfig, stage: _Stages) -> _Prepared:
     """Shared front half: decode, analyze, predict, resolve target, segment."""
     _check_out_dir(Path(config.out_dir))
-    with _stage("audio", timings):
+    with stage("audio"):
         try:
             clip = decode_wav(config.audio_path)
         except FileNotFoundError as exc:
             raise AudioIOError(f"cannot read {config.audio_path}: {exc}") from exc
-    with _stage("analysis", timings):
+    with stage("analysis"):
         cspec = stft(clip, config.stft)
         dbspec = magnitude_db(cspec)
-    with _stage("predictor", timings):
+    with stage("predictor"):
         predictor, caps = make_predictor(
             config.predictor, seed=config.predictor_seed,
             timeout=config.timeout, batch_size=config.batch_size,
@@ -317,18 +327,18 @@ def _prepare(config: RunConfig, timings: dict) -> _Prepared:
         )
     try:
         _check_input_spec(caps, dbspec)
-        with _stage("prediction", timings):
+        with stage("prediction"):
             (mid,), (emotion,) = predictor.predict([dbspec])
         effects = None
         discrepancy = None
         if caps.linear_head is not None:
-            with _stage("effects", timings):
+            with stage("effects"):
                 effects = instance_effects(mid, caps.linear_head,
                                            caps.mid_names, caps.emotion_names)
                 discrepancy = head_discrepancy(effects, emotion)
-        with _stage("target", timings):
+        with stage("target"):
             target_info = _resolve_target(config.target, caps, effects, emotion)
-        with _stage("segmentation", timings):
+        with stage("segmentation"):
             seg_map = felzenszwalb_segment(dbspec, config.segmentation)
             segments = _segment_summary(seg_map)
         log.info("segmented into %d regions of %d to %d pixels, median %g",
@@ -376,11 +386,10 @@ def _lime_workers(config: RunConfig) -> int:
 
 def run_explanation(config: RunConfig) -> ExplanationBundle:
     """The whole workflow; returns the bundle and leaves it on disk."""
-    timings: dict = {}
-    started = time.perf_counter()
-    prep = _prepare(config, timings)
+    stage = _Stages()
+    prep = _prepare(config, stage)
     try:
-        with _stage("lime", timings):
+        with stage("lime"):
             explanation = explain_instance(
                 _target_fn(prep.predictor, prep.target), prep.dbspec, prep.seg_map,
                 config.lime, target=prep.target_label,
@@ -389,7 +398,7 @@ def run_explanation(config: RunConfig) -> ExplanationBundle:
         log.info("selected %d segments (%d positive, %d negative)",
                  len(explanation.selected), len(explanation.positive_ids),
                  len(explanation.negative_ids))
-        with _stage("render", timings):
+        with stage("render"):
             pos_spec = _indicator_masked(prep.dbspec, prep.seg_map,
                                          explanation.positive_ids)
             neg_spec = _indicator_masked(prep.dbspec, prep.seg_map,
@@ -397,7 +406,7 @@ def run_explanation(config: RunConfig) -> ExplanationBundle:
         # The four renderings share only read-only inputs, and numpy's FFTs
         # and ufuncs release the GIL, so they run side by side with the
         # same bytes as one after another.
-        with _stage("synthesis", timings), \
+        with stage("synthesis"), \
                 ThreadPoolExecutor(min(4, os.cpu_count() or 1)) as pool:
             cspec, seg_map = prep.cspec, prep.seg_map
             jobs = {
@@ -449,10 +458,10 @@ def run_explanation(config: RunConfig) -> ExplanationBundle:
         _write_csv(path["neg_mask"], neg_spec.values)
         for key in ("masked_pos", "masked_neg", "modified_add", "modified_sub"):
             encode_wav(clips[key], path[key])
-        _write_report(path["report"], report, timings, started)
+        _write_report(path["report"], report, stage)
 
     out_dir = Path(config.out_dir)
-    with _stage("write", timings):
+    with stage("write"):
         _publish(out_dir, write)
     return ExplanationBundle(out_dir=out_dir,
                              files={k: out_dir / v for k, v in names.items()},
@@ -516,9 +525,12 @@ def _report(config: RunConfig, prep: _Prepared, predictor_exit: int | None) -> d
     }
 
 
-def _write_report(path: Path, report: dict, timings: dict, started: float) -> None:
-    """Write `report` with the stage timings so far, the total and the peak RSS."""
-    report["timings_s"] = {**timings, "total": round(time.perf_counter() - started, 6)}
+def _write_report(path: Path, report: dict, stage: _Stages) -> None:
+    """Write `report` with the stage timings so far, the total, the peak RSS
+    at the end of each of those stages and the peak RSS now."""
+    report["timings_s"] = {**stage.timings,
+                           "total": round(time.perf_counter() - stage.started, 6)}
+    report["peak_rss_mb_by_stage"] = dict(stage.peaks)
     report["peak_rss_mb"] = _peak_rss_mb()
     _write_json(path, report)
 
@@ -625,9 +637,8 @@ def run_stability(config: RunConfig, seeds: Sequence[int],
                             for seed in seeds]
                     for count in sample_counts}
 
-    timings: dict = {}
-    started = time.perf_counter()
-    prep = _prepare(config, timings)
+    stage = _Stages()
+    prep = _prepare(config, stage)
     results: dict = {}
     runs = []
     try:
@@ -636,15 +647,15 @@ def run_stability(config: RunConfig, seeds: Sequence[int],
         for count in sample_counts:
             explanations = []
             for lime_cfg in lime_configs[count]:
-                stage = f"lime[n={count},seed={lime_cfg.seed}]"
-                with _stage(stage, timings):
+                run_stage = f"lime[n={count},seed={lime_cfg.seed}]"
+                with stage(run_stage):
                     explanations.append(explain_instance(
                         fn, prep.dbspec, prep.seg_map, lime_cfg,
                         target=prep.target_label,
                         batch_size=config.batch_size, workers=workers,
                     ))
                 runs.append({"sample_count": count, "seed": lime_cfg.seed,
-                             "lime_s": timings[stage],
+                             "lime_s": stage.timings[run_stage],
                              "selected": len(explanations[-1].selected)})
             results[count] = {
                 "score": stability_score(explanations),
@@ -668,7 +679,7 @@ def run_stability(config: RunConfig, seeds: Sequence[int],
                 counts = " ".join(str(c) for c in results[count]["selected_counts"])
                 fh.write(f"{count},{score.mean_pairwise_jaccard!r},"
                          f"{' '.join(map(str, seeds))},{counts}\n")
-        _write_report(tmp / STABILITY_FILES["report"], report, timings, started)
+        _write_report(tmp / STABILITY_FILES["report"], report, stage)
 
     _publish(Path(config.out_dir), write)
     return results

@@ -78,6 +78,11 @@ WINDOW = 4
 REQUEST_BYTES = 1 << 22
 MID_COUNT = 7
 EMOTION_COUNT = 8
+# Mask rows per block of the builtin's closed form. Its tree runs over
+# segments, so a row's bits do not depend on the block it is in; the size
+# sets memory and speed only: a block's (segments, rows, 7) terms stay in
+# cache.
+_MID_BLOCK = 32
 
 # The literature names only some dimensions; the rest get neutral placeholders.
 BUILTIN_MID_NAMES = (
@@ -265,10 +270,15 @@ class BuiltinPredictor:
         coef = np.empty((count, MID_COUNT))
         for j, (pos, neg) in enumerate(self.regions(base.shape)):
             coef[:, j] = shift(pos) - 0.5 * shift(neg)
-        dropped = np.where((batch.masks.T == 0)[:, :, None], coef[:, None, :], 0.0)
         # The same one-item stack as `predict([batch.spec])`, so that an
         # all-ones row matches the unmasked prediction bit for bit.
-        return self._mids(np.stack([base])) - _tree_sum(dropped)
+        mids = np.empty((len(batch), MID_COUNT))
+        mids[:] = self._mids(np.stack([base]))
+        dropped = batch.masks.T == 0
+        for start in range(0, len(batch), _MID_BLOCK):
+            rows = slice(start, start + _MID_BLOCK)
+            mids[rows] -= _tree_sum(np.where(dropped[:, rows, None], coef[:, None, :], 0.0))
+        return mids
 
     def close(self) -> None:
         pass

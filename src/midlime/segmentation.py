@@ -7,17 +7,19 @@ weight order and two components merge when the edge is no heavier than
 already absorbed into C; each root keeps that bound, updated at each merge.
 The scan order comes from one stable sort of the weights laid out by
 (pixel, direction), so ties fall to the row-major origin, then direction.
-The edges are int32 index arrays when the image has fewer than 2**31
-pixels, and become Python objects one block at a time, so the scan never
-holds all of them as objects. A second pass merges any component smaller than
-``min_size`` into its nearest neighbour (by edge order). It visits only the
-edges between two distinct first-pass components of which one is smaller
-than ``min_size``, in the same order. That is exact: the pass only merges, so
-components only grow, and an edge inside one component, or between two that
-already hold ``min_size`` pixels, can never pass its test. Roots are resolved
-for all pixels at once in numpy, by pointer jumping on the parent array.
-Labels are then compacted to 0..K-1 in row-major order of each segment's
-first pixel, so results are reproducible bit for bit.
+It is one array of edge slots, int32 up to 2**29 pixels, into
+the flat weights. Each pass decodes origins, targets and weights from it one
+block at a time and makes Python objects of that block only, so neither
+holds all edges as decoded arrays or as objects. A second pass merges any
+component smaller than ``min_size`` into its nearest neighbour (by edge
+order). It visits only the edges between two distinct first-pass
+components of which one is smaller than ``min_size``, in the same order.
+That is exact: the pass only merges, so components only grow, and an edge
+inside one component, or between two that already hold ``min_size``
+pixels, can never pass its test. Roots are resolved for all pixels at
+once in numpy, by pointer jumping on the parent array. Labels are then
+compacted to 0..K-1 in row-major order of each segment's first pixel, so
+results are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -113,18 +115,21 @@ def _correlate_nearest(a: np.ndarray, kernel: np.ndarray) -> np.ndarray:
 # Edge direction offsets, in tie-break order: E, S, SE, SW. Each pixel owns
 # the edges it originates, so every undirected edge appears exactly once.
 _DIRECTIONS = ((0, 1), (1, 0), (1, 1), (1, -1))
-# Edges become Python objects this many at a time.
+# Edges are decoded from the scan order, and become Python objects, this many
+# at a time. It sets memory and speed, never the labels.
 _BLOCK = 1 << 16
 
 
-def _build_edges(img: np.ndarray):
-    """Origins, targets and weights of all edges, in scan order.
+def _build_edges(img: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The scan order of all edges, and the weights it indexes.
 
-    The order is ascending weight, ties broken by the row-major origin index
-    (so by row, then column), then direction, so the scan is fully
-    deterministic. The weights sit in one (h, w, 4) array whose flat index
-    is ``4 * origin + direction``; one stable sort of it gives that order,
-    and the slots of edges that would leave the image are then dropped.
+    The weights sit in one (h, w, 4) array whose flat index, the edge's
+    slot, is ``4 * origin + direction``. The order lists the slots of the
+    edges inside the image by ascending weight, ties broken by the row-major
+    origin index (so by row, then column), then direction, so the scan is
+    fully deterministic: one stable sort of the flat weights gives it, and
+    the slots of edges that would leave the image are then dropped. Both
+    come back flat; `_edge_blocks` decodes the order.
     """
     h, w = img.shape
     weights = np.zeros((h, w, len(_DIRECTIONS)))
@@ -134,13 +139,21 @@ def _build_edges(img: np.ndarray):
         np.abs(img[:h - dr, c0:c1] - img[dr:, c0 + dc:c1 + dc],
                out=weights[:h - dr, c0:c1, d])
         inside[:h - dr, c0:c1, d] = True
-    index = np.int32 if h * w < 2**31 else np.int64
-    offsets = np.array([dr * w + dc for dr, dc in _DIRECTIONS], dtype=index)
+    index = np.int32 if weights.size <= 2**31 else np.int64
     flat = weights.ravel()
-    order = np.argsort(flat, kind="stable")
-    order = order[inside.ravel()[order]]
-    p = (order >> 2).astype(index)
-    return p, p + offsets[order & 3], flat[order]
+    order = np.argsort(flat, kind="stable").astype(index, copy=False)
+    return order[inside.ravel()[order]], flat
+
+
+def _edge_blocks(order: np.ndarray, width: int):
+    """Slots, origins and targets of the edges in scan order, `_BLOCK` edges
+    at a time, with the dtype of `order`; an edge's weight is
+    ``weights[slot]``."""
+    offsets = np.array([dr * width + dc for dr, dc in _DIRECTIONS], dtype=order.dtype)
+    for start in range(0, len(order), _BLOCK):
+        slots = order[start:start + _BLOCK]
+        p = slots >> 2
+        yield slots, p, p + offsets[slots & 3]
 
 
 def _find(parent: list[int], a: int) -> int:
@@ -175,7 +188,7 @@ def felzenszwalb_segment(spec: Spectrogram, config: SegmentationConfig) -> Segme
             f"{n} pixels cannot hold a segment of min_size {config.min_size}"
         )
     smoothed = gaussian_smooth(img, config.sigma)
-    p_arr, q_arr, w_arr = _build_edges(smoothed)
+    order, weights = _build_edges(smoothed)
 
     parent = list(range(n))
     size = [1] * n
@@ -184,10 +197,9 @@ def felzenszwalb_segment(spec: Spectrogram, config: SegmentationConfig) -> Segme
     limit = [k] * n
 
     # A node that is a root, or whose parent is one, needs no _find call.
-    for start in range(0, len(w_arr), _BLOCK):
-        block = slice(start, start + _BLOCK)
-        for p, q, weight in zip(p_arr[block].tolist(), q_arr[block].tolist(),
-                                w_arr[block].tolist()):
+    for slots, p_block, q_block in _edge_blocks(order, w):
+        for p, q, weight in zip(p_block.tolist(), q_block.tolist(),
+                                weights[slots].tolist()):
             ra = parent[p]
             if parent[ra] != ra:
                 ra = _find(parent, p)
@@ -208,22 +220,23 @@ def felzenszwalb_segment(spec: Spectrogram, config: SegmentationConfig) -> Segme
     # ascending order. Only edges between distinct first-pass components, one
     # of them undersized, can merge; components only grow.
     min_size = config.min_size
-    roots = _roots(parent, p_arr.dtype)
+    roots = _roots(parent, order.dtype)
     small = (np.asarray(size) < min_size)[roots]
-    a, b = roots[p_arr], roots[q_arr]
-    pending = (a != b) & (small[p_arr] | small[q_arr])
-    for ra, rb in zip(a[pending].tolist(), b[pending].tolist()):
-        if parent[ra] != ra:
-            ra = _find(parent, ra)
-        if parent[rb] != rb:
-            rb = _find(parent, rb)
-        if ra != rb and (size[ra] < min_size or size[rb] < min_size):
-            if size[ra] < size[rb]:
-                ra, rb = rb, ra
-            parent[rb] = ra
-            size[ra] += size[rb]
+    for _, p_block, q_block in _edge_blocks(order, w):
+        a, b = roots[p_block], roots[q_block]
+        pending = (a != b) & (small[p_block] | small[q_block])
+        for ra, rb in zip(a[pending].tolist(), b[pending].tolist()):
+            if parent[ra] != ra:
+                ra = _find(parent, ra)
+            if parent[rb] != rb:
+                rb = _find(parent, rb)
+            if ra != rb and (size[ra] < min_size or size[rb] < min_size):
+                if size[ra] < size[rb]:
+                    ra, rb = rb, ra
+                parent[rb] = ra
+                size[ra] += size[rb]
 
-    roots = _roots(parent, p_arr.dtype)
+    roots = _roots(parent, order.dtype)
     # Compact labels in order of first appearance (row-major scan).
     _, first_index, inverse = np.unique(roots, return_index=True, return_inverse=True)
     rank = np.argsort(np.argsort(first_index))

@@ -14,6 +14,7 @@ from scipy.special import betainc
 
 from midlime import rng
 from midlime.dsp import window_samples
+from midlime.lime import _tree_sum
 
 
 def naive_gaussian_smooth(image: np.ndarray, sigma: float) -> np.ndarray:
@@ -254,3 +255,91 @@ def naive_griffin_lim(target: np.ndarray, frame: int, hop: int, window: str,
         analysis = naive_stft(x, frame, hop, window)
         x = naive_istft(target * np.exp(1j * np.angle(analysis)), frame, hop, window)
     return x
+
+
+def full_size_griffin_lim(target: np.ndarray, frame: int, hop: int, window: str,
+                          iterations: int, init_phase: np.ndarray | None = None,
+                          seed: int = 0) -> tuple[np.ndarray, list[float]]:
+    """Griffin-Lim that holds every frame at once: samples and error trace.
+
+    Each iteration analyses all frames in one rfft, projects all of them onto
+    the target magnitude and inverts them in one irfft, overlap-adding chunk
+    by chunk with the frames covering a sample in increasing frame order.
+    The samples are what the block-wise loop must reproduce bit for bit.
+    """
+    w = window_samples(window, frame)
+    target = np.ascontiguousarray(target.T)
+    n_frames, bins = target.shape
+    length = (n_frames - 1) * hop + frame
+    chunks = -(-frame // hop)
+
+    def overlap_add(frames):
+        out = np.zeros((n_frames - 1 + chunks) * hop)
+        blocks = out.reshape(-1, hop)
+        for c in range(chunks - 1, -1, -1):
+            part = frames[:, c * hop:(c + 1) * hop]
+            blocks[c:c + n_frames, :part.shape[1]] += part
+        return out[:length]
+
+    def project(spec, magnitude):
+        zero = magnitude == 0.0
+        scale = np.divide(target, magnitude, out=magnitude, where=~zero)
+        spec.real *= scale
+        spec.imag *= scale
+        if zero.any():
+            spec[zero] = target[zero]
+
+    den = overlap_add(np.broadcast_to(w * w, (n_frames, frame)))
+
+    def synthesise(spec):
+        frames = np.fft.irfft(spec, n=frame, axis=1)
+        frames *= w
+        num = overlap_add(frames)
+        return np.divide(num, den, out=np.zeros_like(num), where=den > 0)
+
+    def analyse(x):
+        frames = np.lib.stride_tricks.sliding_window_view(x, frame)[::hop]
+        return np.fft.rfft(frames * w, axis=1)
+
+    if init_phase is None:
+        phase = 2.0 * np.pi * rng.uniform_grid(seed, np.arange(bins),
+                                               np.arange(n_frames)).T
+        spec = target * np.exp(1j * phase)
+    else:
+        spec = np.array(init_phase.T, order="C")
+        project(spec, np.abs(spec))
+    x = synthesise(spec)
+    errors = []
+    for _ in range(iterations):
+        spec = analyse(x)
+        magnitude = np.abs(spec)
+        errors.append(float(np.linalg.norm(magnitude - target)))
+        project(spec, magnitude)
+        x = synthesise(spec)
+    errors.append(float(np.linalg.norm(np.abs(analyse(x)) - target)))
+    return x, errors
+
+
+def one_shot_masked_mids(predictor, batch) -> np.ndarray:
+    """The builtin's closed form over a whole MaskBatch in one `np.where`.
+
+    The all-ones prediction minus, per row, the coefficients of its dropped
+    segments summed by the segment tree; it builds the full (segments, rows,
+    7) array that the row-blocked form must reproduce bit for bit.
+    """
+    base = batch.spec.values
+    labels = batch.seg_map.labels
+    count = batch.seg_map.segment_count
+    lift = base - batch.filler
+
+    def shift(rect):
+        r0, r1, c0, c1 = rect
+        sums = np.bincount(labels[r0:r1, c0:c1].ravel(),
+                           weights=lift[r0:r1, c0:c1].ravel(), minlength=count)
+        return sums / ((r1 - r0) * (c1 - c0))
+
+    coef = np.empty((count, 7))
+    for j, (pos, neg) in enumerate(predictor.regions(base.shape)):
+        coef[:, j] = shift(pos) - 0.5 * shift(neg)
+    dropped = np.where((batch.masks.T == 0)[:, :, None], coef[:, None, :], 0.0)
+    return predictor._mids(np.stack([base])) - _tree_sum(dropped)

@@ -40,7 +40,7 @@ from midlime.lime import (
     select_features,
     stability_score,
 )
-from midlime.predictor import BuiltinPredictor, ConstantPredictor
+from midlime.predictor import _MID_BLOCK, BuiltinPredictor, ConstantPredictor
 
 from conftest import (
     PlantedBlackBox,
@@ -49,7 +49,7 @@ from conftest import (
     planted_fixture,
     random_db_image,
 )
-from naive_reference import naive_proximity, naive_wls
+from naive_reference import naive_proximity, naive_wls, one_shot_masked_mids
 
 
 def small_setup(n_rows=6, n_cols=8, block=2, seed=2):
@@ -133,14 +133,15 @@ class TestSampleMasks:
 
     def test_peak_memory_stays_near_the_mask_matrix(self):
         # 50 000 x 474 uint8 masks are 23.7 MB; a one-shot 64-bit grid peaked
-        # near 600 MB.
+        # near 600 MB, blocks of 4 096 rows at 70.4 MB and blocks of 512 at
+        # 29.5 MB.
         tracemalloc.start()
         try:
             sample_masks(474, LimeConfig(n_samples=50000))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 100e6
+        assert peak < 38e6
 
     def test_underdetermined_config_rejected(self):
         with pytest.raises(ConfigError):
@@ -690,6 +691,24 @@ class TestMaskBatch:
         assert np.all(np.abs(fast - dense) <= 1e-12 * np.abs(dense).max(axis=0))
         assert np.array_equal(fast[0], np.hstack(predictor.predict([base]))[0])
         assert np.array_equal(fast[0], dense[0])
+
+    @pytest.mark.parametrize("rows", [1, _MID_BLOCK - 1, _MID_BLOCK, _MID_BLOCK + 1, 256])
+    def test_row_blocks_match_the_one_shot_closed_form(self, instance, rows):
+        base, seg_map = instance
+        n_seg = seg_map.segment_count
+        masks = sample_masks(n_seg, LimeConfig(n_samples=max(rows, n_seg + 2),
+                                               seed=4))[:rows]
+        fill = FillStrategy.SEGMENT_MEAN
+        predictor = BuiltinPredictor(seed=0)
+        batch = MaskBatch(base, seg_map, masks, fill)
+        mids = predictor._masked_mids(batch)
+        assert mids.tobytes() == one_shot_masked_mids(predictor, batch).tobytes()
+        # Rendered and scored 16 rows at a time, so that few are alive.
+        dense = np.vstack([
+            predictor.predict([apply_mask(base, seg_map, row, fill)
+                               for row in masks[i:i + 16]])[0]
+            for i in range(0, rows, 16)])
+        assert np.all(np.abs(mids - dense) <= 1e-12 * np.abs(dense).max(axis=0))
 
     @pytest.mark.parametrize("fill", list(FillStrategy))
     def test_items_equal_apply_mask_and_render_once(self, instance, fill, monkeypatch):

@@ -75,6 +75,16 @@ def bundle(fixture_wav, tmp_path_factory):
     return run_explanation(fast_config(fixture_wav, out))
 
 
+def assert_peaks_by_stage(report: dict) -> None:
+    """One peak per timed stage, in stage order, never falling, at most the
+    run's peak."""
+    by_stage = report["peak_rss_mb_by_stage"]
+    assert list(by_stage) == [k for k in report["timings_s"] if k != "total"]
+    peaks = list(by_stage.values())
+    assert peaks == sorted(peaks) and 0 < peaks[0]
+    assert peaks[-1] <= report["peak_rss_mb"]
+
+
 class TestBundle:
     def test_every_listed_file_exists_and_is_non_empty(self, bundle):
         assert set(bundle.report["files"]) == set(BUNDLE_FILES)
@@ -141,6 +151,11 @@ class TestBundle:
         # The run is this process, so its peak is at most the peak so far.
         unit = 1024.0 * 1024.0 if sys.platform == "darwin" else 1024.0
         assert 0 < peak <= resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / unit
+
+    def test_report_gives_the_peak_rss_by_stage(self, bundle):
+        written = json.loads((bundle.out_dir / BUNDLE_FILES["report"]).read_text())
+        assert "segmentation" in written["peak_rss_mb_by_stage"]
+        assert_peaks_by_stage(written)
 
     def test_report_echoes_effective_config(self, bundle):
         cfg = bundle.report["config"]
@@ -700,6 +715,8 @@ class TestRunStability:
         for r in runs:
             stage = f"lime[n={r['sample_count']},seed={r['seed']}]"
             assert r["lime_s"] == report["timings_s"][stage]
+        assert "lime[n=700,seed=2]" in report["peak_rss_mb_by_stage"]
+        assert_peaks_by_stage(report)
 
     def test_rejects_fewer_than_two_seeds(self, fixture_wav, tmp_path):
         config = fast_config(fixture_wav, tmp_path / "x")

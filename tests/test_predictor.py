@@ -187,6 +187,25 @@ class TestBuiltin:
         with pytest.raises(BatchShapeError):
             BuiltinPredictor().predict([tiny_spec(0, frames=6), tiny_spec(0, frames=7)])
 
+    def test_peak_memory_of_one_mask_chunk(self):
+        # A 6 s clip has about 950 segments and a chunk is 256 rows. Here
+        # 1 020 segments: the closed form over the whole chunk at once
+        # peaked at 27.8 MB, in blocks of 32 rows at 5.2 MB.
+        base = db_spec(random_db_image(41, 1020, 255))
+        seg_map = block_map(1020, 255, 15, 17)
+        masks = sample_masks(seg_map.segment_count,
+                             LimeConfig(n_samples=seg_map.segment_count + 2, seed=5))
+        batch = MaskBatch(base, seg_map, masks[:256], FillStrategy.GLOBAL_MEAN)
+        predictor = BuiltinPredictor(seed=0)
+        tracemalloc.start()
+        try:
+            predictor.predict(batch)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert seg_map.segment_count == 1020
+        assert peak < 6.5e6
+
     def test_capabilities(self):
         caps = BuiltinPredictor(seed=0).capabilities()
         assert caps.mid_names == BUILTIN_MID_NAMES
