@@ -31,6 +31,7 @@ from .effects import (
 from .errors import MidlimeError
 from .lime import (
     FillStrategy,
+    Instance,
     LimeConfig,
     LimeExplanation,
     MaskBatch,
@@ -71,7 +72,7 @@ __all__ = [
     "istft", "magnitude_db", "stft",
     "EffectsMatrix", "head_discrepancy", "instance_effects", "top_effect",
     "MidlimeError",
-    "FillStrategy", "LimeConfig", "LimeExplanation", "MaskBatch",
+    "FillStrategy", "Instance", "LimeConfig", "LimeExplanation", "MaskBatch",
     "SurrogateFit",
     "apply_mask", "explain_instance", "fit_surrogate",
     "sample_masks", "select_features", "stability_score",

@@ -24,7 +24,7 @@ from .errors import (
     PredictorError,
     StageError,
 )
-from .lime import FillStrategy, LimeConfig
+from .lime import LimeConfig
 from .pipeline import RunConfig, run_explanation, run_stability
 from .segmentation import SegmentationConfig
 
@@ -151,7 +151,7 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
         lime=LimeConfig(
             n_samples=args.samples,
             kernel_width=args.kernel_width,
-            fill=FillStrategy.coerce(args.fill),
+            fill=args.fill,
             ridge_alpha=args.alpha,
             ratio_threshold=args.ratio_threshold,
             seed=args.seed,

@@ -12,6 +12,7 @@ of chunking and worker count.
 from __future__ import annotations
 
 import math
+import threading
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -143,75 +144,77 @@ def sample_masks(n_segments: int, config: LimeConfig) -> np.ndarray:
     return masks
 
 
-def _check_instance(spec: Spectrogram, seg_map: SegmentMap) -> None:
-    if spec.scale != SCALE_DB:
-        raise ScaleMismatchError(f"masking operates on dB spectrograms, got '{spec.scale}'")
-    if seg_map.labels.shape != spec.values.shape:
-        raise ShapeMismatchError(
-            f"segment map {seg_map.labels.shape} does not match spectrogram "
-            f"{spec.values.shape}"
-        )
+class Instance:
+    """The one instance that a LIME run masks: a dB spectrogram, its segment
+    map and the fill, checked once, with the filler pixels that masked-out
+    segments take.
 
+    Predictors keep their per-instance work in `memo`, which builds each key
+    once, also when several threads share the instance.
+    """
 
-def _filler(spec: Spectrogram, seg_map: SegmentMap, fill: FillStrategy) -> np.ndarray:
-    """The pixels that masked-out segments take under `fill`."""
-    values = spec.values
-    if fill is FillStrategy.SILENCE_FLOOR:
-        return np.full_like(values, spec.config.floor_db)
-    if fill is FillStrategy.SEGMENT_MEAN:
-        flat = seg_map.labels.ravel()
-        sums = np.bincount(flat, weights=values.ravel(), minlength=seg_map.segment_count)
-        counts = np.bincount(flat, minlength=seg_map.segment_count)
-        return (sums / counts)[seg_map.labels]
-    return np.full_like(values, values.mean())
+    def __init__(self, spec: Spectrogram, seg_map: SegmentMap, fill: FillStrategy):
+        if spec.scale != SCALE_DB:
+            raise ScaleMismatchError(
+                f"masking operates on dB spectrograms, got '{spec.scale}'")
+        if seg_map.labels.shape != spec.values.shape:
+            raise ShapeMismatchError(
+                f"segment map {seg_map.labels.shape} does not match spectrogram "
+                f"{spec.values.shape}"
+            )
+        self.spec = spec
+        self.seg_map = seg_map
+        self.fill = FillStrategy.coerce(fill)
+        values = spec.values
+        if self.fill is FillStrategy.SILENCE_FLOOR:
+            self.filler = np.full_like(values, spec.config.floor_db)
+        elif self.fill is FillStrategy.SEGMENT_MEAN:
+            flat = seg_map.labels.ravel()
+            sums = np.bincount(flat, weights=values.ravel(), minlength=seg_map.segment_count)
+            counts = np.bincount(flat, minlength=seg_map.segment_count)
+            self.filler = (sums / counts)[seg_map.labels]
+        else:
+            self.filler = np.full_like(values, values.mean())
+        self._memo: dict = {}
+        self._lock = threading.Lock()
 
+    def render(self, row: np.ndarray) -> Spectrogram:
+        """The spectrogram of one mask row, its dropped segments filled."""
+        spec = self.spec
+        return Spectrogram(values=np.where(row.astype(bool)[self.seg_map.labels],
+                                           spec.values, self.filler),
+                           scale=spec.scale, config=spec.config,
+                           sample_rate=spec.sample_rate)
 
-def _check_filler(spec: Spectrogram, filler: np.ndarray) -> np.ndarray:
-    """`filler`, once it holds only pixels a dB spectrogram of `spec` may hold."""
-    filler = np.asarray(filler, dtype=np.float64)
-    if filler.shape != spec.values.shape:
-        raise ShapeMismatchError(
-            f"filler {filler.shape} does not match spectrogram {spec.values.shape}"
-        )
-    # A NaN minimum fails the comparison, so it is refused too.
-    low, high = filler.min(), filler.max()
-    if not (low >= spec.config.floor_db and high < math.inf):
-        raise ValueError(
-            f"filler must be finite and >= floor {spec.config.floor_db}, "
-            f"got range [{low}, {high}]"
-        )
-    return filler
+    def memo(self, key, build: Callable[["Instance"], object]):
+        """`build(self)`, built on the first call with `key` and kept while
+        the instance lives, so keep only data whose size the instance fixes."""
+        with self._lock:
+            if key not in self._memo:
+                self._memo[key] = build(self)
+            return self._memo[key]
 
 
 class MaskBatch(Sequence):
     """The spectrograms that a block of mask rows renders, as a read-only sequence.
 
-    It holds the base dB spectrogram, the segment map, the fill, the filler
-    pixels and the uint8 mask rows, one per item. A predictor that is affine
-    in the mask can score `masks` directly and never render. Any other
-    consumer indexes the batch: each access renders the rows it reads
-    against the shared filler, and nothing rendered is kept. Item i has the
-    values of `apply_mask(spec, seg_map, masks[i], fill)`.
+    It holds the `Instance` and the uint8 mask rows, one per item. A
+    predictor that is affine in the mask can score `masks` directly and
+    never render. Any other consumer indexes the batch: each access renders
+    the rows it reads through `instance.render`, and nothing rendered is
+    kept. Item i has the values of `apply_mask(spec, seg_map, masks[i], fill)`.
     """
 
-    def __init__(self, spec: Spectrogram, seg_map: SegmentMap, masks: np.ndarray,
-                 fill: FillStrategy, *, filler: np.ndarray | None = None):
-        _check_instance(spec, seg_map)
+    def __init__(self, instance: Instance, masks: np.ndarray):
         masks = np.asarray(masks, dtype=np.uint8).view()
-        if masks.ndim != 2 or masks.shape[1] != seg_map.segment_count:
+        count = instance.seg_map.segment_count
+        if masks.ndim != 2 or masks.shape[1] != count:
             raise ShapeMismatchError(
-                f"mask block {masks.shape} does not match segment count "
-                f"{seg_map.segment_count}"
+                f"mask block {masks.shape} does not match segment count {count}"
             )
         masks.flags.writeable = False
-        self.spec = spec
-        self.seg_map = seg_map
+        self.instance = instance
         self.masks = masks
-        self.fill = FillStrategy.coerce(fill)
-        # One filler serves every batch of an instance; pass it to skip the
-        # recomputation.
-        self.filler = _filler(spec, seg_map, self.fill) if filler is None \
-            else _check_filler(spec, filler)
 
     def __len__(self) -> int:
         return self.masks.shape[0]
@@ -221,25 +224,18 @@ class MaskBatch(Sequence):
         # when the Spectrogram checks it; one np.where over the whole block
         # took twice as long.
         if isinstance(index, slice):
-            return [self._render_row(row) for row in self.masks[index]]
-        return self._render_row(self.masks[index])
-
-    def _render_row(self, row: np.ndarray) -> Spectrogram:
-        spec = self.spec
-        return Spectrogram(values=np.where(row.astype(bool)[self.seg_map.labels],
-                                           spec.values, self.filler),
-                           scale=spec.scale, config=spec.config,
-                           sample_rate=spec.sample_rate)
+            return [self.instance.render(row) for row in self.masks[index]]
+        return self.instance.render(self.masks[index])
 
 
 def apply_mask(spec: Spectrogram, seg_map: SegmentMap, mask: np.ndarray,
                fill: FillStrategy) -> Spectrogram:
     """Keep pixels of mask=1 segments; replace the rest per the fill strategy.
 
-    The one-row `MaskBatch` of `mask`, rendered; an all-ones mask returns
-    `spec` itself.
+    The one-row `MaskBatch` of `mask` on a fresh `Instance`, rendered; an
+    all-ones mask returns `spec` itself.
     """
-    batch = MaskBatch(spec, seg_map, np.asarray(mask)[None, ...], fill)
+    batch = MaskBatch(Instance(spec, seg_map, fill), np.asarray(mask)[None, ...])
     if batch.masks.all():
         return spec
     return batch[0]
@@ -661,8 +657,8 @@ def explain_instance(
     if batch_size < 1 or workers < 1:
         raise ConfigError("batch_size and workers must be >= 1")
     masks = sample_masks(seg_map.segment_count, config)
-    targets = _predict_masked(predict, spec, seg_map, masks,
-                              config.fill, batch_size, workers)
+    targets = _predict_masked(predict, Instance(spec, seg_map, config.fill), masks,
+                              batch_size, workers)
     weights = proximity_weights(masks, config.kernel_width)
     fit = fit_surrogate(masks, targets, weights, config.ridge_alpha)
     selected = select_features(fit, config.ratio_threshold)
@@ -679,15 +675,13 @@ def explain_instance(
     )
 
 
-def _predict_masked(predict, spec, seg_map, masks, fill, batch_size, workers):
+def _predict_masked(predict, instance, masks, batch_size, workers):
     n = masks.shape[0]
     bounds = [(s, min(s + batch_size, n)) for s in range(0, n, batch_size)]
-    _check_instance(spec, seg_map)
-    filler = _filler(spec, seg_map, FillStrategy.coerce(fill))
 
     def eval_chunk(bound):
         start, stop = bound
-        batch = MaskBatch(spec, seg_map, masks[start:stop], fill, filler=filler)
+        batch = MaskBatch(instance, masks[start:stop])
         try:
             values = predict(batch)
         except MidlimeError as exc:

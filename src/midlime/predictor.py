@@ -69,7 +69,7 @@ from .errors import (
     SpawnError,
     TransportError,
 )
-from .lime import MaskBatch, _tree_sum
+from .lime import Instance, MaskBatch, _tree_sum
 
 PROTOCOL_VERSION = 1
 # Most predict requests that await a reply from one child at any time.
@@ -248,18 +248,26 @@ class BuiltinPredictor:
         return mids
 
     def _masked_mids(self, batch: MaskBatch) -> np.ndarray:
-        """Mid vectors of a MaskBatch without rendering it.
+        """Mid vectors of a MaskBatch without rendering it: per row, the
+        all-ones prediction minus the coefficients of its dropped segments,
+        added by a fixed pairwise tree over segments."""
+        coef, ones = batch.instance.memo(("builtin", self.seed), self._coefficients)
+        mids = np.empty((len(batch), MID_COUNT))
+        mids[:] = ones
+        dropped = batch.masks.T == 0
+        for start in range(0, len(batch), _MID_BLOCK):
+            rows = slice(start, start + _MID_BLOCK)
+            mids[rows] -= _tree_sum(np.where(dropped[:, rows, None], coef[:, None, :], 0.0))
+        return mids
 
-        A masked-out segment s moves each rectangle mean by the sum of
-        (base - filler) over its pixels in the rectangle, divided by the
-        rectangle's area. So each row is the all-ones prediction minus the
-        coefficients of its dropped segments, added by a fixed pairwise tree
-        over segments; an all-ones row gets the all-ones prediction exactly.
-        """
-        base = batch.spec.values
-        labels = batch.seg_map.labels
-        count = batch.seg_map.segment_count
-        lift = base - batch.filler
+    def _coefficients(self, instance: Instance) -> tuple[np.ndarray, np.ndarray]:
+        """`instance`'s (segments, 7) coefficients and all-ones mids. Masking
+        out segment s moves each rectangle mean by the sum of (base - filler)
+        over its pixels in the rectangle, divided by the rectangle's area."""
+        base = instance.spec.values
+        labels = instance.seg_map.labels
+        count = instance.seg_map.segment_count
+        lift = base - instance.filler
 
         def shift(rect):
             r0, r1, c0, c1 = rect
@@ -270,15 +278,9 @@ class BuiltinPredictor:
         coef = np.empty((count, MID_COUNT))
         for j, (pos, neg) in enumerate(self.regions(base.shape)):
             coef[:, j] = shift(pos) - 0.5 * shift(neg)
-        # The same one-item stack as `predict([batch.spec])`, so that an
+        # The same one-item stack as `predict([instance.spec])`, so that an
         # all-ones row matches the unmasked prediction bit for bit.
-        mids = np.empty((len(batch), MID_COUNT))
-        mids[:] = self._mids(np.stack([base]))
-        dropped = batch.masks.T == 0
-        for start in range(0, len(batch), _MID_BLOCK):
-            rows = slice(start, start + _MID_BLOCK)
-            mids[rows] -= _tree_sum(np.where(dropped[:, rows, None], coef[:, None, :], 0.0))
-        return mids
+        return coef, self._mids(np.stack([base]))
 
     def close(self) -> None:
         pass
@@ -400,9 +402,8 @@ class _RunTexts:
     texts, plus the commas between runs.
     """
 
-    def __init__(self, batch: MaskBatch):
-        self.spec, self.seg_map, self.filler = batch.spec, batch.seg_map, batch.filler
-        labels = batch.seg_map.labels.ravel()
+    def __init__(self, instance: Instance):
+        labels = instance.seg_map.labels.ravel()
         starts = np.flatnonzero(np.diff(labels, prepend=-1))
         self.labels = labels[starts]
         bounds = starts.tolist() + [labels.size]
@@ -412,8 +413,8 @@ class _RunTexts:
             return np.array([",".join(reprs[a:b]).encode()
                              for a, b in zip(bounds, bounds[1:])], dtype=object)
 
-        self.filler_texts = texts(batch.filler)
-        self.base_texts = texts(batch.spec.values)
+        self.filler_texts = texts(instance.filler)
+        self.base_texts = texts(instance.spec.values)
         longer = np.maximum(np.fromiter(map(len, self.base_texts), np.int64),
                             np.fromiter(map(len, self.filler_texts), np.int64))
         self.row_bytes = int(longer.sum()) + len(longer) - 1
@@ -499,7 +500,6 @@ class ExternalPredictor:
         self._pool: list[_Child] = []
         self._capabilities: PredictorCapabilities | None = None
         self._next_id = 0
-        self._texts: _RunTexts | None = None
         self.counters = {"children": self.children, "requests": 0, "items": 0,
                          "bytes_out": 0, "bytes_in": 0}
 
@@ -564,11 +564,11 @@ class ExternalPredictor:
         if not self._pool:
             raise TransportError("predictor is not running; call start() first")
         # Every check runs before anything is sent, and the first faulty
-        # item decides the error; a MaskBatch was checked when it was made.
+        # item decides the error; a MaskBatch's instance is checked already.
         # A request is written only when a child's window has room for it.
         if isinstance(batch, MaskBatch):
-            texts = self._run_texts(batch)
-            shape = batch.spec.values.shape
+            texts = batch.instance.memo("run_texts", _RunTexts)
+            shape = batch.instance.spec.values.shape
             rows = map(texts.row, batch.masks)
             # A request is its head, its rows with "],[" between them, and
             # its tail; the head is longest for the largest id.
@@ -597,14 +597,6 @@ class ExternalPredictor:
         self._relay(self._pool, payloads(), len(bounds),
                     lambda line: self._handle_prediction(line, bounds, mids, emotions))
         return mids, emotions
-
-    def _run_texts(self, batch: MaskBatch) -> _RunTexts:
-        """The run texts of `batch`'s instance, kept for the instance last seen."""
-        texts = self._texts
-        if texts is None or not (texts.spec is batch.spec and texts.seg_map is batch.seg_map
-                                 and texts.filler is batch.filler):
-            texts = self._texts = _RunTexts(batch)
-        return texts
 
     def close(self) -> int | None:
         """Stop and reap the children one at a time, in order, each gone

@@ -327,10 +327,11 @@ def one_shot_masked_mids(predictor, batch) -> np.ndarray:
     segments summed by the segment tree; it builds the full (segments, rows,
     7) array that the row-blocked form must reproduce bit for bit.
     """
-    base = batch.spec.values
-    labels = batch.seg_map.labels
-    count = batch.seg_map.segment_count
-    lift = base - batch.filler
+    instance = batch.instance
+    base = instance.spec.values
+    labels = instance.seg_map.labels
+    count = instance.seg_map.segment_count
+    lift = base - instance.filler
 
     def shift(rect):
         r0, r1, c0, c1 = rect

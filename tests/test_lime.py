@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -25,6 +26,7 @@ from midlime.errors import (
 )
 from midlime.lime import (
     FillStrategy,
+    Instance,
     LimeConfig,
     LimeExplanation,
     MaskBatch,
@@ -184,6 +186,14 @@ class TestApplyMask:
         assert np.allclose(out.values[:, :2], base.values.mean(), atol=1e-12)
         assert np.array_equal(out.values[:, 2:], base.values[:, 2:])
 
+    def test_rejects_wrong_mask_length(self):
+        seg_map, base = small_setup()
+        with pytest.raises(ShapeMismatchError):
+            apply_mask(base, seg_map, np.ones(seg_map.segment_count + 1),
+                       FillStrategy.SILENCE_FLOOR)
+
+
+class TestInstance:
     def test_rejects_magnitude_scale(self):
         from midlime.dsp import SCALE_MAGNITUDE, Spectrogram, StftConfig
 
@@ -191,19 +201,42 @@ class TestApplyMask:
         spec = Spectrogram(values=np.ones((4, 4)), scale=SCALE_MAGNITUDE,
                            config=StftConfig(), sample_rate=22050)
         with pytest.raises(ScaleMismatchError):
-            apply_mask(spec, seg_map, np.ones(4), FillStrategy.SILENCE_FLOOR)
-
-    def test_rejects_wrong_mask_length(self):
-        seg_map, base = small_setup()
-        with pytest.raises(ShapeMismatchError):
-            apply_mask(base, seg_map, np.ones(seg_map.segment_count + 1),
-                       FillStrategy.SILENCE_FLOOR)
+            Instance(spec, seg_map, FillStrategy.SILENCE_FLOOR)
 
     def test_rejects_mismatched_map(self):
         seg_map = block_map(4, 4, 2, 2)
         base = db_spec(random_db_image(7, 6, 6))
         with pytest.raises(ShapeMismatchError):
-            apply_mask(base, seg_map, np.ones(4), FillStrategy.SILENCE_FLOOR)
+            Instance(base, seg_map, FillStrategy.SILENCE_FLOOR)
+
+    def test_coerces_the_fill_and_computes_the_filler(self):
+        seg_map, base = small_setup()
+        instance = Instance(base, seg_map, "silence")
+        assert instance.fill is FillStrategy.SILENCE_FLOOR
+        assert np.all(instance.filler == base.config.floor_db)
+        with pytest.raises(ConfigError):
+            Instance(base, seg_map, "zeros")
+
+    def test_memo_builds_each_key_once_across_threads(self):
+        from concurrent.futures import ThreadPoolExecutor
+
+        seg_map, base = small_setup()
+        instance = Instance(base, seg_map, FillStrategy.GLOBAL_MEAN)
+        built = []
+
+        def build(inst):
+            assert inst is instance
+            built.append(1)
+            time.sleep(0.01)  # long enough for the other threads to arrive
+            return object()
+
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            got = list(pool.map(lambda _: instance.memo("key", build), range(32),
+                                timeout=30))
+        assert len(built) == 1
+        assert all(g is got[0] for g in got)
+        assert instance.memo("other", build) is not got[0]
+        assert len(built) == 2
 
 
 class TestProximity:
@@ -685,8 +718,9 @@ class TestMaskBatch:
         def no_render(self, row):
             raise AssertionError("the predictor rendered a mask row")
 
-        monkeypatch.setattr(MaskBatch, "_render_row", no_render)
-        fast = np.hstack(predictor.predict(MaskBatch(base, seg_map, masks, fill)))
+        monkeypatch.setattr(Instance, "render", no_render)
+        batch = MaskBatch(Instance(base, seg_map, fill), masks)
+        fast = np.hstack(predictor.predict(batch))
         # Relative to the largest magnitude of each output over the batch.
         assert np.all(np.abs(fast - dense) <= 1e-12 * np.abs(dense).max(axis=0))
         assert np.array_equal(fast[0], np.hstack(predictor.predict([base]))[0])
@@ -700,7 +734,7 @@ class TestMaskBatch:
                                                seed=4))[:rows]
         fill = FillStrategy.SEGMENT_MEAN
         predictor = BuiltinPredictor(seed=0)
-        batch = MaskBatch(base, seg_map, masks, fill)
+        batch = MaskBatch(Instance(base, seg_map, fill), masks)
         mids = predictor._masked_mids(batch)
         assert mids.tobytes() == one_shot_masked_mids(predictor, batch).tobytes()
         # Rendered and scored 16 rows at a time, so that few are alive.
@@ -716,11 +750,11 @@ class TestMaskBatch:
         masks = self._rows(seg_map, count=12)
         expected = [apply_mask(base, seg_map, row, fill) for row in masks]
         rendered = []
-        render_row = MaskBatch._render_row
-        monkeypatch.setattr(MaskBatch, "_render_row",
+        render = Instance.render
+        monkeypatch.setattr(Instance, "render",
                             lambda self, row: rendered.append(row.copy())
-                            or render_row(self, row))
-        batch = MaskBatch(base, seg_map, masks, fill)
+                            or render(self, row))
+        batch = MaskBatch(Instance(base, seg_map, fill), masks)
         assert len(batch) == len(masks) and rendered == []
         for item, want in zip(batch, expected):
             assert np.array_equal(item.values, want.values)
@@ -736,17 +770,34 @@ class TestMaskBatch:
 
     def test_mask_rows_are_read_only(self):
         _, _, base, seg_map = planted_small()
-        batch = MaskBatch(base, seg_map, np.ones((2, 12), dtype=np.uint8), "silence")
+        batch = MaskBatch(Instance(base, seg_map, "silence"),
+                          np.ones((2, 12), dtype=np.uint8))
         with pytest.raises(ValueError):
             batch.masks[0, 0] = 0
 
-    def test_rejects_mask_width_and_scale(self):
-        from midlime.dsp import SCALE_MAGNITUDE, Spectrogram, StftConfig
-
+    def test_rejects_mask_width(self):
         _, _, base, seg_map = planted_small()
-        with pytest.raises(ShapeMismatchError):
-            MaskBatch(base, seg_map, np.ones((2, 11), dtype=np.uint8), "silence")
-        spec = Spectrogram(values=np.ones((6, 8)), scale=SCALE_MAGNITUDE,
-                           config=StftConfig(), sample_rate=22050)
-        with pytest.raises(ScaleMismatchError):
-            MaskBatch(spec, seg_map, np.ones((2, 12), dtype=np.uint8), "silence")
+        instance = Instance(base, seg_map, "silence")
+        for masks in (np.ones((2, 11), dtype=np.uint8), np.ones(12, dtype=np.uint8)):
+            with pytest.raises(ShapeMismatchError):
+                MaskBatch(instance, masks)
+
+    def test_builtin_coefficients_are_built_once_per_instance(self, monkeypatch):
+        _, _, base, seg_map = planted_small()
+        predictor = BuiltinPredictor(seed=0)
+        built = []
+        coefficients = BuiltinPredictor._coefficients
+        monkeypatch.setattr(BuiltinPredictor, "_coefficients",
+                            lambda self, instance: built.append(instance)
+                            or coefficients(self, instance))
+        config = LimeConfig(n_samples=48, seed=6)
+
+        def explain():
+            return explain_instance(lambda b: predictor.predict(b)[0][:, 0], base,
+                                    seg_map, config, batch_size=8, workers=2)
+
+        first = explain()
+        assert len(built) == 1
+        second = explain()
+        assert len(built) == 2 and built[0] is not built[1]
+        assert first.fit.weights.tobytes() == second.fit.weights.tobytes()

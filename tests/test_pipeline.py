@@ -157,6 +157,24 @@ class TestBundle:
         assert "segmentation" in written["peak_rss_mb_by_stage"]
         assert_peaks_by_stage(written)
 
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                        reason="VmHWM is read from procfs")
+    def test_peak_rss_is_not_the_launchers(self, tmp_path):
+        # posix_spawn starts the child through a vfork, and the kernel
+        # carries the launcher's peak across the exec into ru_maxrss.
+        held = np.ones(128 << 17)  # 128 MiB, every page touched
+        out = tmp_path / "peak.txt"
+        code = "from midlime.pipeline import _peak_rss_mb; print(_peak_rss_mb())"
+        pid = os.posix_spawn(sys.executable, [sys.executable, "-c", code], package_env(),
+                             file_actions=[(os.POSIX_SPAWN_OPEN, 1, str(out),
+                                            os.O_WRONLY | os.O_CREAT, 0o644)])
+        _, status = os.waitpid(pid, 0)
+        launcher = pipeline._peak_rss_mb()
+        del held
+        assert os.waitstatus_to_exitcode(status) == 0
+        assert launcher > 128
+        assert float(out.read_text()) < launcher / 2
+
     def test_report_echoes_effective_config(self, bundle):
         cfg = bundle.report["config"]
         assert cfg["stft"]["frame_size"] == 1024

@@ -24,12 +24,12 @@ from midlime.errors import (
     ProtocolError,
     ProtocolVersionError,
     ScaleMismatchError,
-    ShapeMismatchError,
     SpawnError,
     TransportError,
 )
 from midlime.lime import (
     FillStrategy,
+    Instance,
     LimeConfig,
     MaskBatch,
     apply_mask,
@@ -195,7 +195,7 @@ class TestBuiltin:
         seg_map = block_map(1020, 255, 15, 17)
         masks = sample_masks(seg_map.segment_count,
                              LimeConfig(n_samples=seg_map.segment_count + 2, seed=5))
-        batch = MaskBatch(base, seg_map, masks[:256], FillStrategy.GLOBAL_MEAN)
+        batch = MaskBatch(Instance(base, seg_map, FillStrategy.GLOBAL_MEAN), masks[:256])
         predictor = BuiltinPredictor(seed=0)
         tracemalloc.start()
         try:
@@ -630,7 +630,7 @@ class TestGatewayPool:
         spec = magnitude_db(stft(clip, config))
         seg_map = felzenszwalb_segment(spec, SegmentationConfig())
         masks = sample_masks(seg_map.segment_count, LimeConfig(n_samples=64, seed=0))
-        batch = MaskBatch(spec, seg_map, masks, FillStrategy.SILENCE_FLOOR)
+        batch = MaskBatch(Instance(spec, seg_map, FillStrategy.SILENCE_FLOOR), masks)
         record = tmp_path / "record"
         record.mkdir()
         with ExternalPredictor(child_with("echo", "--record", record), timeout=60,
@@ -673,8 +673,8 @@ class TestGatewayPool:
         # Every pixel's text is 18 bytes long, so unmasked rows reach the
         # bound on a row's length, 54 * 18 + 53 bytes.
         base = db_spec(np.full((9, 6), 1 / 3), config=TINY)
-        batch = MaskBatch(base, block_map(9, 6, 3, 3), np.ones((12, 6), dtype=np.uint8),
-                          FillStrategy.SILENCE_FLOOR)
+        batch = MaskBatch(Instance(base, block_map(9, 6, 3, 3), FillStrategy.SILENCE_FLOOR),
+                          np.ones((12, 6), dtype=np.uint8))
         row = 54 * 18 + 53
         for limit in range(1000, 6200):
             monkeypatch.setattr(predictor, "REQUEST_BYTES", limit)
@@ -761,9 +761,9 @@ class TestGatewayMaskBatch:
 
         dense_lines, dense = relay_batch([apply_mask(base, seg_map, row, fill)
                                           for row in masks])
-        monkeypatch.setattr(MaskBatch, "_render_row",
+        monkeypatch.setattr(Instance, "render",
                             lambda self, row: renders.append(row.copy()))
-        mask_lines, batched = relay_batch(MaskBatch(base, seg_map, masks, fill))
+        mask_lines, batched = relay_batch(MaskBatch(Instance(base, seg_map, fill), masks))
         assert len(mask_lines) == 5
         assert mask_lines == dense_lines
         assert renders == []
@@ -793,8 +793,8 @@ class TestGatewayMaskBatch:
             st.lists(st.integers(0, 1), min_size=seg_map.segment_count,
                      max_size=seg_map.segment_count), min_size=n, max_size=n)),
             dtype=np.uint8)
-        batch = MaskBatch(db_spec(values.reshape(height, width), config=TINY),
-                          seg_map, masks, fill)
+        batch = MaskBatch(Instance(db_spec(values.reshape(height, width), config=TINY),
+                                   seg_map, fill), masks)
         gateway = WireGateway(batch_size)
         gateway.predict(batch)
         expected = [
@@ -807,20 +807,27 @@ class TestGatewayMaskBatch:
         assert gateway.lines == expected
 
     def test_run_texts_are_built_once_per_instance(self, monkeypatch):
+        # At one worker, as `exec:` runs are: the gateway is not thread-safe.
         base = tiny_spec(4)
         seg_map = block_map(9, 6, 3, 2)
         built, renders = [], []
         run_texts = predictor._RunTexts
         monkeypatch.setattr(predictor, "_RunTexts",
-                            lambda batch: built.append(batch) or run_texts(batch))
-        monkeypatch.setattr(MaskBatch, "_render_row",
+                            lambda instance: built.append(instance)
+                            or run_texts(instance))
+        monkeypatch.setattr(Instance, "render",
                             lambda self, row: renders.append(row.copy()))
         with ExternalPredictor(child_command("echo"), timeout=20) as gateway:
-            expl = explain_instance(lambda b: gateway.predict(b)[0][:, 0], base,
-                                    seg_map, LimeConfig(n_samples=40, seed=3),
-                                    batch_size=8)
-        assert expl.fit is not None
-        assert len(built) == 1
+            def explain():
+                return explain_instance(lambda b: gateway.predict(b)[0][:, 0], base,
+                                        seg_map, LimeConfig(n_samples=40, seed=3),
+                                        batch_size=8, workers=1)
+
+            first = explain()
+            assert len(built) == 1
+            second = explain()
+        assert len(built) == 2 and built[0] is not built[1]
+        assert first.fit.weights.tobytes() == second.fit.weights.tobytes()
         assert renders == []
 
     def test_another_filler_gets_its_own_bytes(self):
@@ -830,7 +837,7 @@ class TestGatewayMaskBatch:
         gateway, dense = WireGateway(batch_size=8), WireGateway(batch_size=8)
         for fill in (FillStrategy.SILENCE_FLOOR, FillStrategy.SEGMENT_MEAN,
                      FillStrategy.SILENCE_FLOOR):
-            gateway.predict(MaskBatch(base, seg_map, masks, fill))
+            gateway.predict(MaskBatch(Instance(base, seg_map, fill), masks))
             dense.predict([apply_mask(base, seg_map, row, fill) for row in masks])
         assert len(gateway.lines) == 6
         assert gateway.lines == dense.lines
@@ -845,7 +852,7 @@ class TestGatewayMaskBatch:
         spec = magnitude_db(stft(clip, config))
         seg_map = felzenszwalb_segment(spec, SegmentationConfig())
         masks = sample_masks(seg_map.segment_count, LimeConfig(n_samples=224, seed=0))
-        batch = MaskBatch(spec, seg_map, masks, FillStrategy.SEGMENT_MEAN)
+        batch = MaskBatch(Instance(spec, seg_map, FillStrategy.SEGMENT_MEAN), masks)
         with ExternalPredictor(child_command("echo"), timeout=60) as gateway:
             tracemalloc.start()
             try:
@@ -855,23 +862,6 @@ class TestGatewayMaskBatch:
                 tracemalloc.stop()
         assert mids.shape == (224, MID_COUNT)
         assert peak < 60e6
-
-    def test_unfit_filler_is_refused_before_sending(self):
-        base = tiny_spec(6)
-        seg_map = block_map(9, 6, 3, 3)
-        masks = np.ones((4, 6), dtype=np.uint8)
-        masks[2, 5] = 0
-        nan, below, inf = (np.full((9, 6), -30.0) for _ in range(3))
-        nan[0:3, 3:6] = np.nan  # segment 1
-        below[6:9, 3:6] = -90.0  # segment 5, below the floor
-        inf[3:6, 0:3] = np.inf  # segment 2
-        gateway = WireGateway(batch_size=1)
-        for filler, error in ((nan, ValueError), (below, ValueError), (inf, ValueError),
-                              (np.full((9, 5), -30.0), ShapeMismatchError)):
-            with pytest.raises(error, match="filler"):
-                gateway.predict(MaskBatch(base, seg_map, masks,
-                                          FillStrategy.SILENCE_FLOOR, filler=filler))
-        assert gateway.lines == []
 
 
 class WireGateway(ExternalPredictor):
