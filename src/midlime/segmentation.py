@@ -5,25 +5,48 @@ difference after Gaussian pre-smoothing. Edges are scanned in ascending
 weight order and two components merge when the edge is no heavier than
 ``min(Int(C) + scale/|C|)`` over the two, where Int(C) is the largest weight
 already absorbed into C; each root keeps that bound, updated at each merge.
-The scan order comes from one stable sort of the weights laid out by
+The scan order is that of a stable sort of the weights laid out by
 (pixel, direction), so ties fall to the row-major origin, then direction.
 It is one array of edge slots, int32 up to 2**29 pixels, into
 the flat weights. Each pass decodes origins, targets and weights from it one
-block at a time and makes Python objects of that block only, so neither
-holds all edges as decoded arrays or as objects. A second pass merges any
+block at a time, so neither holds all edges as decoded arrays or as objects.
+
+The union-find state (parent, size and bound per node) lives in array
+buffers that a Python scan indexes and numpy views share. numpy decides
+most edges of a block, in rounds over the edges still pending:
+
+- Each edge's endpoints are mapped to their current roots, and edges inside
+  one component are dropped: components only grow, so the scan would skip
+  them too (the filter of Filter-Kruskal).
+- An edge is *independent* when neither of its roots occurs in an earlier
+  pending edge of the block. Its merge test, and the merge, are applied to
+  all independent edges at once, with the scan's comparisons and its
+  ``weight + scale / (|A| + |B|)``.
+- This is exact. No earlier pending edge touches an independent edge's two
+  components, so those components are the same whether the earlier edges
+  run first or not, and the independent edge leaves the earlier edges'
+  components alone in turn: it commutes with each of them. Two independent
+  edges share no root, so their merges touch disjoint components. The
+  decisions read only the partition, the sizes and the bounds, never which
+  node is the root.
+
+Once fewer than ``_ROUND_SHARE`` of the pending edges are independent, the
+rest of the block goes through the scan, in order. A second pass merges any
 component smaller than ``min_size`` into its nearest neighbour (by edge
-order). It visits only the edges between two distinct first-pass
-components of which one is smaller than ``min_size``, in the same order.
+order). Each block of it is first filtered, in numpy, to the edges between
+two distinct current components of which one is smaller than ``min_size``.
 That is exact: the pass only merges, so components only grow, and an edge
 inside one component, or between two that already hold ``min_size``
-pixels, can never pass its test. Roots are resolved for all pixels at
+pixels, can never pass its test later. Roots are resolved for all pixels at
 once in numpy, by pointer jumping on the parent array. Labels are then
 compacted to 0..K-1 in row-major order of each segment's first pixel, so
-results are reproducible bit for bit.
+results are reproducible bit for bit, whatever the block and the share.
 """
 
 from __future__ import annotations
 
+import array
+import logging
 import math
 from dataclasses import dataclass
 
@@ -31,6 +54,8 @@ import numpy as np
 
 from .dsp import SCALE_DB, Spectrogram
 from .errors import ConfigError, InputTooSmallError, ScaleMismatchError, ShapeMismatchError
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -61,15 +86,20 @@ class SegmentMap:
             raise ShapeMismatchError(f"labels must be 2-D, got shape {labels.shape}")
         if not np.issubdtype(labels.dtype, np.integer):
             raise ValueError(f"labels must be integers, got dtype {labels.dtype}")
-        labels = labels.astype(np.int32)
         if labels.size == 0:
             raise ShapeMismatchError("label image is empty")
-        counts = np.bincount(labels.ravel(), minlength=max(self.segment_count, 1))
-        if labels.min() < 0 or labels.max() != self.segment_count - 1:
+        # The range is checked on the caller's dtype, before the int32 cast
+        # could wrap a label and before bincount sizes its counters by it.
+        low, high = labels.min(), labels.max()
+        if low < 0 or high != self.segment_count - 1:
             raise ValueError(
                 f"labels must cover 0..{self.segment_count - 1}, "
-                f"got range [{labels.min()}, {labels.max()}]"
+                f"got range [{low}, {high}]"
             )
+        if self.segment_count > labels.size:
+            raise ValueError("every label in 0..segment_count-1 must occur")
+        labels = labels.astype(np.int32)
+        counts = np.bincount(labels.ravel(), minlength=max(self.segment_count, 1))
         if len(counts) != self.segment_count or (counts == 0).any():
             raise ValueError("every label in 0..segment_count-1 must occur")
         object.__setattr__(self, "labels", labels)
@@ -115,9 +145,13 @@ def _correlate_nearest(a: np.ndarray, kernel: np.ndarray) -> np.ndarray:
 # Edge direction offsets, in tie-break order: E, S, SE, SW. Each pixel owns
 # the edges it originates, so every undirected edge appears exactly once.
 _DIRECTIONS = ((0, 1), (1, 0), (1, 1), (1, -1))
-# Edges are decoded from the scan order, and become Python objects, this many
-# at a time. It sets memory and speed, never the labels.
+# Edges are decoded from the scan order, and decided, this many at a time. It
+# sets memory and speed, never the labels.
 _BLOCK = 1 << 16
+# A block's rounds stop once fewer than this share of its pending edges are
+# independent, and the Python scan takes the rest. It sets speed, never the
+# labels.
+_ROUND_SHARE = 0.1
 
 
 def _build_edges(img: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -127,9 +161,11 @@ def _build_edges(img: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     slot, is ``4 * origin + direction``. The order lists the slots of the
     edges inside the image by ascending weight, ties broken by the row-major
     origin index (so by row, then column), then direction, so the scan is
-    fully deterministic: one stable sort of the flat weights gives it, and
-    the slots of edges that would leave the image are then dropped. Both
-    come back flat; `_edge_blocks` decodes the order.
+    fully deterministic. That is the order of a stable sort of the flat
+    weights; it comes from numpy's faster default sort, whose runs of equal
+    weights (NaN runs included) are then put back in slot order. The slots
+    of edges that would leave the image are dropped. Both come back flat;
+    `_edge_blocks` decodes the order.
     """
     h, w = img.shape
     weights = np.zeros((h, w, len(_DIRECTIONS)))
@@ -141,8 +177,32 @@ def _build_edges(img: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         inside[:h - dr, c0:c1, d] = True
     index = np.int32 if weights.size <= 2**31 else np.int64
     flat = weights.ravel()
-    order = np.argsort(flat, kind="stable").astype(index, copy=False)
-    return order[inside.ravel()[order]], flat
+    order = np.argsort(flat).astype(index, copy=False)
+    order = order[inside.ravel()[order]]
+    _repair_ties(order, flat[order])
+    return order, flat
+
+
+def _repair_ties(order: np.ndarray, sorted_weights: np.ndarray) -> None:
+    """Put each run of equal weights in `order` back in ascending slot order.
+
+    NaNs sort last and form one run. Only slots in runs of two or more are
+    touched, by one lexsort on (run, slot).
+    """
+    if len(order) < 2:
+        return
+    nan = np.isnan(sorted_weights)
+    same = (sorted_weights[1:] == sorted_weights[:-1]) | (nan[1:] & nan[:-1])
+    tied = np.zeros(len(order), dtype=bool)
+    tied[1:] = same
+    tied[:-1] |= same
+    at = np.flatnonzero(tied)
+    if not len(at):
+        return
+    # A tied slot starts a run unless it equals the slot before it.
+    run = np.cumsum(np.r_[False, ~same[at[1:] - 1]])
+    slots = order[at]
+    order[at] = slots[np.lexsort((slots, run))]
 
 
 def _edge_blocks(order: np.ndarray, width: int):
@@ -156,7 +216,7 @@ def _edge_blocks(order: np.ndarray, width: int):
         yield slots, p, p + offsets[slots & 3]
 
 
-def _find(parent: list[int], a: int) -> int:
+def _find(parent: array.array, a: int) -> int:
     """Root of `a`, compressing the path to it."""
     root = a
     while parent[root] != root:
@@ -166,14 +226,42 @@ def _find(parent: list[int], a: int) -> int:
     return root
 
 
-def _roots(parent: list[int], dtype) -> np.ndarray:
+def _roots(parent: np.ndarray) -> np.ndarray:
     """Every node's root, by pointer jumping until no pointer moves."""
-    roots = np.asarray(parent, dtype=dtype)
+    roots = parent
     while True:
         up = roots[roots]
         if np.array_equal(up, roots):
             return roots
         roots = up
+
+
+def _roots_of(parent: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """The roots of `nodes`, by pointer jumping; each node is then pointed
+    straight at its root."""
+    roots = parent[nodes]
+    while True:
+        up = parent[roots]
+        if np.array_equal(up, roots):
+            break
+        roots = up
+    parent[nodes] = roots
+    return roots
+
+
+def _first_touch(first: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Which edges (a[i], b[i]) touch two roots that no earlier edge touches.
+
+    `first` holds its dtype's maximum for every node, and does so again on
+    return; in between, ``np.minimum.at`` gives each root the least index of
+    an edge that touches it.
+    """
+    index = np.arange(len(a), dtype=a.dtype)
+    np.minimum.at(first, a, index)
+    np.minimum.at(first, b, index)
+    fresh = (first[a] == index) & (first[b] == index)
+    first[a] = first[b] = np.iinfo(first.dtype).max
+    return fresh
 
 
 def felzenszwalb_segment(spec: Spectrogram, config: SegmentationConfig) -> SegmentMap:
@@ -190,16 +278,50 @@ def felzenszwalb_segment(spec: Spectrogram, config: SegmentationConfig) -> Segme
     smoothed = gaussian_smooth(img, config.sigma)
     order, weights = _build_edges(smoothed)
 
-    parent = list(range(n))
-    size = [1] * n
+    # The union-find state lives in array buffers: the Python scan indexes
+    # them directly, and numpy works on views of the same memory.
+    index = order.dtype
+    parent = array.array(index.char, np.arange(n, dtype=index).tobytes())
+    size = array.array(index.char, [1]) * n
     k = float(config.scale)
     # limit[r] is Int(C) + scale/|C| for the component rooted at r.
-    limit = [k] * n
+    limit = array.array("d", [k]) * n
+    parent_np = np.frombuffer(parent, dtype=index)
+    size_np = np.frombuffer(size, dtype=index)
+    limit_np = np.frombuffer(limit, dtype=np.float64)
+    first = np.full(n, np.iinfo(index).max, dtype=index)
+    internal = in_rounds = scanned = 0
 
-    # A node that is a root, or whose parent is one, needs no _find call.
     for slots, p_block, q_block in _edge_blocks(order, w):
-        for p, q, weight in zip(p_block.tolist(), q_block.tolist(),
-                                weights[slots].tolist()):
+        a = _roots_of(parent_np, p_block)
+        b = _roots_of(parent_np, q_block)
+        weight = weights[slots]
+        while len(a):
+            apart = a != b
+            internal += len(a) - int(np.count_nonzero(apart))
+            a, b, weight = a[apart], b[apart], weight[apart]
+            fresh = _first_touch(first, a, b)
+            decided = int(np.count_nonzero(fresh))
+            if decided < _ROUND_SHARE * len(a):
+                break
+            in_rounds += decided
+            ra, rb, wf = a[fresh], b[fresh], weight[fresh]
+            join = (wf <= limit_np[ra]) & (wf <= limit_np[rb])
+            ra, rb, wf = ra[join], rb[join], wf[join]
+            sa, sb = size_np[ra], size_np[rb]
+            swap = sa < sb
+            ra, rb = np.where(swap, rb, ra), np.where(swap, ra, rb)
+            total = sa + sb
+            parent_np[rb] = ra
+            size_np[ra] = total
+            limit_np[ra] = wf + k / total.astype(np.float64)
+            # Each joined root now points at a root, so one step finds the
+            # new roots of the edges left.
+            rest = ~fresh
+            a, b, weight = parent_np[a[rest]], parent_np[b[rest]], weight[rest]
+        scanned += len(a)
+        # A node that is a root, or whose parent is one, needs no _find call.
+        for p, q, wt in zip(a.tolist(), b.tolist(), weight.tolist()):
             ra = parent[p]
             if parent[ra] != ra:
                 ra = _find(parent, p)
@@ -208,23 +330,25 @@ def felzenszwalb_segment(spec: Spectrogram, config: SegmentationConfig) -> Segme
                 rb = _find(parent, q)
             if ra == rb:
                 continue
-            if weight <= limit[ra] and weight <= limit[rb]:
+            if wt <= limit[ra] and wt <= limit[rb]:
                 sa, sb = size[ra], size[rb]
                 if sa < sb:
                     ra, rb = rb, ra
                 parent[rb] = ra
                 size[ra] = sa + sb
-                limit[ra] = weight + k / (sa + sb)
+                limit[ra] = wt + k / (sa + sb)
 
     # Post-merge: absorb undersized components, revisiting edges in the same
-    # ascending order. Only edges between distinct first-pass components, one
-    # of them undersized, can merge; components only grow.
+    # ascending order. Only edges between two distinct components, one of
+    # them undersized, can merge, and both tests hold for the current roots:
+    # components only grow.
     min_size = config.min_size
-    roots = _roots(parent, order.dtype)
-    small = (np.asarray(size) < min_size)[roots]
+    post_merge = 0
     for _, p_block, q_block in _edge_blocks(order, w):
-        a, b = roots[p_block], roots[q_block]
-        pending = (a != b) & (small[p_block] | small[q_block])
+        a = _roots_of(parent_np, p_block)
+        b = _roots_of(parent_np, q_block)
+        pending = (a != b) & ((size_np[a] < min_size) | (size_np[b] < min_size))
+        post_merge += int(np.count_nonzero(pending))
         for ra, rb in zip(a[pending].tolist(), b[pending].tolist()):
             if parent[ra] != ra:
                 ra = _find(parent, ra)
@@ -235,8 +359,11 @@ def felzenszwalb_segment(spec: Spectrogram, config: SegmentationConfig) -> Segme
                     ra, rb = rb, ra
                 parent[rb] = ra
                 size[ra] += size[rb]
+    log.info("%d edges: %d dropped as internal, %d decided in numpy rounds, "
+             "%d scanned; the post-merge visited %d",
+             len(order), internal, in_rounds, scanned, post_merge)
 
-    roots = _roots(parent, order.dtype)
+    roots = _roots(parent_np)
     # Compact labels in order of first appearance (row-major scan).
     _, first_index, inverse = np.unique(roots, return_index=True, return_inverse=True)
     rank = np.argsort(np.argsort(first_index))

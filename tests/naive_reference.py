@@ -139,6 +139,38 @@ def naive_felzenszwalb(image: np.ndarray, scale: float, min_size: int,
     return labels
 
 
+def scan_felzenszwalb(smoothed: np.ndarray, scale: float, min_size: int) -> np.ndarray:
+    """Both passes as one edge-at-a-time scan of `lexsort_edges`' order.
+
+    Unlike `naive_felzenszwalb`, this takes an already smoothed image and
+    accepts inf and NaN weights: the lexsort puts NaN weights last, in
+    origin-then-direction order, and a NaN weight never passes a test.
+    Labels are numbered in row-major order of each segment's first pixel.
+    """
+    h, w = smoothed.shape
+    forest = _DictForest()
+    for p in range(h * w):
+        forest.add(p)
+    p, q, weights = lexsort_edges(smoothed)
+    edges = list(zip(p.tolist(), q.tolist(), weights.tolist()))
+    for a, b, weight in edges:
+        ra, rb = forest.find(a), forest.find(b)
+        if ra == rb:
+            continue
+        bound_a = forest.internal[ra] + scale / forest.size[ra]
+        bound_b = forest.internal[rb] + scale / forest.size[rb]
+        if weight <= bound_a and weight <= bound_b:
+            forest.union(ra, rb, weight)
+    for a, b, weight in edges:
+        ra, rb = forest.find(a), forest.find(b)
+        if ra != rb and (forest.size[ra] < min_size or forest.size[rb] < min_size):
+            forest.union(ra, rb, weight)
+    first_seen: dict[int, int] = {}
+    labels = [first_seen.setdefault(forest.find(p), len(first_seen))
+              for p in range(h * w)]
+    return np.array(labels).reshape(h, w)
+
+
 def same_partition(a: np.ndarray, b: np.ndarray) -> bool:
     """True when two label images induce the same pixel partition."""
     if a.shape != b.shape:

@@ -1,6 +1,9 @@
 """Graph-based segmentation against a naive longhand reference."""
 
+import hashlib
+import logging
 import math
+import re
 import tracemalloc
 from unittest import mock
 
@@ -12,6 +15,8 @@ from hypothesis.extra.numpy import arrays
 from scipy.ndimage import correlate1d
 
 from midlime import rng, segmentation
+from midlime.audio import decode_wav
+from midlime.dsp import StftConfig, magnitude_db, stft
 from midlime.errors import ConfigError, InputTooSmallError, ScaleMismatchError
 from midlime.segmentation import (
     SegmentationConfig,
@@ -29,9 +34,48 @@ from naive_reference import (
     naive_felzenszwalb,
     naive_gaussian_smooth,
     same_partition,
+    scan_felzenszwalb,
 )
 
 DEFAULTS = SegmentationConfig(scale=25.0, min_size=40, sigma=0.8)
+
+# Small images whose edge weights tie, or are inf or NaN.
+EDGE_IMAGES = (
+    st.tuples(st.integers(1, 12), st.integers(1, 12))
+    .filter(lambda shape: shape[0] * shape[1] >= 2)
+    .flatmap(lambda shape: st.one_of(
+        # Few integer levels make most weights tie.
+        arrays(np.float64, shape, elements=st.integers(-2, 2).map(float)),
+        arrays(np.float64, shape, elements=st.floats(-80.0, 0.0)),
+        # Overflowing differences give inf and NaN weights.
+        arrays(np.float64, shape, elements=st.sampled_from(
+            [0.0, 1.7e308, -1.7e308, np.inf, -np.inf])))))
+
+
+@st.composite
+def tied_images(draw):
+    """A few intensity levels, and a block at the -80 dB floor: a plateau of
+    zero-weight edges."""
+    height, width = draw(st.integers(1, 40)), draw(st.integers(2, 40))
+    u = rng.uniform_grid(draw(st.integers(0, 2**32 - 1)), np.arange(height),
+                         np.arange(width))
+    image = -60.0 + draw(st.sampled_from([2.5, 5.0, 12.5])) * np.floor(
+        draw(st.integers(2, 5)) * u)
+    r0, r1 = sorted(draw(st.tuples(st.integers(0, height), st.integers(0, height))))
+    c0, c1 = sorted(draw(st.tuples(st.integers(0, width), st.integers(0, width))))
+    image[r0:r1, c0:c1] = -80.0
+    return image
+
+
+def as_db(image: np.ndarray) -> np.ndarray:
+    """`image` moved into a dB spectrogram's range, -80 dB up to a finite
+    maximum. Smoothing two 1.7e308 taps overflows to inf, so a sigma above
+    0 still gives inf and NaN weights."""
+    return np.maximum(np.nan_to_num(image, posinf=1.7e308, neginf=-80.0), -80.0)
+
+
+def labels_sha256(seg: SegmentMap) -> str:
+    return hashlib.sha256(seg.labels.tobytes()).hexdigest()
 
 
 class TestConfig:
@@ -58,6 +102,17 @@ class TestSegmentMapType:
         labels = np.array([[0, 1], [0, 1]])
         with pytest.raises(ValueError):
             SegmentMap(labels=labels, segment_count=3)
+
+    @pytest.mark.parametrize("labels", [
+        [[0, -1], [1, 1]],
+        [[0, 1], [2, 1]],
+        # int32 casts of these wrap to 1 and to -2**31.
+        [[0, 2**32 + 1]],
+        [[0, 2**31]],
+    ])
+    def test_checks_the_range_before_the_cast(self, labels):
+        with pytest.raises(ValueError, match=r"labels must cover 0\.\.1"):
+            SegmentMap(labels=np.array(labels, dtype=np.int64), segment_count=2)
 
 
 class TestGaussianSmooth:
@@ -132,22 +187,13 @@ class TestFelzenszwalb:
             reference = naive_felzenszwalb(image, 25.0, 40, 0.8)
             assert same_partition(seg.labels, reference)
 
-    @given(data=st.data(), height=st.integers(1, 40), width=st.integers(2, 40),
-           seed=st.integers(0, 2**32 - 1), levels=st.integers(2, 5),
-           step=st.sampled_from([2.5, 5.0, 12.5]),
+    @given(data=st.data(), image=tied_images(),
            scale=st.sampled_from([2.5, 5.0, 25.0, 300.0]), sigma=st.sampled_from([0.0, 0.8]))
     @settings(max_examples=60, deadline=None)
-    def test_matches_naive_reference_on_tied_weights(self, data, height, width, seed,
-                                                     levels, step, scale, sigma):
+    def test_matches_naive_reference_on_tied_weights(self, data, image, scale, sigma):
         # A few intensity levels make many edge weights tie, so the tie order
-        # decides which merges happen; a block at the -80 dB floor is a
-        # plateau of zero-weight edges.
-        u = rng.uniform_grid(seed, np.arange(height), np.arange(width))
-        image = -60.0 + step * np.floor(levels * u)
-        r0, r1 = sorted(data.draw(st.tuples(st.integers(0, height), st.integers(0, height))))
-        c0, c1 = sorted(data.draw(st.tuples(st.integers(0, width), st.integers(0, width))))
-        image[r0:r1, c0:c1] = -80.0
-        n = height * width
+        # decides which merges happen.
+        n = image.size
         min_size = data.draw(st.sampled_from([m for m in (1, 40, n // 2 + 1) if m <= n]))
         seg = felzenszwalb_segment(db_spec(image),
                                    SegmentationConfig(scale, min_size, sigma))
@@ -159,17 +205,9 @@ class TestFelzenszwalb:
         for root in reference.ravel().tolist():
             first_seen.setdefault(root, len(first_seen))
         expected = np.array([first_seen[root] for root in reference.ravel().tolist()])
-        assert np.array_equal(seg.labels, expected.reshape(height, width))
+        assert np.array_equal(seg.labels, expected.reshape(image.shape))
 
-    @given(image=st.tuples(st.integers(1, 12), st.integers(1, 12))
-           .filter(lambda shape: shape[0] * shape[1] >= 2)
-           .flatmap(lambda shape: st.one_of(
-               # Few integer levels make most weights tie.
-               arrays(np.float64, shape, elements=st.integers(-2, 2).map(float)),
-               arrays(np.float64, shape, elements=st.floats(-80.0, 0.0)),
-               # Overflowing differences give inf and NaN weights.
-               arrays(np.float64, shape, elements=st.sampled_from(
-                   [0.0, 1.7e308, -1.7e308, np.inf, -np.inf])))))
+    @given(image=EDGE_IMAGES)
     @example(image=np.array([[0.0, 1.0, 1.0, 0.0, 2.0, 2.0, 1.0]]))
     @example(image=np.array([[0.0, 1.0, 1.0, 0.0, 2.0, 2.0, 1.0]]).T)
     @example(image=np.array([[0.0, 1.0], [1.0, 0.0]]))
@@ -202,6 +240,76 @@ class TestFelzenszwalb:
             assert np.array_equal(
                 felzenszwalb_segment(db_spec(image), config).labels, labels)
 
+    @given(data=st.data(), image=st.one_of(EDGE_IMAGES.map(as_db), tied_images()),
+           scale=st.sampled_from([2.5, 25.0, 300.0]), sigma=st.sampled_from([0.0, 0.8]))
+    @settings(max_examples=80, deadline=None)
+    def test_labels_do_not_depend_on_the_round_share(self, data, image, scale, sigma):
+        # A share of 0 sends every edge through numpy's rounds, one of 2
+        # sends none; each at the default block and at blocks of 7 edges.
+        n = image.size
+        min_size = data.draw(st.sampled_from([m for m in (1, 2, n // 2 + 1) if m <= n]))
+        config = SegmentationConfig(scale, min_size, sigma)
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = scan_felzenszwalb(gaussian_smooth(image, sigma), scale, min_size)
+            for share in (0.0, 2.0):
+                for block in (segmentation._BLOCK, 7):
+                    with mock.patch.object(segmentation, "_ROUND_SHARE", share), \
+                            mock.patch.object(segmentation, "_BLOCK", block):
+                        labels = felzenszwalb_segment(db_spec(image), config).labels
+                    assert np.array_equal(labels, expected), (share, block)
+
+    @pytest.mark.parametrize("share", [0.0, 2.0])
+    def test_bounds_are_exact_to_the_last_bit(self, monkeypatch, share):
+        # The first edge joins two pixels, whose bound becomes 0 + 0.1 / 2
+        # in float64. A second edge of exactly that weight joins; one a bit
+        # above does not, in numpy's rounds (share 0) and in the scan (2).
+        monkeypatch.setattr(segmentation, "_ROUND_SHARE", share)
+        config = SegmentationConfig(scale=0.1, min_size=1, sigma=0.0)
+        bound = 0.0 + 0.1 / 2
+        for weight, labels in ((bound, [[0, 0, 0]]),
+                               (np.nextafter(bound, 1.0), [[0, 0, 1]])):
+            seg = felzenszwalb_segment(db_spec(np.array([[0.0, 0.0, weight]])), config)
+            assert seg.labels.tolist() == labels
+
+    @pytest.mark.parametrize("share", [None, 0.0, 2.0])
+    def test_full_size_labels_keep_their_bytes(self, fixture_wav, monkeypatch, share):
+        # The 3 s fixture as the CLI reads it; the digest is that of the
+        # edge-at-a-time scan that preceded numpy's rounds.
+        if share is not None:
+            monkeypatch.setattr(segmentation, "_ROUND_SHARE", share)
+        spec = magnitude_db(stft(decode_wav(fixture_wav), StftConfig()))
+        seg = felzenszwalb_segment(spec, DEFAULTS)
+        assert seg.segment_count == 474
+        assert labels_sha256(seg) == (
+            "ea8717c47077f6ab26bd9976f555d54f1138762fc7bc2f27426b67ce709335b0")
+
+    def test_full_size_random_image_keeps_its_bytes(self):
+        seg = felzenszwalb_segment(db_spec(random_db_image(18, 1025, 255)), DEFAULTS)
+        assert seg.segment_count == 382
+        assert labels_sha256(seg) == (
+            "9a0aedd45d23bef48494d221fd26b88a9a0a6a63ddffd9635c611fdc297c44ba")
+
+    @pytest.mark.parametrize("share", [None, 0.0, 2.0])
+    def test_logs_where_each_edge_was_decided(self, caplog, monkeypatch, share):
+        if share is not None:
+            monkeypatch.setattr(segmentation, "_ROUND_SHARE", share)
+        image = random_db_image(16, 48, 40)
+        with caplog.at_level(logging.INFO, logger="midlime"):
+            felzenszwalb_segment(db_spec(image), DEFAULTS)
+        lines = [record.getMessage() for record in caplog.records
+                 if record.name == "midlime.segmentation"]
+        assert len(lines) == 1
+        edges, internal, in_rounds, scanned, post_merge = map(
+            int, re.findall(r"\d+", lines[0]))
+        h, w = image.shape
+        assert edges == h * (w - 1) + (h - 1) * w + 2 * (h - 1) * (w - 1)
+        assert internal + in_rounds + scanned == edges
+        assert 0 < post_merge < edges
+        if share == 0.0:
+            assert scanned == 0 and in_rounds > 0
+        if share == 2.0:
+            assert in_rounds == 0 and scanned > 0
+
     def test_single_pixel_is_one_segment(self):
         seg = felzenszwalb_segment(db_spec(np.full((1, 1), -30.0)),
                                    SegmentationConfig(min_size=1))
@@ -212,7 +320,8 @@ class TestFelzenszwalb:
         # held as Python tuples peaked at 233 MB, and as three lists of
         # Python objects at 158 MB. Full-size origin, target and weight
         # arrays peaked at 58.4 MB; decoding them block by block from the
-        # scan order, 37.6 MB.
+        # scan order, 37.6 MB; with the union-find state in array buffers
+        # and numpy deciding most edges in rounds, 31.1 MB.
         image = random_db_image(18, 1025, 255, low=-80.0, high=0.0)
         tracemalloc.start()
         try:
