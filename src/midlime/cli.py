@@ -68,8 +68,6 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
                    help='builtin | constant | exec:"CMD" (default: builtin)')
     p.add_argument("--target", default="auto",
                    help="auto | mid:NAME | mid:IDX (emotion:NAME|IDX also accepted)")
-    p.add_argument("--samples", type=int, default=50000,
-                   help="perturbation sample count (default: 50000)")
     p.add_argument("--kernel-width", type=float, default=0.25,
                    help="proximity kernel width (default: 0.25)")
     p.add_argument("--ratio-threshold", type=float, default=1e-6,
@@ -92,12 +90,6 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
                    help="analysis window (default: hann)")
     p.add_argument("--floor-db", type=float, default=-80.0,
                    help="dB floor for the spectrogram view (default: -80)")
-    p.add_argument("--gl-iters", type=int, default=32,
-                   help="phase-retrieval iterations for resynthesis (default: 32)")
-    p.add_argument("--synth-gain", type=float, default=1.0,
-                   help="gain for add/subtract resynthesis modes (default: 1.0)")
-    p.add_argument("--seed", type=int, default=42,
-                   help="sampling seed (default: 42)")
     p.add_argument("--predictor-seed", type=int, default=0,
                    help="seed of the builtin synthetic predictor (default: 0)")
     p.add_argument("--workers", type=int, default=1,
@@ -131,9 +123,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     explain = sub.add_parser("explain", help="explain one clip and write a bundle")
     _add_common_flags(explain)
+    explain.add_argument("--samples", type=int, default=50000,
+                         help="perturbation sample count (default: 50000)")
+    explain.add_argument("--seed", type=int, default=42,
+                         help="sampling seed (default: 42)")
+    explain.add_argument("--gl-iters", type=int, default=32,
+                         help="phase-retrieval iterations for resynthesis (default: 32)")
+    explain.add_argument("--synth-gain", type=float, default=1.0,
+                         help="gain for add/subtract resynthesis modes (default: 1.0)")
 
+    # No abbreviations, so that explain's --seed is refused, not read as --seeds.
     stability = sub.add_parser(
-        "stability", help="repeat the attribution across seeds and sample counts")
+        "stability", help="repeat the attribution across seeds and sample counts",
+        allow_abbrev=False)
     _add_common_flags(stability)
     stability.add_argument("--seeds", default="1,2,3,4,5",
                            help="comma-separated seeds (default: 1,2,3,4,5)")
@@ -143,30 +145,34 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_config(args: argparse.Namespace) -> RunConfig:
+    # stability takes no explain-only flag: it sets each run's seed and
+    # sample count itself, and synthesises no audio.
+    lime_only, run_only = {}, {}
+    if args.command == "explain":
+        lime_only = {"n_samples": args.samples, "seed": args.seed}
+        run_only = {"gl_iterations": args.gl_iters, "synth_gain": args.synth_gain}
     return RunConfig(
         audio_path=args.audio,
         out_dir=args.out,
         predictor=args.predictor,
         target=args.target,
         lime=LimeConfig(
-            n_samples=args.samples,
             kernel_width=args.kernel_width,
             fill=args.fill,
             ridge_alpha=args.alpha,
             ratio_threshold=args.ratio_threshold,
-            seed=args.seed,
+            **lime_only,
         ),
         segmentation=SegmentationConfig(
             scale=args.scale, min_size=args.min_size, sigma=args.sigma),
         stft=StftConfig(
             frame_size=args.frame_size, hop_size=args.hop,
             window=args.window, floor_db=args.floor_db),
-        gl_iterations=args.gl_iters,
-        synth_gain=args.synth_gain,
         workers=args.workers,
         batch_size=args.batch_size,
         timeout=args.timeout,
         predictor_seed=args.predictor_seed,
+        **run_only,
     )
 
 

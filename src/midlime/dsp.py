@@ -179,18 +179,15 @@ def _analyse(frames: np.ndarray, window: np.ndarray) -> np.ndarray:
 
 def istft(spec: ComplexSpectrogram) -> AudioClip:
     """Least-squares inverse of stft; output spans (frames-1)*hop + frame samples."""
-    samples = _istft_array(spec.values, spec.config)
-    return AudioClip(samples=samples, sample_rate=spec.sample_rate)
-
-
-def _istft_array(values: np.ndarray, config: StftConfig) -> np.ndarray:
+    config = spec.config
     w = window_samples(config.window, config.frame_size)
-    n_frames = values.shape[1]
+    n_frames = spec.values.shape[1]
     den = _window_sum(w, config.hop_size, n_frames)
-    frame_major = values.T
-    return _synthesise((frame_major[t:t + _FRAME_BLOCK]
-                        for t in range(0, n_frames, _FRAME_BLOCK)),
-                       w, config.hop_size, den)
+    frame_major = spec.values.T
+    samples = _synthesise((frame_major[t:t + _FRAME_BLOCK]
+                           for t in range(0, n_frames, _FRAME_BLOCK)),
+                          w, config.hop_size, den)
+    return AudioClip(samples=samples, sample_rate=spec.sample_rate)
 
 
 def _window_sum(window: np.ndarray, hop: int, n_frames: int) -> np.ndarray:

@@ -15,7 +15,7 @@ import math
 import threading
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from typing import Callable
 
@@ -81,14 +81,7 @@ class LimeConfig:
                 f"ridge_alpha must be finite and >= 0, got {self.ridge_alpha}")
 
     def echo(self) -> dict:
-        return {
-            "n_samples": self.n_samples,
-            "kernel_width": self.kernel_width,
-            "fill": self.fill.value,
-            "ridge_alpha": self.ridge_alpha,
-            "ratio_threshold": self.ratio_threshold,
-            "seed": self.seed,
-        }
+        return {**asdict(self), "fill": self.fill.value}
 
 
 @dataclass(frozen=True)
@@ -125,16 +118,22 @@ class LimeExplanation:
 _MASK_BLOCK = 512
 
 
+def check_sample_count(n_samples: int, n_segments: int) -> None:
+    """Refuse a sample count that leaves the fit over `n_segments` segments
+    no residual degree of freedom."""
+    if n_segments < 1:
+        raise ConfigError(f"need at least one segment, got {n_segments}")
+    if n_samples < n_segments + 2:
+        raise ConfigError(
+            f"n_samples {n_samples} cannot overdetermine {n_segments} "
+            f"segments; need at least {n_segments + 2}"
+        )
+
+
 def sample_masks(n_segments: int, config: LimeConfig) -> np.ndarray:
     """uint8 masks, (n_samples, n_segments): row 0 all ones, the rows below
     i.i.d. fair coins keyed by (seed, row, col)."""
-    if n_segments < 1:
-        raise ConfigError(f"need at least one segment, got {n_segments}")
-    if config.n_samples < n_segments + 2:
-        raise ConfigError(
-            f"n_samples {config.n_samples} cannot overdetermine {n_segments} "
-            f"segments; need at least {n_segments + 2}"
-        )
+    check_sample_count(config.n_samples, n_segments)
     masks = np.empty((config.n_samples, n_segments), dtype=np.uint8)
     masks[0] = 1
     cols = np.arange(n_segments)
@@ -181,8 +180,8 @@ class Instance:
     def render(self, row: np.ndarray) -> Spectrogram:
         """The spectrogram of one mask row, its dropped segments filled."""
         spec = self.spec
-        return Spectrogram(values=np.where(row.astype(bool)[self.seg_map.labels],
-                                           spec.values, self.filler),
+        return Spectrogram(values=np.where(self.seg_map.pixels(row), spec.values,
+                                           self.filler),
                            scale=spec.scale, config=spec.config,
                            sample_rate=spec.sample_rate)
 

@@ -23,7 +23,7 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -56,9 +56,10 @@ from .errors import (
 )
 from .lime import (
     FillStrategy,
+    Instance,
     LimeConfig,
     LimeExplanation,
-    apply_mask,
+    check_sample_count,
     explain_instance,
     explanation_to_json,
     stability_score,
@@ -240,26 +241,22 @@ def _resolve_target(target: str, caps: PredictorCapabilities,
 
 def synthesize_modified(
     original: ComplexSpectrogram,
-    explanation: LimeExplanation,
     seg_map: SegmentMap,
+    row: np.ndarray,
     mode: str,
     gain: float = 1.0,
     *,
     iterations: int = 32,
-    segment_ids: Sequence[int] | None = None,
 ) -> AudioClip:
-    """Magnitude-domain edit of the selected segments, inverted to audio.
+    """Magnitude-domain edit of the segments that the mask row `row` keeps,
+    inverted to audio.
 
     mask-only keeps the segments and zeroes the rest; add scales them up by
-    (1 + gain); subtract scales them down, clamped at zero. By default
-    mask-only and add act on the positive segment set and subtract on the
-    negative one; segment_ids overrides the set. Inversion runs with the
-    original phase as the starting point.
+    (1 + gain); subtract scales them down, clamped at zero. Inversion runs
+    with the original phase as the starting point.
     """
     if not 0 <= gain < math.inf:
         raise ConfigError(f"gain must be finite and >= 0, got {gain}")
-    if iterations < 0:
-        raise ConfigError(f"iterations must be >= 0, got {iterations}")
     if mode not in (MODE_MASK_ONLY, MODE_ADD, MODE_SUBTRACT):
         raise ConfigError(f"unknown synthesis mode {mode!r}")
     if seg_map.labels.shape != original.values.shape:
@@ -267,12 +264,7 @@ def synthesize_modified(
             f"segment map {seg_map.labels.shape} does not match "
             f"spectrogram {original.values.shape}"
         )
-    if segment_ids is None:
-        segment_ids = (explanation.negative_ids if mode == MODE_SUBTRACT
-                       else explanation.positive_ids)
-    ids = np.asarray(sorted(set(int(i) for i in segment_ids)), dtype=np.int64)
-    selected = (np.isin(seg_map.labels, ids) if ids.size
-                else np.zeros(seg_map.labels.shape, dtype=bool))
+    selected = seg_map.pixels(row)
     magnitude = np.abs(original.values)
     if mode == MODE_MASK_ONLY:
         edited = np.where(selected, magnitude, 0.0)
@@ -395,37 +387,31 @@ def run_explanation(config: RunConfig) -> ExplanationBundle:
                 config.lime, target=prep.target_label,
                 batch_size=config.batch_size, workers=_lime_workers(config),
             )
+            # The selections as mask rows: positive, then negative.
+            rows = np.zeros((2, prep.seg_map.segment_count), dtype=np.uint8)
+            rows[0, list(explanation.positive_ids)] = 1
+            rows[1, list(explanation.negative_ids)] = 1
+            pos_row, neg_row = rows
         log.info("selected %d segments (%d positive, %d negative)",
                  len(explanation.selected), len(explanation.positive_ids),
                  len(explanation.negative_ids))
         with stage("render"):
-            pos_spec = _indicator_masked(prep.dbspec, prep.seg_map,
-                                         explanation.positive_ids)
-            neg_spec = _indicator_masked(prep.dbspec, prep.seg_map,
-                                         explanation.negative_ids)
+            instance = Instance(prep.dbspec, prep.seg_map, FillStrategy.SILENCE_FLOOR)
+            pos_spec, neg_spec = instance.render(pos_row), instance.render(neg_row)
         # The four renderings share only read-only inputs, and numpy's FFTs
         # and ufuncs release the GIL, so they run side by side with the
-        # same bytes as one after another.
+        # same bytes as one after another. Mask-only ignores the gain.
+        jobs = {"masked_pos": (pos_row, MODE_MASK_ONLY),
+                "masked_neg": (neg_row, MODE_MASK_ONLY),
+                "modified_add": (pos_row, MODE_ADD),
+                "modified_sub": (neg_row, MODE_SUBTRACT)}
         with stage("synthesis"), \
                 ThreadPoolExecutor(min(4, os.cpu_count() or 1)) as pool:
-            cspec, seg_map = prep.cspec, prep.seg_map
-            jobs = {
-                "masked_pos": pool.submit(
-                    synthesize_modified, cspec, explanation, seg_map, MODE_MASK_ONLY,
-                    iterations=config.gl_iterations,
-                    segment_ids=explanation.positive_ids),
-                "masked_neg": pool.submit(
-                    synthesize_modified, cspec, explanation, seg_map, MODE_MASK_ONLY,
-                    iterations=config.gl_iterations,
-                    segment_ids=explanation.negative_ids),
-                "modified_add": pool.submit(
-                    synthesize_modified, cspec, explanation, seg_map, MODE_ADD,
-                    config.synth_gain, iterations=config.gl_iterations),
-                "modified_sub": pool.submit(
-                    synthesize_modified, cspec, explanation, seg_map, MODE_SUBTRACT,
-                    config.synth_gain, iterations=config.gl_iterations),
-            }
-            clips = {name: job.result() for name, job in jobs.items()}
+            futures = {name: pool.submit(synthesize_modified, prep.cspec, prep.seg_map,
+                                         row, mode, config.synth_gain,
+                                         iterations=config.gl_iterations)
+                       for name, (row, mode) in jobs.items()}
+            clips = {name: future.result() for name, future in futures.items()}
     finally:
         predictor_exit = prep.predictor.close()
 
@@ -492,17 +478,8 @@ def _report(config: RunConfig, prep: _Prepared, predictor_exit: int | None) -> d
             "predictor": config.predictor,
             "predictor_seed": config.predictor_seed,
             "target_requested": config.target,
-            "stft": {
-                "frame_size": config.stft.frame_size,
-                "hop_size": config.stft.hop_size,
-                "window": config.stft.window,
-                "floor_db": config.stft.floor_db,
-            },
-            "segmentation": {
-                "scale": config.segmentation.scale,
-                "min_size": config.segmentation.min_size,
-                "sigma": config.segmentation.sigma,
-            },
+            "stft": asdict(config.stft),
+            "segmentation": asdict(config.segmentation),
             "lime": config.lime.echo(),
             "gl_iterations": config.gl_iterations,
             "synth_gain": config.synth_gain,
@@ -593,14 +570,6 @@ def _publish(out_dir: Path, write: Callable[[Path], None]) -> None:
         raise
 
 
-def _indicator_masked(dbspec: Spectrogram, seg_map: SegmentMap,
-                      ids: Sequence[int]) -> Spectrogram:
-    mask = np.zeros(seg_map.segment_count, dtype=np.uint8)
-    for i in ids:
-        mask[i] = 1
-    return apply_mask(dbspec, seg_map, mask, FillStrategy.SILENCE_FLOOR)
-
-
 def _write_csv(path: Path, values: np.ndarray) -> None:
     """The bytes of ``np.savetxt(path, values, fmt="%.17g", delimiter=",")``.
 
@@ -653,6 +622,10 @@ def run_stability(config: RunConfig, seeds: Sequence[int],
     results: dict = {}
     runs = []
     try:
+        # Every count before the first attribution, so that a count too
+        # small for the segments costs no predictor time.
+        for count in sample_counts:
+            check_sample_count(count, prep.seg_map.segment_count)
         fn = _target_fn(prep.predictor, prep.target)
         workers = _lime_workers(config)
         for count in sample_counts:
@@ -674,8 +647,14 @@ def run_stability(config: RunConfig, seeds: Sequence[int],
             }
     finally:
         predictor_exit = prep.predictor.close()
-    report = {**_report(config, prep, predictor_exit), "runs": runs,
-              "files": STABILITY_FILES}
+    report = _report(config, prep, predictor_exit)
+    # Each run takes its seed and sample count from these lists, and no
+    # run synthesises audio.
+    echo = report["config"]
+    del echo["lime"]["n_samples"], echo["lime"]["seed"]
+    del echo["gl_iterations"], echo["synth_gain"]
+    echo.update(seeds=seeds, sample_counts=sample_counts)
+    report.update(runs=runs, files=STABILITY_FILES)
 
     def write(tmp: Path) -> None:
         with open(tmp / STABILITY_FILES["pairs"], "w", encoding="utf-8") as fh:

@@ -108,6 +108,16 @@ class SegmentMap:
     def shape(self) -> tuple[int, int]:
         return self.labels.shape
 
+    def pixels(self, row) -> np.ndarray:
+        """The boolean image of the segments that a mask row keeps: pixel
+        (i, j) is ``bool(row[labels[i, j]])``. `row` has one entry per segment."""
+        row = np.asarray(row)
+        if row.shape != (self.segment_count,):
+            raise ShapeMismatchError(
+                f"mask row {row.shape} does not match segment count {self.segment_count}"
+            )
+        return row.astype(bool)[self.labels]
+
 
 def gaussian_smooth(image: np.ndarray, sigma: float) -> np.ndarray:
     """Separable Gaussian blur with edge replication; sigma 0 is a copy."""
@@ -224,16 +234,6 @@ def _find(parent: array.array, a: int) -> int:
     while parent[a] != root:
         parent[a], a = root, parent[a]
     return root
-
-
-def _roots(parent: np.ndarray) -> np.ndarray:
-    """Every node's root, by pointer jumping until no pointer moves."""
-    roots = parent
-    while True:
-        up = roots[roots]
-        if np.array_equal(up, roots):
-            return roots
-        roots = up
 
 
 def _roots_of(parent: np.ndarray, nodes: np.ndarray) -> np.ndarray:
@@ -363,7 +363,7 @@ def felzenszwalb_segment(spec: Spectrogram, config: SegmentationConfig) -> Segme
              "%d scanned; the post-merge visited %d",
              len(order), internal, in_rounds, scanned, post_merge)
 
-    roots = _roots(parent_np)
+    roots = _roots_of(parent_np, np.arange(n, dtype=index))
     # Compact labels in order of first appearance (row-major scan).
     _, first_index, inverse = np.unique(roots, return_index=True, return_inverse=True)
     rank = np.argsort(np.argsort(first_index))

@@ -108,6 +108,13 @@ def block_map(height: int, width: int, block_h: int, block_w: int) -> SegmentMap
     return SegmentMap(labels=labels.astype(np.int32), segment_count=count)
 
 
+def selection_row(seg_map: SegmentMap, ids) -> np.ndarray:
+    """The uint8 mask row that keeps the segments `ids`."""
+    row = np.zeros(seg_map.segment_count, dtype=np.uint8)
+    row[np.asarray(ids, dtype=np.intp)] = 1
+    return row
+
+
 def random_db_image(seed: int, height: int, width: int,
                     low: float = -60.0, high: float = -20.0) -> np.ndarray:
     u = rng.uniform_grid(seed, np.arange(height), np.arange(width))

@@ -45,6 +45,7 @@ from conftest import (
     make_tone_burst_samples,
     planted_fixture,
     random_db_image,
+    selection_row,
     sine,
     uniform_noise,
 )
@@ -298,12 +299,11 @@ def test_09_modification_audio(capsys, tone_burst_wav):
         spec = stft(AudioClip(samples=samples, sample_rate=SAMPLE_RATE), config)
         return float(np.sqrt(np.mean(np.abs(spec.values[rows, frames]) ** 2)))
 
-    boosted = synthesize_modified(cspec, None, seg_map, MODE_ADD, 1.0,
-                                  iterations=8, segment_ids=burst_ids)
+    burst = selection_row(seg_map, burst_ids)
+    boosted = synthesize_modified(cspec, seg_map, burst, MODE_ADD, 1.0, iterations=8)
     ratio = band_rms(boosted.samples) / band_rms(clip.samples)
 
-    noop = synthesize_modified(cspec, None, seg_map, MODE_ADD, 0.0,
-                               iterations=8, segment_ids=burst_ids)
+    noop = synthesize_modified(cspec, seg_map, burst, MODE_ADD, 0.0, iterations=8)
     n = min(len(noop.samples), len(clip.samples))
     interior = slice(config.frame_size, n - config.frame_size)
     err = clip.samples[interior] - noop.samples[interior]

@@ -25,12 +25,12 @@ from midlime.lime import FillStrategy
 
 from conftest import child_command, package_env, uniform_noise
 
-FAST = [
-    "--samples", "600",
-    "--frame-size", "1024",
-    "--hop", "512",
-    "--gl-iters", "2",
-]
+# Small analysis settings, which both commands take; FAST adds explain's own.
+FAST_ANALYSIS = ["--frame-size", "1024", "--hop", "512"]
+FAST = ["--samples", "600", *FAST_ANALYSIS, "--gl-iters", "2"]
+# The flags that only explain takes, each with a value it accepts.
+EXPLAIN_ONLY = [("--samples", "600"), ("--seed", "7"), ("--gl-iters", "2"),
+                ("--synth-gain", "0.5")]
 
 
 def run_cli(*argv):
@@ -209,7 +209,7 @@ class TestStabilityCommand:
         out = tmp_path / "stab"
         code = run_cli("stability", "--audio", str(fixture_wav),
                        "--out", str(out),
-                       "--seeds", "3,5", "--sample-counts", "600", *FAST)
+                       "--seeds", "3,5", "--sample-counts", "600", *FAST_ANALYSIS)
         assert code == 0
         printed = capsys.readouterr().out
         assert f"wrote stability tables to {out}" in printed
@@ -227,7 +227,8 @@ class TestStabilityCommand:
         out = tmp_path / "s"
         args = {"--seeds": "1,2", "--sample-counts": "600", flag: value}
         code = run_cli("stability", "--audio", str(fixture_wav), "--out", str(out),
-                       *(item for pair in args.items() for item in pair), *FAST)
+                       *(item for pair in args.items() for item in pair),
+                       *FAST_ANALYSIS)
         assert code == 2
         assert named in capsys.readouterr().err
         assert not out.exists()
@@ -235,15 +236,50 @@ class TestStabilityCommand:
     def test_non_integer_seeds_exit_2(self, fixture_wav, tmp_path, capsys):
         code = run_cli("stability", "--audio", str(fixture_wav),
                        "--out", str(tmp_path / "s"),
-                       "--seeds", "a,b", *FAST)
+                       "--seeds", "a,b", *FAST_ANALYSIS)
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
     def test_single_seed_exits_2(self, fixture_wav, tmp_path, capsys):
         code = run_cli("stability", "--audio", str(fixture_wav),
                        "--out", str(tmp_path / "s"),
-                       "--seeds", "7", "--sample-counts", "600", *FAST)
+                       "--seeds", "7", "--sample-counts", "600", *FAST_ANALYSIS)
         assert code == 2
+
+    def test_report_echoes_the_seeds_and_counts_it_ran(self, fixture_wav, tmp_path):
+        out = tmp_path / "stab"
+        code = run_cli("stability", "--audio", str(fixture_wav), "--out", str(out),
+                       "--seeds", "3,5", "--sample-counts", "600,700", *FAST_ANALYSIS)
+        assert code == 0
+        config = json.loads((out / "report.json").read_text())["config"]
+        assert config["seeds"] == [3, 5]
+        assert config["sample_counts"] == [600, 700]
+        assert not {"gl_iterations", "synth_gain"} & set(config)
+        assert not {"n_samples", "seed"} & set(config["lime"])
+        assert config["lime"]["kernel_width"] == 0.25
+
+    def test_small_count_exits_2_before_any_attribution(self, fixture_wav, tmp_path,
+                                                        capsys, monkeypatch):
+        import midlime.pipeline
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("an attribution started")
+
+        monkeypatch.setattr(midlime.pipeline, "explain_instance", no_work)
+        out = tmp_path / "s"
+        code = run_cli("stability", "--audio", str(fixture_wav), "--out", str(out),
+                       "--seeds", "1,2", "--sample-counts", "600,50", *FAST_ANALYSIS)
+        assert code == 2
+        assert "n_samples 50 cannot overdetermine" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value", EXPLAIN_ONLY)
+    def test_explain_only_flag_exits_2(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as info:
+            build_parser().parse_args(["stability", "--audio", "a.wav", "--out", "o",
+                                       flag, value])
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
 
 class TestParser:
@@ -264,6 +300,16 @@ class TestParser:
         assert args.frame_size == 2048 and args.hop == 512
         assert args.gl_iters == 32
         assert args.seed == 42
+
+    def test_explain_only_flags_reach_the_config(self):
+        from midlime.cli import _run_config
+
+        args = build_parser().parse_args(
+            ["explain", "--audio", "a.wav", "--out", "o",
+             *(item for pair in EXPLAIN_ONLY for item in pair)])
+        config = _run_config(args)
+        assert (config.lime.n_samples, config.lime.seed) == (600, 7)
+        assert (config.gl_iterations, config.synth_gain) == (2, 0.5)
 
     def test_stability_defaults(self):
         args = build_parser().parse_args(
@@ -348,7 +394,7 @@ sys.exit(midlime.cli.main(json.loads(sys.argv[1])))
 
 @pytest.mark.parametrize("argv", [
     ["explain", *FAST],
-    ["stability", "--sample-counts", "600,700", "--seeds", "1,2", *FAST],
+    ["stability", "--sample-counts", "600,700", "--seeds", "1,2", *FAST_ANALYSIS],
 ])
 def test_cli_runs_without_scipy(fixture_wav, tmp_path, argv):
     command, *flags = argv

@@ -209,6 +209,20 @@ class TestInstance:
         with pytest.raises(ShapeMismatchError):
             Instance(base, seg_map, FillStrategy.SILENCE_FLOOR)
 
+    @pytest.mark.parametrize("extra", [-1, 3])
+    def test_render_refuses_a_row_of_the_wrong_length(self, extra):
+        seg_map, base = small_setup()
+        instance = Instance(base, seg_map, FillStrategy.SILENCE_FLOOR)
+        with pytest.raises(ShapeMismatchError, match="does not match segment count"):
+            instance.render(np.ones(seg_map.segment_count + extra, dtype=np.uint8))
+
+    def test_all_ones_render_has_apply_masks_values(self):
+        seg_map, base = small_setup()
+        ones = np.ones(seg_map.segment_count, dtype=np.uint8)
+        rendered = Instance(base, seg_map, FillStrategy.SILENCE_FLOOR).render(ones)
+        assert rendered.values.tobytes() == apply_mask(
+            base, seg_map, ones, FillStrategy.SILENCE_FLOOR).values.tobytes()
+
     def test_coerces_the_fill_and_computes_the_filler(self):
         seg_map, base = small_setup()
         instance = Instance(base, seg_map, "silence")

@@ -32,7 +32,7 @@ from midlime.errors import (
     SpawnError,
     StageError,
 )
-from midlime.lime import FillStrategy, LimeConfig
+from midlime.lime import FillStrategy, LimeConfig, explain_instance
 from midlime.pipeline import (
     BUNDLE_FILES,
     MODE_ADD,
@@ -47,7 +47,7 @@ from midlime.pipeline import (
 from midlime.predictor import BuiltinPredictor, ConstantPredictor, ExternalPredictor
 from midlime.segmentation import SegmentationConfig
 
-from conftest import GOLDEN_DIR, child_command, package_env
+from conftest import GOLDEN_DIR, child_command, package_env, selection_row
 
 FAST_STFT = StftConfig(frame_size=1024, hop_size=512)
 
@@ -251,8 +251,7 @@ class TestPublish:
         monkeypatch.setattr(pipeline, "decode_wav", lambda *a: stages.append("audio"))
         monkeypatch.setattr(pipeline, "make_predictor",
                             lambda *a, **k: stages.append("predictor"))
-        code = cli_main([command, "--audio", str(fixture_wav), "--out", str(out),
-                         "--samples", "600"])
+        code = cli_main([command, "--audio", str(fixture_wav), "--out", str(out)])
         assert code == 2
         assert "not an empty directory" in capsys.readouterr().err
         assert stages == []
@@ -268,8 +267,7 @@ class TestPublish:
         link.symlink_to(target, target_is_directory=True)
         stages = []
         monkeypatch.setattr(pipeline, "decode_wav", lambda *a: stages.append("audio"))
-        code = cli_main([command, "--audio", str(fixture_wav), "--out", str(link),
-                         "--samples", "600"])
+        code = cli_main([command, "--audio", str(fixture_wav), "--out", str(link)])
         assert code == 2
         assert "symbolic link" in capsys.readouterr().err
         assert stages == []
@@ -287,8 +285,7 @@ class TestPublish:
         stages = []
         monkeypatch.setattr(pipeline, "decode_wav", lambda *a: stages.append("audio"))
         code = cli_main([command, "--audio", str(fixture_wav),
-                         "--out", str(found / "file.txt" / "sub" / "out"),
-                         "--samples", "600"])
+                         "--out", str(found / "file.txt" / "sub" / "out")])
         assert code == 2
         assert "which is not a directory" in capsys.readouterr().err
         assert stages == []
@@ -597,7 +594,6 @@ class TestMakePredictor:
 
 @pytest.fixture(scope="module")
 def prepared(fixture_wav):
-    from midlime.lime import explain_instance
     from midlime.segmentation import felzenszwalb_segment
 
     clip = decode_wav(fixture_wav)
@@ -616,8 +612,9 @@ def prepared(fixture_wav):
 class TestSynthesizeModified:
     def test_gain_zero_add_is_a_no_op(self, prepared):
         clip, cspec, seg_map, expl = prepared
-        out = synthesize_modified(cspec, expl, seg_map, MODE_ADD, 0.0,
-                                  iterations=0)
+        out = synthesize_modified(cspec, seg_map,
+                                  selection_row(seg_map, expl.positive_ids),
+                                  MODE_ADD, 0.0, iterations=0)
         plain = istft(cspec)
         n = min(len(out.samples), len(clip.samples))
         frame = FAST_STFT.frame_size
@@ -628,16 +625,16 @@ class TestSynthesizeModified:
         assert np.allclose(out.samples, plain.samples, atol=1e-12)
 
     def test_mask_only_with_empty_selection_is_silence(self, prepared):
-        _, cspec, seg_map, expl = prepared
-        out = synthesize_modified(cspec, expl, seg_map, MODE_MASK_ONLY,
-                                  iterations=2, segment_ids=())
+        _, cspec, seg_map, _ = prepared
+        out = synthesize_modified(cspec, seg_map, selection_row(seg_map, ()),
+                                  MODE_MASK_ONLY, iterations=2)
         assert np.all(out.samples == 0.0)
 
     def test_mask_only_with_all_segments_is_full_reconstruction(self, prepared):
         clip, cspec, seg_map, _ = prepared
-        out = synthesize_modified(cspec, None, seg_map, MODE_MASK_ONLY,
-                                  iterations=0,
-                                  segment_ids=range(seg_map.segment_count))
+        out = synthesize_modified(cspec, seg_map,
+                                  np.ones(seg_map.segment_count, dtype=np.uint8),
+                                  MODE_MASK_ONLY, iterations=0)
         frame = FAST_STFT.frame_size
         n = min(len(out.samples), len(clip.samples))
         ref = clip.samples[frame:n - frame]
@@ -646,32 +643,47 @@ class TestSynthesizeModified:
         assert 10 * np.log10(np.sum(ref**2) / noise) >= 60.0
 
     def test_subtract_clamps_at_zero(self, prepared):
-        _, cspec, seg_map, expl = prepared
-        ids = list(range(seg_map.segment_count))
-        out = synthesize_modified(cspec, expl, seg_map, MODE_SUBTRACT, 5.0,
-                                  iterations=0, segment_ids=ids)
+        _, cspec, seg_map, _ = prepared
+        out = synthesize_modified(cspec, seg_map,
+                                  np.ones(seg_map.segment_count, dtype=np.uint8),
+                                  MODE_SUBTRACT, 5.0, iterations=0)
         assert np.all(np.isfinite(out.samples))
         # removing everything at gain 5 clamps to zero magnitude everywhere
         assert float(np.max(np.abs(out.samples))) == 0.0
 
     def test_negative_gain_rejected(self, prepared):
         _, cspec, seg_map, expl = prepared
+        row = selection_row(seg_map, expl.positive_ids)
         for gain in (-1.0, np.inf, np.nan):
             with pytest.raises(ConfigError):
-                synthesize_modified(cspec, expl, seg_map, MODE_ADD, gain)
+                synthesize_modified(cspec, seg_map, row, MODE_ADD, gain)
 
     def test_unknown_mode_rejected(self, prepared):
         _, cspec, seg_map, expl = prepared
         with pytest.raises(ConfigError):
-            synthesize_modified(cspec, expl, seg_map, "blend", 1.0)
+            synthesize_modified(cspec, seg_map, selection_row(seg_map, expl.positive_ids),
+                                "blend", 1.0)
+
+    def test_negative_iterations_rejected(self, prepared):
+        _, cspec, seg_map, expl = prepared
+        with pytest.raises(ConfigError, match="iterations must be >= 0, got -1"):
+            synthesize_modified(cspec, seg_map, selection_row(seg_map, expl.positive_ids),
+                                MODE_ADD, iterations=-1)
 
     def test_mismatched_map_rejected(self, prepared):
         from conftest import block_map
 
-        _, cspec, _, expl = prepared
+        _, cspec, _, _ = prepared
         wrong = block_map(4, 4, 2, 2)
         with pytest.raises(ShapeMismatchError):
-            synthesize_modified(cspec, expl, wrong, MODE_ADD, 1.0)
+            synthesize_modified(cspec, wrong, np.ones(4, dtype=np.uint8), MODE_ADD, 1.0)
+
+    @pytest.mark.parametrize("extra", [-1, 3])
+    def test_row_of_the_wrong_length_rejected(self, prepared, extra):
+        _, cspec, seg_map, _ = prepared
+        row = np.ones(seg_map.segment_count + extra, dtype=np.uint8)
+        with pytest.raises(ShapeMismatchError, match="does not match segment count"):
+            synthesize_modified(cspec, seg_map, row, MODE_MASK_ONLY, iterations=0)
 
 
 class TestRunStability:
@@ -705,6 +717,23 @@ class TestRunStability:
         config = fast_config(fixture_wav, out)
         with pytest.raises(ConfigError, match=named):
             run_stability(config, seeds=seeds, sample_counts=counts)
+        assert not out.exists()
+
+    def test_refuses_a_small_count_before_any_attribution(self, fixture_wav, tmp_path,
+                                                           monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[3].n_samples)
+            return explain_instance(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "explain_instance", counted)
+        out = tmp_path / "stab"
+        config = fast_config(fixture_wav, out)
+        with pytest.raises(ConfigError,
+                           match=r"n_samples 50 cannot overdetermine \d+ segments"):
+            run_stability(config, seeds=[1, 2], sample_counts=[600, 50])
+        assert calls == []
         assert not out.exists()
 
     def test_distinct_seeds_report_counts(self, fixture_wav, tmp_path):

@@ -17,7 +17,12 @@ from scipy.ndimage import correlate1d
 from midlime import rng, segmentation
 from midlime.audio import decode_wav
 from midlime.dsp import StftConfig, magnitude_db, stft
-from midlime.errors import ConfigError, InputTooSmallError, ScaleMismatchError
+from midlime.errors import (
+    ConfigError,
+    InputTooSmallError,
+    ScaleMismatchError,
+    ShapeMismatchError,
+)
 from midlime.segmentation import (
     SegmentationConfig,
     SegmentMap,
@@ -113,6 +118,26 @@ class TestSegmentMapType:
     def test_checks_the_range_before_the_cast(self, labels):
         with pytest.raises(ValueError, match=r"labels must cover 0\.\.1"):
             SegmentMap(labels=np.array(labels, dtype=np.int64), segment_count=2)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), height=st.integers(1, 12), width=st.integers(1, 12),
+           seed=st.integers(0, 2**32 - 1))
+    def test_pixels_are_the_labels_in_the_row(self, data, height, width, seed):
+        count = data.draw(st.integers(1, height * width), label="count")
+        labels = (np.random.default_rng(seed).permutation(height * width) % count
+                  ).reshape(height, width)
+        ids = sorted(data.draw(st.sets(st.integers(0, count - 1)), label="ids"))
+        row = np.zeros(count, dtype=np.uint8)
+        row[ids] = 1
+        pixels = SegmentMap(labels=labels, segment_count=count).pixels(row)
+        assert pixels.dtype == bool
+        assert np.array_equal(pixels, np.isin(labels, ids))
+
+    @pytest.mark.parametrize("shape", [(8,), (12,), (1, 9), ()])
+    def test_pixels_refuse_a_row_of_the_wrong_shape(self, shape):
+        seg_map = block_map(6, 6, 2, 2)  # 9 segments
+        with pytest.raises(ShapeMismatchError, match="does not match segment count 9"):
+            seg_map.pixels(np.ones(shape, dtype=np.uint8))
 
 
 class TestGaussianSmooth:
