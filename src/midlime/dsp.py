@@ -335,8 +335,7 @@ def _griffin_lim(
             spec = _analyse(frames[t:t + _FRAME_BLOCK], w)
             magnitude = np.abs(spec)
             if squares is not None:
-                d = (magnitude - block).ravel()
-                squares.append(float(np.dot(d, d)))
+                squares.append(float(np.square(magnitude - block).sum()))
             _project(spec, block, magnitude)
             yield spec
 

@@ -289,26 +289,56 @@ def _weighted_gram(masks: np.ndarray, pi: np.ndarray) -> np.ndarray:
     """X^T diag(pi) X for the design X = [1 | masks], as sum_v v * X_v^T X_v.
 
     X_v holds the rows whose weight is v. Its entries are 0/1, so X_v^T X_v
-    is a matrix of integer counts that every BLAS computes exactly, in any
-    order and on any number of threads. The classes are added smallest
-    weight first.
+    is a matrix of integer counts. Each class's rows are packed 64 to a
+    uint64 word per column of X, the class's last word padded with 0 bits,
+    and a count is the popcount of the AND of two columns' words, summed
+    over the class's words, exact in integers. The lower triangle is built
+    in row panels of `_PANEL` rows; within a panel each entry adds
+    v * count over the classes, smallest weight first, starting from 0.0.
+    The strict upper triangle is the mirror image.
     """
     n, n_seg = masks.shape
+    p = n_seg + 1
     values, inverse = np.unique(pi, return_inverse=True)
     order = np.argsort(inverse, kind="stable")
-    stops = np.cumsum(np.bincount(inverse, minlength=len(values)))
-    gram = np.zeros((n_seg + 1, n_seg + 1))
-    counts = np.empty_like(gram)
-    start = 0
-    for v, stop in zip(values.tolist(), stops.tolist()):
-        rows = np.empty((stop - start, n_seg + 1))
-        rows[:, 0] = 1.0
-        rows[:, 1:] = masks[order[start:stop]]
-        # The copied transpose keeps numpy on gemm; its syrk path is slower.
-        np.matmul(rows.T.copy(), rows, out=counts)
-        counts *= v
-        gram += counts
-        start = stop
+    sizes = np.bincount(inverse, minlength=len(values))
+    spans = -(-sizes // 64)
+    ends = np.cumsum(spans)
+    firsts = ends - spans
+    # Sorted row i is bit `slots[i]` of its column: its rank in its class,
+    # counted from the class's first word.
+    slots = np.arange(n) + (64 * firsts - (np.cumsum(sizes) - sizes))[inverse[order]]
+    words = np.empty((ends[-1], p), dtype=np.uint64)
+    bits = np.zeros((_PANEL, 64 * ends[-1]), dtype=np.uint8)
+    for c0 in range(0, p, _PANEL):
+        c1 = min(c0 + _PANEL, p)
+        block = bits[:c1 - c0]
+        if c0 == 0:
+            block[0, slots] = 1
+        lo = max(c0, 1)
+        block[lo - c0:, slots] = masks[order, lo - 1:c1 - 1].T
+        words[:, c0:c1] = np.packbits(block, axis=1, bitorder="little").view(np.uint64).T
+    classes = list(zip(values.tolist(), firsts.tolist(), ends.tolist(), sizes.tolist()))
+    gram = np.zeros((p, p))
+    for i0 in range(0, p, _PANEL):
+        i1 = min(i0 + _PANEL, p)
+        panel = gram[i0:i1, :i1]
+        both = np.empty(panel.shape, dtype=np.uint64)
+        ones = np.empty(panel.shape, dtype=np.uint8)
+        term = np.empty(panel.shape)
+        for v, first, end, size in classes:
+            np.bitwise_and(words[first, i0:i1, None], words[first, None, :i1], out=both)
+            count = np.bitwise_count(both, out=ones)
+            if end - first > 1:
+                # No count exceeds the class size, so the smallest unsigned
+                # type that holds the size holds every sum of popcounts.
+                count = count.astype(np.min_scalar_type(size))
+                for w in range(first + 1, end):
+                    np.bitwise_and(words[w, i0:i1, None], words[w, None, :i1], out=both)
+                    count += np.bitwise_count(both, out=ones)
+            np.multiply(count, v, out=term)
+            panel += term
+        gram[:i0, i0:i1] = gram[i0:i1, :i0].T
     return gram
 
 
@@ -319,6 +349,18 @@ def _cholesky(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     entry (i, j) is reduced by U_ki * U_kj for k = 0..i-1 in that order and
     then scaled, which is the textbook right-looking order. A non-positive
     pivot raises RankDeficiencyError.
+
+    The rank-1 terms come from `np.einsum`, which writes +0.0 where the
+    product is -0.0, and the bits are still those of the plain product.
+    x - (+0.0) and x - (-0.0) differ only for x = -0.0, and no upper
+    entry that a term is subtracted from is ever -0.0:
+    - the upper triangle of `a` has no -0.0, as a normal matrix of weights
+      times counts starts at +0.0 and adds non-negative terms;
+    - IEEE subtraction gives -0.0 only as (-0.0) - (+0.0);
+    - row i is divided by a positive root, and the quotient may underflow
+      to -0.0, but only after the row's last reduction.
+    The terms land below the diagonal too, on entries that are never read
+    and that the final `np.triu` sets to +0.0.
     """
     p = a.shape[0]
     u = np.triu(a)
@@ -328,7 +370,7 @@ def _cholesky(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         panel = u[j0:j1, j0:].copy()
         term = np.empty_like(panel)
         for k in range(j0):
-            np.multiply(u[k, j0:j1, None], u[k, None, j0:], out=term)
+            np.einsum("i,j->ij", u[k, j0:j1], u[k, j0:], out=term)
             panel -= term
         for i in range(j1 - j0):
             d = panel[i, i]
@@ -338,7 +380,9 @@ def _cholesky(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             root = math.sqrt(d)
             panel[i, i] = root
             panel[i, i + 1:] /= root
-            panel[i + 1:, i + 1:] -= panel[i, i + 1:j1 - j0, None] * panel[i, None, i + 1:]
+            rest = term[:j1 - j0 - i - 1, :panel.shape[1] - i - 1]
+            np.einsum("i,j->ij", panel[i, i + 1:j1 - j0], panel[i, i + 1:], out=rest)
+            panel[i + 1:, i + 1:] -= rest
         u[j0:j1, j0:] = panel
     return np.triu(u), pivots
 
@@ -347,7 +391,10 @@ def _inverse_lower(u: np.ndarray) -> np.ndarray:
     """(U^T)^-1 by forward substitution on column panels of the identity.
 
     Entry (r, c) is reduced by U_kr * X_kc for k = c..r-1 in that order and
-    then divided by U_rr, whatever the panel width.
+    then divided by U_rr, whatever the panel width. The rank-1 terms come
+    from `np.einsum` with the same bits as the plain product, for the
+    reason `_cholesky` gives: the panel starts as the identity, and row k
+    is divided only after its last reduction.
     """
     p = u.shape[0]
     x = np.zeros((p, p))
@@ -355,13 +402,12 @@ def _inverse_lower(u: np.ndarray) -> np.ndarray:
         c1 = min(c0 + _PANEL, p)
         panel = np.zeros((p - c0, c1 - c0))
         panel[:c1 - c0] = np.eye(c1 - c0)
-        scratch = np.empty(panel.size)
+        terms = np.empty_like(panel)
         for k in range(p - c0):
             row = panel[k]
             row /= u[c0 + k, c0 + k]
-            below = p - c0 - k - 1
-            term = scratch[:below * (c1 - c0)].reshape(below, c1 - c0)
-            np.multiply(u[c0 + k, c0 + k + 1:, None], row[None, :], out=term)
+            term = terms[k + 1:]
+            np.einsum("i,j->ij", u[c0 + k, c0 + k + 1:], row, out=term)
             panel[k + 1:] -= term
         x[c0:, c0:c1] = panel
     return x
@@ -381,10 +427,17 @@ def _cholesky_solve(u: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b as a sum of outer products taken in column order."""
+    """a @ b as a sum of outer products taken in column order.
+
+    The `np.einsum` terms write +0.0 for a -0.0 product, which changes no
+    bit: `out` starts at +0.0 and only adds, and x + (+0.0) differs from
+    x + (-0.0) only for x = -0.0, which a sum gives only as (-0.0) + (-0.0).
+    """
     out = np.zeros((a.shape[0], b.shape[1]))
+    term = np.empty_like(out)
     for k in range(a.shape[1]):
-        out += a[:, k, None] * b[None, k, :]
+        np.einsum("i,j->ij", a[:, k], b[k], out=term)
+        out += term
     return out
 
 
@@ -532,13 +585,13 @@ def fit_surrogate(masks: np.ndarray, targets: np.ndarray,
     the Student-t tail of |w| / se at the fit's residual dof, computed by
     `_t_two_sided` to within about 1e-12 of its value, relative.
 
-    The result is a fixed function of the inputs on any BLAS, thread count
-    and SIMD width: sums over samples run in a fixed order of elementwise
-    operations or through `math.fsum`, the normal matrix is factored by a
-    hand-written Cholesky, and the only BLAS products are over the 0/1 mask
-    entries, whose integer counts are exact. The normal matrix is built once
-    per distinct weight value, so the fit is fastest when the weights take
-    few values, as proximity weights do (one per popcount).
+    The fit makes no BLAS call, so the result is a fixed function of the
+    inputs on any BLAS, thread count and SIMD width: sums over samples run
+    in a fixed order of elementwise operations or through `math.fsum`, the
+    0/1 mask entries are counted exactly by popcounts, and the normal
+    matrix is factored by a hand-written Cholesky. The normal matrix is
+    built once per distinct weight value, so the fit is fastest when the
+    weights take few values, as proximity weights do (one per popcount).
     """
     m = np.asarray(masks)
     if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:

@@ -503,10 +503,14 @@ def _report(config: RunConfig, prep: _Prepared, predictor_exit: int | None) -> d
 
 
 def _write_report(path: Path, report: dict, stage: _Stages) -> None:
-    """Write `report` with the stage timings so far, the total, the peak RSS
-    at the end of each of those stages and the peak RSS now."""
+    """Write `report` with the stage timings so far, the total, the CPU time
+    so far, the peak RSS at the end of each of those stages and the peak RSS
+    now."""
     report["timings_s"] = {**stage.timings,
                            "total": round(time.perf_counter() - stage.started, 6)}
+    # User plus system time of every thread of the process, from its start.
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    report["cpu_s"] = round(usage.ru_utime + usage.ru_stime, 6)
     report["peak_rss_mb_by_stage"] = dict(stage.peaks)
     report["peak_rss_mb"] = _peak_rss_mb()
     _write_json(path, report)

@@ -14,6 +14,7 @@ from scipy.special import betainc
 
 from midlime import rng
 from midlime.dsp import window_samples
+from midlime.errors import RankDeficiencyError
 from midlime.lime import _tree_sum
 
 
@@ -237,6 +238,85 @@ def naive_wls(masks: np.ndarray, targets: np.ndarray, weights: np.ndarray,
     tss = float((pi * (targets - mean_w) ** 2).sum())
     r2 = 0.0 if tss <= 0.0 else 1.0 - wrss / tss
     return beta[1:], float(beta[0]), se, p, r2
+
+
+# The surrogate fit's kernels as they were with BLAS count products and
+# broadcast rank-1 terms. The library's kernels must give the same bytes.
+_PANEL = 64
+
+
+def blas_weighted_gram(masks: np.ndarray, pi: np.ndarray) -> np.ndarray:
+    """X^T diag(pi) X for X = [1 | masks], as sum_v v * X_v^T X_v with the
+    counts X_v^T X_v taken by a float64 BLAS product, smallest v first."""
+    n, n_seg = masks.shape
+    values, inverse = np.unique(pi, return_inverse=True)
+    order = np.argsort(inverse, kind="stable")
+    stops = np.cumsum(np.bincount(inverse, minlength=len(values)))
+    gram = np.zeros((n_seg + 1, n_seg + 1))
+    counts = np.empty_like(gram)
+    start = 0
+    for v, stop in zip(values.tolist(), stops.tolist()):
+        rows = np.empty((stop - start, n_seg + 1))
+        rows[:, 0] = 1.0
+        rows[:, 1:] = masks[order[start:stop]]
+        np.matmul(rows.T.copy(), rows, out=counts)
+        counts *= v
+        gram += counts
+        start = stop
+    return gram
+
+
+def broadcast_cholesky(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Upper Cholesky factor and pivots, rank-1 terms by broadcast multiply."""
+    p = a.shape[0]
+    u = np.triu(a)
+    pivots = np.empty(p)
+    for j0 in range(0, p, _PANEL):
+        j1 = min(j0 + _PANEL, p)
+        panel = u[j0:j1, j0:].copy()
+        term = np.empty_like(panel)
+        for k in range(j0):
+            np.multiply(u[k, j0:j1, None], u[k, None, j0:], out=term)
+            panel -= term
+        for i in range(j1 - j0):
+            d = panel[i, i]
+            pivots[j0 + i] = d
+            if not d > 0:
+                raise RankDeficiencyError("singular")
+            root = math.sqrt(d)
+            panel[i, i] = root
+            panel[i, i + 1:] /= root
+            panel[i + 1:, i + 1:] -= panel[i, i + 1:j1 - j0, None] * panel[i, None, i + 1:]
+        u[j0:j1, j0:] = panel
+    return np.triu(u), pivots
+
+
+def broadcast_inverse_lower(u: np.ndarray) -> np.ndarray:
+    """(U^T)^-1 by forward substitution, rank-1 terms by broadcast multiply."""
+    p = u.shape[0]
+    x = np.zeros((p, p))
+    for c0 in range(0, p, _PANEL):
+        c1 = min(c0 + _PANEL, p)
+        panel = np.zeros((p - c0, c1 - c0))
+        panel[:c1 - c0] = np.eye(c1 - c0)
+        scratch = np.empty(panel.size)
+        for k in range(p - c0):
+            row = panel[k]
+            row /= u[c0 + k, c0 + k]
+            below = p - c0 - k - 1
+            term = scratch[:below * (c1 - c0)].reshape(below, c1 - c0)
+            np.multiply(u[c0 + k, c0 + k + 1:, None], row[None, :], out=term)
+            panel[k + 1:] -= term
+        x[c0:, c0:c1] = panel
+    return x
+
+
+def broadcast_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b as a sum of broadcast outer products in column order."""
+    out = np.zeros((a.shape[0], b.shape[1]))
+    for k in range(a.shape[1]):
+        out += a[:, k, None] * b[None, k, :]
+    return out
 
 
 def naive_proximity(masks: np.ndarray, kernel_width: float) -> np.ndarray:

@@ -1,9 +1,11 @@
 """Perturbation sampling, the weighted surrogate, selection, stability."""
 
+import ast
 import json
 import math
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -51,7 +53,15 @@ from conftest import (
     planted_fixture,
     random_db_image,
 )
-from naive_reference import naive_proximity, naive_wls, one_shot_masked_mids
+from naive_reference import (
+    blas_weighted_gram,
+    broadcast_cholesky,
+    broadcast_inverse_lower,
+    broadcast_matmul,
+    naive_proximity,
+    naive_wls,
+    one_shot_masked_mids,
+)
 
 
 def small_setup(n_rows=6, n_cols=8, block=2, seed=2):
@@ -414,6 +424,150 @@ class TestFitSurrogate:
         fit = fit_surrogate(masks, noise, np.ones(n))
         stat = scipy.stats.kstest(fit.p_values, "uniform").statistic
         assert stat <= 0.05
+
+
+# Class sizes on both sides of the 64-row word boundaries of the packed gram.
+CLASS_SIZES = (1, 63, 64, 65, 128, 129)
+# Matrix orders on both sides of the 64-wide panels, and p = 1.
+ORDERS = (1, 2, 5, 63, 64, 65, 130)
+
+
+def binary_matrix(seed: int, n: int, k: int) -> np.ndarray:
+    return rng.bernoulli_grid(seed, np.arange(n), np.arange(k))
+
+
+def spd_matrix(kind: str, p: int, seed: int) -> np.ndarray:
+    """A symmetric positive definite p x p matrix: weighted counts of 0/1
+    columns, a block diagonal of such, or the identity."""
+    def counts(q, stream):
+        masks = binary_matrix(rng.derive(seed, stream), 3 * q + 8, q)
+        pi = proximity_weights(masks, 0.25)
+        return lime_module._weighted_gram(masks, pi)[1:, 1:]
+
+    if kind == "identity":
+        return np.eye(p)
+    if kind == "counts":
+        return counts(p, 0)
+    a = np.zeros((p, p))
+    start = 0
+    while start < p:
+        size = min(p - start, 1 + start % 7)
+        a[start:start + size, start:start + size] = counts(size, start)
+        start += size
+    return a
+
+
+def assert_no_negative_zero(m: np.ndarray) -> None:
+    assert not np.signbit(m[m == 0.0]).any()
+
+
+class TestFitKernels:
+    """The BLAS-free kernels against their BLAS and broadcast forms, byte
+    for byte (`naive_reference`)."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1),
+           n_seg=st.sampled_from([1, 2, 7, 63, 64, 65, 130]),
+           sizes=st.lists(st.sampled_from(CLASS_SIZES), min_size=1, max_size=4),
+           values=st.lists(st.floats(0.0, 1e3), min_size=4, max_size=4, unique=True),
+           zero_class=st.booleans(),
+           dtype=st.sampled_from([np.uint8, np.bool_, np.float64]))
+    def test_gram_has_the_bytes_of_the_blas_counts(self, seed, n_seg, sizes, values,
+                                                   zero_class, dtype):
+        values = np.array(values[:len(sizes)])
+        if zero_class:
+            values[0] = 0.0
+        n = sum(sizes)
+        masks = binary_matrix(seed, n, n_seg).astype(dtype)
+        shuffle = np.argsort(rng.uniform_grid(seed + 1, np.arange(1), np.arange(n))[0])
+        pi = np.repeat(values, sizes)[shuffle]
+        gram = lime_module._weighted_gram(masks, pi)
+        assert gram.tobytes() == blas_weighted_gram(masks, pi).tobytes()
+
+    def test_gram_counts_a_class_of_ones_exactly(self):
+        # 129 all-ones rows: every count is 129, over three words.
+        gram = lime_module._weighted_gram(np.ones((129, 3), dtype=np.uint8),
+                                          np.full(129, 0.5))
+        assert np.array_equal(gram, np.full((4, 4), 64.5))
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), p=st.sampled_from(ORDERS),
+           kind=st.sampled_from(["counts", "blocks", "identity"]))
+    def test_factor_and_inverse_have_the_bytes_of_broadcast_terms(self, seed, p, kind):
+        a = spd_matrix(kind, p, seed)
+        try:
+            ref_u, ref_pivots = broadcast_cholesky(a)
+        except RankDeficiencyError:
+            with pytest.raises(RankDeficiencyError):
+                lime_module._cholesky(a)
+            return
+        u, pivots = lime_module._cholesky(a)
+        assert u.tobytes() == ref_u.tobytes()
+        assert pivots.tobytes() == ref_pivots.tobytes()
+        x_inv = lime_module._inverse_lower(u)
+        assert x_inv.tobytes() == broadcast_inverse_lower(u).tobytes()
+        assert_no_negative_zero(u)
+        assert_no_negative_zero(x_inv)
+        assert (lime_module._matmul(x_inv.T, x_inv).tobytes()
+                == broadcast_matmul(x_inv.T, x_inv).tobytes())
+
+    @settings(max_examples=60, deadline=None)
+    @given(shape=st.tuples(st.integers(1, 9), st.integers(1, 9), st.integers(1, 9)),
+           data=st.data())
+    def test_matmul_has_the_bytes_of_broadcast_terms(self, shape, data):
+        rows, inner, cols = shape
+        entries = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.1, -3.5, 1e-300, -2e300])
+        a = np.array(data.draw(st.lists(entries, min_size=rows * inner,
+                                        max_size=rows * inner))).reshape(rows, inner)
+        b = np.array(data.draw(st.lists(entries, min_size=inner * cols,
+                                        max_size=inner * cols))).reshape(inner, cols)
+        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+            assert lime_module._matmul(a, b).tobytes() == broadcast_matmul(a, b).tobytes()
+
+    def test_a_seeded_negative_zero_keeps_its_sign_under_einsum_terms(self):
+        # Outside what a fit passes in: an upper entry of -0.0 that the
+        # -0.0 product 0.0 * -1.0 reaches. The broadcast term makes the
+        # entry +0.0; einsum's term is +0.0 and leaves it at -0.0.
+        a = np.array([[1.0, 0.0, -1.0], [0.0, 1.0, -0.0], [-1.0, -0.0, 2.0]])
+        u, _ = lime_module._cholesky(a)
+        ref, _ = broadcast_cholesky(a)
+        assert np.signbit(u[1, 2]) and not np.signbit(ref[1, 2])
+
+
+BLAS_ENTRY_POINTS = ("matmul", "dot", "vdot", "inner", "tensordot")
+
+
+class TestNoBlas:
+    @pytest.fixture
+    def refuse_blas(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a BLAS product was called")
+
+        for name in BLAS_ENTRY_POINTS:
+            monkeypatch.setattr(np, name, refuse)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.7])
+    def test_fit_makes_no_blas_call(self, refuse_blas, alpha):
+        masks = sample_masks(70, LimeConfig(n_samples=400, seed=8))
+        targets = 0.3 + (masks * np.linspace(-1, 1, 70)).sum(axis=1)
+        fit = fit_surrogate(masks, targets, proximity_weights(masks, 0.25), alpha)
+        assert np.all(np.isfinite(fit.weights))
+
+    def test_builtin_explain_makes_no_blas_call(self, fixture_instance, refuse_blas):
+        spec, seg_map = fixture_instance
+        predictor = BuiltinPredictor(seed=0)
+        config = LimeConfig(n_samples=seg_map.segment_count + 130, seed=5)
+        expl = explain_instance(lambda batch: predictor.predict(batch)[0][:, 2],
+                                spec, seg_map, config, workers=2)
+        assert expl.selected
+
+    def test_package_source_names_no_blas_product(self):
+        package = Path(lime_module.__file__).parent
+        for path in sorted(package.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                assert not isinstance(node, ast.MatMult), path.name
+                if isinstance(node, ast.Attribute):
+                    assert node.attr not in BLAS_ENTRY_POINTS, (path.name, node.attr)
 
 
 # 10**7 is beyond any fit here; there a lambda taken from the wrong one of

@@ -85,6 +85,16 @@ def assert_peaks_by_stage(report: dict) -> None:
     assert peaks[-1] <= report["peak_rss_mb"]
 
 
+def assert_cpu_time(report: dict) -> None:
+    """`cpu_s` follows `timings_s` and is a finite, non-negative time that
+    this process, which ran the command, has at least spent by now."""
+    keys = list(report)
+    assert keys[keys.index("timings_s") + 1] == "cpu_s"
+    cpu = report["cpu_s"]
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    assert np.isfinite(cpu) and 0 <= cpu <= usage.ru_utime + usage.ru_stime
+
+
 class TestBundle:
     def test_every_listed_file_exists_and_is_non_empty(self, bundle):
         assert set(bundle.report["files"]) == set(BUNDLE_FILES)
@@ -151,6 +161,11 @@ class TestBundle:
         # The run is this process, so its peak is at most the peak so far.
         unit = 1024.0 * 1024.0 if sys.platform == "darwin" else 1024.0
         assert 0 < peak <= resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / unit
+
+    def test_report_gives_the_cpu_time(self, bundle):
+        written = json.loads((bundle.out_dir / BUNDLE_FILES["report"]).read_text())
+        assert written["cpu_s"] == bundle.report["cpu_s"]
+        assert_cpu_time(written)
 
     def test_report_gives_the_peak_rss_by_stage(self, bundle):
         written = json.loads((bundle.out_dir / BUNDLE_FILES["report"]).read_text())
@@ -764,6 +779,7 @@ class TestRunStability:
             assert r["lime_s"] == report["timings_s"][stage]
         assert "lime[n=700,seed=2]" in report["peak_rss_mb_by_stage"]
         assert_peaks_by_stage(report)
+        assert_cpu_time(report)
 
     def test_rejects_fewer_than_two_seeds(self, fixture_wav, tmp_path):
         config = fast_config(fixture_wav, tmp_path / "x")
