@@ -36,7 +36,6 @@ from .lime import (
     LimeExplanation,
     MaskBatch,
     SurrogateFit,
-    apply_mask,
     explain_instance,
     fit_surrogate,
     sample_masks,
@@ -74,7 +73,7 @@ __all__ = [
     "MidlimeError",
     "FillStrategy", "Instance", "LimeConfig", "LimeExplanation", "MaskBatch",
     "SurrogateFit",
-    "apply_mask", "explain_instance", "fit_surrogate",
+    "explain_instance", "fit_surrogate",
     "sample_masks", "select_features", "stability_score",
     "BuiltinPredictor", "ConstantPredictor", "ExternalPredictor", "LinearHead",
     "PredictorCapabilities",

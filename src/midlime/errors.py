@@ -103,10 +103,6 @@ class PredictionValueError(PredictorError):
         self.index = index
 
 
-class BatchShapeError(PredictorError):
-    """Spectrograms within one batch do not share a shape."""
-
-
 # --- explanations -------------------------------------------------------------
 
 class ComparabilityError(MidlimeError):

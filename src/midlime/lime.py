@@ -197,11 +197,11 @@ class Instance:
 class MaskBatch(Sequence):
     """The spectrograms that a block of mask rows renders, as a read-only sequence.
 
-    It holds the `Instance` and the uint8 mask rows, one per item. A
-    predictor that is affine in the mask can score `masks` directly and
-    never render. Any other consumer indexes the batch: each access renders
-    the rows it reads through `instance.render`, and nothing rendered is
-    kept. Item i has the values of `apply_mask(spec, seg_map, masks[i], fill)`.
+    It holds the `Instance` and the uint8 mask rows, one per item; it is
+    the one input of every predictor. A predictor that is affine in the
+    mask can score `masks` directly and never render. Any other consumer
+    indexes the batch: item i is `instance.render(masks[i])`, rendered on
+    each access and not kept.
     """
 
     def __init__(self, instance: Instance, masks: np.ndarray):
@@ -232,7 +232,9 @@ def apply_mask(spec: Spectrogram, seg_map: SegmentMap, mask: np.ndarray,
     """Keep pixels of mask=1 segments; replace the rest per the fill strategy.
 
     The one-row `MaskBatch` of `mask` on a fresh `Instance`, rendered; an
-    all-ones mask returns `spec` itself.
+    all-ones mask returns `spec` itself. Nothing in the package calls it:
+    only the benchmark's trace hook keeps it, and `Instance.render` is the
+    renderer.
     """
     batch = MaskBatch(Instance(spec, seg_map, fill), np.asarray(mask)[None, ...])
     if batch.masks.all():
@@ -691,9 +693,8 @@ def select_features(fit: SurrogateFit, ratio_threshold: float) -> tuple[Selected
 
 
 def explain_instance(
-    predict: Callable[[Sequence[Spectrogram]], Sequence[float]],
-    spec: Spectrogram,
-    seg_map: SegmentMap,
+    predict: Callable[[MaskBatch], Sequence[float]],
+    instance: Instance,
     config: LimeConfig,
     *,
     target: str | None = None,
@@ -702,15 +703,17 @@ def explain_instance(
 ) -> LimeExplanation:
     """Full attribution of one scalar output over one instance.
 
-    `predict` receives each chunk of mask rows as a `MaskBatch`, a sequence
-    of the masked spectrograms, and must return one finite real per entry
-    (the chosen output dimension of the black box).
+    `predict` receives each chunk of mask rows as a `MaskBatch` on
+    `instance`, whose fill must be `config.fill`, and must return one
+    finite real per row (the chosen output dimension of the black box).
     """
     if batch_size < 1 or workers < 1:
         raise ConfigError("batch_size and workers must be >= 1")
-    masks = sample_masks(seg_map.segment_count, config)
-    targets = _predict_masked(predict, Instance(spec, seg_map, config.fill), masks,
-                              batch_size, workers)
+    if instance.fill is not config.fill:
+        raise ConfigError(f"the instance fills with {instance.fill.value}, the "
+                          f"config with {config.fill.value}")
+    masks = sample_masks(instance.seg_map.segment_count, config)
+    targets = _predict_masked(predict, instance, masks, batch_size, workers)
     weights = proximity_weights(masks, config.kernel_width)
     fit = fit_surrogate(masks, targets, weights, config.ridge_alpha)
     selected = select_features(fit, config.ratio_threshold)

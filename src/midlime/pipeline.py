@@ -1,8 +1,9 @@
 """End-to-end run: audio in, explanation bundle out.
 
-Stage order: decode audio, STFT + dB view, full-clip prediction, effects
-decomposition, target resolution, segmentation, per-segment attribution,
-masked spectrogram rendering, audio resynthesis, bundle writing. The
+Stage order: decode audio, STFT + dB view, predictor start, segmentation,
+full-clip prediction (the all-ones mask row of the run's one instance),
+effects decomposition, target resolution, per-segment attribution, masked
+spectrogram rendering, audio resynthesis, bundle writing. The
 resynthesis renders its four clips as independent jobs on up to four
 threads; the jobs share only read-only inputs, so the thread count changes
 no byte. Every computation happens before the first byte is written, and
@@ -59,6 +60,7 @@ from .lime import (
     Instance,
     LimeConfig,
     LimeExplanation,
+    MaskBatch,
     check_sample_count,
     explain_instance,
     explanation_to_json,
@@ -280,11 +282,12 @@ def synthesize_modified(
 
 @dataclass(frozen=True)
 class _Prepared:
-    """What both run paths share: input views, predictor, target, segments."""
+    """What both run paths share: input views, the instance that LIME masks,
+    predictor, target, segments."""
 
     clip: AudioClip
     cspec: ComplexSpectrogram
-    dbspec: Spectrogram
+    instance: Instance
     predictor: object
     caps: PredictorCapabilities
     mid: np.ndarray
@@ -292,7 +295,6 @@ class _Prepared:
     effects: EffectsMatrix | None
     discrepancy: np.ndarray | None
     target: dict
-    seg_map: SegmentMap
     segments: dict
 
     @property
@@ -301,7 +303,7 @@ class _Prepared:
 
 
 def _prepare(config: RunConfig, stage: _Stages) -> _Prepared:
-    """Shared front half: decode, analyze, predict, resolve target, segment."""
+    """Shared front half: decode, analyze, segment, predict, resolve target."""
     _check_out_dir(Path(config.out_dir))
     with stage("audio"):
         try:
@@ -319,8 +321,16 @@ def _prepare(config: RunConfig, stage: _Stages) -> _Prepared:
         )
     try:
         _check_input_spec(caps, dbspec)
+        with stage("segmentation"):
+            seg_map = felzenszwalb_segment(dbspec, config.segmentation)
+            segments = _segment_summary(seg_map)
+        log.info("segmented into %d regions of %d to %d pixels, median %g",
+                 segments["count"], segments["min_area"], segments["max_area"],
+                 segments["median_area"])
         with stage("prediction"):
-            (mid,), (emotion,) = predictor.predict([dbspec])
+            instance = Instance(dbspec, seg_map, config.lime.fill)
+            ones = np.ones((1, seg_map.segment_count), dtype=np.uint8)
+            (mid,), (emotion,) = predictor.predict(MaskBatch(instance, ones))
         effects = None
         discrepancy = None
         if caps.linear_head is not None:
@@ -330,17 +340,11 @@ def _prepare(config: RunConfig, stage: _Stages) -> _Prepared:
                 discrepancy = head_discrepancy(effects, emotion)
         with stage("target"):
             target_info = _resolve_target(config.target, caps, effects, emotion)
-        with stage("segmentation"):
-            seg_map = felzenszwalb_segment(dbspec, config.segmentation)
-            segments = _segment_summary(seg_map)
-        log.info("segmented into %d regions of %d to %d pixels, median %g",
-                 segments["count"], segments["min_area"], segments["max_area"],
-                 segments["median_area"])
     except BaseException:
         predictor.close()
         raise
-    return _Prepared(clip, cspec, dbspec, predictor, caps, mid, emotion, effects,
-                     discrepancy, target_info, seg_map, segments)
+    return _Prepared(clip, cspec, instance, predictor, caps, mid, emotion, effects,
+                     discrepancy, target_info, segments)
 
 
 def _segment_summary(seg_map: SegmentMap) -> dict:
@@ -380,15 +384,16 @@ def run_explanation(config: RunConfig) -> ExplanationBundle:
     """The whole workflow; returns the bundle and leaves it on disk."""
     stage = _Stages()
     prep = _prepare(config, stage)
+    seg_map = prep.instance.seg_map
     try:
         with stage("lime"):
             explanation = explain_instance(
-                _target_fn(prep.predictor, prep.target), prep.dbspec, prep.seg_map,
+                _target_fn(prep.predictor, prep.target), prep.instance,
                 config.lime, target=prep.target_label,
                 batch_size=config.batch_size, workers=_lime_workers(config),
             )
             # The selections as mask rows: positive, then negative.
-            rows = np.zeros((2, prep.seg_map.segment_count), dtype=np.uint8)
+            rows = np.zeros((2, seg_map.segment_count), dtype=np.uint8)
             rows[0, list(explanation.positive_ids)] = 1
             rows[1, list(explanation.negative_ids)] = 1
             pos_row, neg_row = rows
@@ -396,7 +401,9 @@ def run_explanation(config: RunConfig) -> ExplanationBundle:
                  len(explanation.selected), len(explanation.positive_ids),
                  len(explanation.negative_ids))
         with stage("render"):
-            instance = Instance(prep.dbspec, prep.seg_map, FillStrategy.SILENCE_FLOOR)
+            instance = prep.instance
+            if instance.fill is not FillStrategy.SILENCE_FLOOR:
+                instance = Instance(instance.spec, seg_map, FillStrategy.SILENCE_FLOOR)
             pos_spec, neg_spec = instance.render(pos_row), instance.render(neg_row)
         # The four renderings share only read-only inputs, and numpy's FFTs
         # and ufuncs release the GIL, so they run side by side with the
@@ -407,7 +414,7 @@ def run_explanation(config: RunConfig) -> ExplanationBundle:
                 "modified_sub": (neg_row, MODE_SUBTRACT)}
         with stage("synthesis"), \
                 ThreadPoolExecutor(min(4, os.cpu_count() or 1)) as pool:
-            futures = {name: pool.submit(synthesize_modified, prep.cspec, prep.seg_map,
+            futures = {name: pool.submit(synthesize_modified, prep.cspec, seg_map,
                                          row, mode, config.synth_gain,
                                          iterations=config.gl_iterations)
                        for name, (row, mode) in jobs.items()}
@@ -439,7 +446,7 @@ def run_explanation(config: RunConfig) -> ExplanationBundle:
         if prep.effects is not None:
             write_effects_csv(prep.effects, caps.linear_head, path["effects"])
         _write_json(path["explanation"], explanation_to_json(explanation))
-        write_segment_csv(prep.seg_map, path["segments"])
+        write_segment_csv(seg_map, path["segments"])
         _write_csv(path["pos_mask"], pos_spec.values)
         _write_csv(path["neg_mask"], neg_spec.values)
         for key in ("masked_pos", "masked_neg", "modified_add", "modified_sub"):
@@ -497,7 +504,7 @@ def _report(config: RunConfig, prep: _Prepared, predictor_exit: int | None) -> d
             [float(v) for v in prep.discrepancy]
             if prep.discrepancy is not None else None
         ),
-        "spectrogram": {"bins": prep.dbspec.shape[0], "frames": prep.dbspec.shape[1]},
+        "spectrogram": dict(zip(("bins", "frames"), prep.instance.spec.shape)),
         "segments": prep.segments,
     }
 
@@ -629,7 +636,7 @@ def run_stability(config: RunConfig, seeds: Sequence[int],
         # Every count before the first attribution, so that a count too
         # small for the segments costs no predictor time.
         for count in sample_counts:
-            check_sample_count(count, prep.seg_map.segment_count)
+            check_sample_count(count, prep.instance.seg_map.segment_count)
         fn = _target_fn(prep.predictor, prep.target)
         workers = _lime_workers(config)
         for count in sample_counts:
@@ -638,7 +645,7 @@ def run_stability(config: RunConfig, seeds: Sequence[int],
                 run_stage = f"lime[n={count},seed={lime_cfg.seed}]"
                 with stage(run_stage):
                     explanations.append(explain_instance(
-                        fn, prep.dbspec, prep.seg_map, lime_cfg,
+                        fn, prep.instance, lime_cfg,
                         target=prep.target_label,
                         batch_size=config.batch_size, workers=workers,
                     ))

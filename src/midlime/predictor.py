@@ -1,8 +1,9 @@
 """Black-box predictor access.
 
 Three implementations of the same contract: `predict(batch)` takes a
-sequence of spectrograms and returns two float64 matrices, the mid-level
-values `(n, 7)` and the emotions `(n, 8)`, with row i for item i:
+``MaskBatch``, mask rows over one ``lime.Instance``, and returns two float64
+matrices, the mid-level values `(n, 7)` and the emotions `(n, 8)`, with row
+i for mask row i. The unmasked spectrogram is the all-ones row.
 
 * ``BuiltinPredictor``: a seeded synthetic model, affine end to end, whose
   ground truth is computable in closed form. Used by tests and as a default.
@@ -10,12 +11,12 @@ values `(n, 7)` and the emotions `(n, 8)`, with row i for item i:
 * ``ExternalPredictor``: a gateway to a child process speaking a newline-
   delimited JSON protocol on stdin/stdout (see module docstring below).
 
-LIME hands each chunk of perturbations over as a ``MaskBatch``. The builtin
-and constant predictors score its mask rows without rendering them. The
-gateway never renders them either: every pixel of a mask row is its base or
-its filler pixel, so it writes each row's request text from two texts per
-run of equal label, built once per instance. The bytes are those that
-``json.dumps`` writes for the rendered rows.
+The builtin and constant predictors score the mask rows without rendering
+them. The gateway never renders them either: every pixel of a mask row is
+its base or its filler pixel, so it writes each row's request text from two
+texts per run of equal label, built once per instance. The bytes are those
+that ``json.dumps`` writes for the rendered rows. A predictor that is not
+affine in the mask indexes the batch, which renders the rows it reads.
 
 The wire protocol, one UTF-8 JSON object per line:
 
@@ -55,16 +56,13 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from . import rng
-from .dsp import SCALE_DB, Spectrogram
 from .errors import (
-    BatchShapeError,
     CapabilitiesError,
     ConfigError,
     PredictionValueError,
     PredictorTimeoutError,
     ProtocolError,
     ProtocolVersionError,
-    ScaleMismatchError,
     ShapeMismatchError,
     SpawnError,
     TransportError,
@@ -172,12 +170,6 @@ class PredictorCapabilities:
         object.__setattr__(self, "input_spec", spec)
 
 
-def _check_batch(batch: Sequence[Spectrogram]) -> None:
-    shapes = {s.values.shape for s in batch}
-    if len(shapes) > 1:
-        raise BatchShapeError(f"batch mixes spectrogram shapes: {sorted(shapes)}")
-
-
 class BuiltinPredictor:
     """Seeded synthetic stand-in for a trained audio-to-emotion model.
 
@@ -229,14 +221,8 @@ class BuiltinPredictor:
             linear_head=self.head,
         )
 
-    def predict(self, batch: Sequence[Spectrogram]) -> tuple[np.ndarray, np.ndarray]:
-        if isinstance(batch, MaskBatch):
-            mids = self._masked_mids(batch)
-        elif not batch:
-            mids = np.empty((0, MID_COUNT))
-        else:
-            _check_batch(batch)
-            mids = self._mids(np.stack([s.values for s in batch]))
+    def predict(self, batch: MaskBatch) -> tuple[np.ndarray, np.ndarray]:
+        mids = self._masked_mids(batch)
         return mids, self.head.apply(mids)
 
     def _mids(self, stack: np.ndarray) -> np.ndarray:
@@ -278,8 +264,8 @@ class BuiltinPredictor:
         coef = np.empty((count, MID_COUNT))
         for j, (pos, neg) in enumerate(self.regions(base.shape)):
             coef[:, j] = shift(pos) - 0.5 * shift(neg)
-        # The same one-item stack as `predict([instance.spec])`, so that an
-        # all-ones row matches the unmasked prediction bit for bit.
+        # An all-ones row takes away a tree of +0.0 from these mids, so it
+        # scores the unmasked spectrogram as a one-item stack, bit for bit.
         return coef, self._mids(np.stack([base]))
 
     def close(self) -> None:
@@ -301,9 +287,7 @@ class ConstantPredictor:
             linear_head=self.head,
         )
 
-    def predict(self, batch: Sequence[Spectrogram]) -> tuple[np.ndarray, np.ndarray]:
-        if not isinstance(batch, MaskBatch):
-            _check_batch(batch)
+    def predict(self, batch: MaskBatch) -> tuple[np.ndarray, np.ndarray]:
         mids = np.tile(self._mid, (len(batch), 1))
         return mids, self.head.apply(mids)
 
@@ -364,31 +348,6 @@ def _predict_line(cid: int, shape: tuple[int, int],
         parts += (row, b"],[")
     parts[-1] = _PREDICT_TAIL
     return parts
-
-
-def _pixel_text(values: np.ndarray) -> bytes:
-    """The row-major JSON text of `values`, as `json.dumps` writes its floats."""
-    return ",".join(map(float.__repr__, values.ravel().tolist())).encode()
-
-
-def _check_dense(batch: Sequence[Spectrogram]) -> tuple[int, int] | None:
-    """Item 0's shape, once every item is a dB spectrogram of that shape."""
-    shape = None
-    for i in range(len(batch)):
-        spec = batch[i]
-        if spec.scale != SCALE_DB:
-            raise ScaleMismatchError(
-                f"external predictors receive dB spectrograms, got "
-                f"'{spec.scale}' at batch item {i}"
-            )
-        if shape is None:
-            shape = spec.values.shape
-        elif spec.values.shape != shape:
-            raise BatchShapeError(
-                f"batch mixes spectrogram shapes: item {i} is "
-                f"{spec.values.shape}, item 0 is {shape}"
-            )
-    return shape
 
 
 class _RunTexts:
@@ -560,26 +519,19 @@ class ExternalPredictor:
         self._capabilities = first
         return first
 
-    def predict(self, batch: Sequence[Spectrogram]) -> tuple[np.ndarray, np.ndarray]:
+    def predict(self, batch: MaskBatch) -> tuple[np.ndarray, np.ndarray]:
         if not self._pool:
             raise TransportError("predictor is not running; call start() first")
-        # Every check runs before anything is sent, and the first faulty
-        # item decides the error; a MaskBatch's instance is checked already.
-        # A request is written only when a child's window has room for it.
-        if isinstance(batch, MaskBatch):
-            texts = batch.instance.memo("run_texts", _RunTexts)
-            shape = batch.instance.spec.values.shape
-            rows = map(texts.row, batch.masks)
-            # A request is its head, its rows with "],[" between them, and
-            # its tail; the head is longest for the largest id.
-            frame = len(_PREDICT_HEAD % (self._next_id + len(batch), *shape)
-                        + _PREDICT_TAIL)
-            step = max(1, min(self.batch_size,
-                              (REQUEST_BYTES - frame) // (texts.row_bytes + 3)))
-        else:
-            shape = _check_dense(batch)
-            rows = (_pixel_text(spec.values) for spec in batch)
-            step = self.batch_size
+        # The batch's instance is checked already. A request is written only
+        # when a child's window has room for it.
+        texts = batch.instance.memo("run_texts", _RunTexts)
+        shape = batch.instance.spec.values.shape
+        rows = map(texts.row, batch.masks)
+        # A request is its head, its rows with "],[" between them, and its
+        # tail; the head is longest for the largest id.
+        frame = len(_PREDICT_HEAD % (self._next_id + len(batch), *shape) + _PREDICT_TAIL)
+        step = max(1, min(self.batch_size,
+                          (REQUEST_BYTES - frame) // (texts.row_bytes + 3)))
         mids = np.empty((len(batch), MID_COUNT))
         emotions = np.empty((len(batch), EMOTION_COUNT))
         bounds = {self._next_id + k: (start, min(start + step, len(batch)))

@@ -19,6 +19,7 @@ import midlime
 from midlime import rng
 from midlime.audio import AudioClip, encode_wav
 from midlime.dsp import SCALE_DB, Spectrogram, StftConfig
+from midlime.lime import Instance, MaskBatch
 from midlime.segmentation import SegmentMap
 
 TESTS_DIR = Path(__file__).parent
@@ -106,6 +107,15 @@ def block_map(height: int, width: int, block_h: int, block_w: int) -> SegmentMap
     labels = rows * (width // block_w) + cols
     count = (height // block_h) * (width // block_w)
     return SegmentMap(labels=labels.astype(np.int32), segment_count=count)
+
+
+def unmasked(spec: Spectrogram, rows: int = 1) -> MaskBatch:
+    """`rows` all-ones mask rows over `spec` as one segment: the batch in
+    which a predictor scores `spec` itself."""
+    seg_map = SegmentMap(labels=np.zeros(spec.values.shape, dtype=np.int32),
+                         segment_count=1)
+    return MaskBatch(Instance(spec, seg_map, "silence"),
+                     np.ones((rows, 1), dtype=np.uint8))
 
 
 def selection_row(seg_map: SegmentMap, ids) -> np.ndarray:

@@ -28,7 +28,9 @@ from midlime.dsp import (
 from midlime.effects import instance_effects, top_effect
 from midlime.errors import MidlimeError
 from midlime.lime import (
+    Instance,
     LimeConfig,
+    MaskBatch,
     explain_instance,
     fit_surrogate,
     sample_masks,
@@ -76,7 +78,7 @@ def _ks_statistic(p_values: np.ndarray) -> float:
 def test_01_exact_linear_recovery(capsys):
     box, coefficients, planted_ids, base, seg_map = planted_fixture()
     started = time.perf_counter()
-    expl = explain_instance(box, base, seg_map,
+    expl = explain_instance(box, Instance(base, seg_map, "silence"),
                             LimeConfig(n_samples=50000, seed=5),
                             target="mid:planted")
     elapsed = time.perf_counter() - started
@@ -96,12 +98,12 @@ def test_01_exact_linear_recovery(capsys):
 
 def test_02_stability_improves_with_samples(capsys):
     box, _, _, base, seg_map = planted_fixture(noise_sigma=0.18, jitter_count=8)
+    instance = Instance(base, seg_map, "silence")
     seeds = [1, 2, 3, 4, 5]
 
     def mean_jaccard(n_samples: int) -> float:
         explanations = [
-            explain_instance(box, base, seg_map,
-                             LimeConfig(n_samples=n_samples, seed=s),
+            explain_instance(box, instance, LimeConfig(n_samples=n_samples, seed=s),
                              target="mid:planted")
             for s in seeds
         ]
@@ -247,17 +249,23 @@ def test_07_runs_are_byte_deterministic(capsys, fixture_wav, tmp_path):
 
 
 def test_08_protocol_relay_and_reassembly(capsys):
+    # A 6 x 8 dB spectrogram whose 48 pixels are 48 segments, so that the
+    # mask rows make 50 000 different spectrograms.
     config = StftConfig(frame_size=16, hop_size=4)
-    u = rng.uniform_grid(9100, np.arange(50000), np.arange(48))
-    specs = [db_spec((-60.0 + 40.0 * u[i]).reshape(6, 8), config)
-             for i in range(50000)]
-    expected = np.array([sum(s.values.ravel().tolist()) / 48.0 for s in specs])
+    u = rng.uniform_grid(9100, np.arange(1), np.arange(48))[0]
+    seg_map = SegmentMap(labels=np.arange(48, dtype=np.int32).reshape(6, 8),
+                         segment_count=48)
+    instance = Instance(db_spec((-60.0 + 40.0 * u).reshape(6, 8), config), seg_map,
+                        "silence")
+    masks = sample_masks(48, LimeConfig(n_samples=50000, seed=9100))
+    expected = np.array([sum(instance.render(row).values.ravel().tolist()) / 48.0
+                         for row in masks])
 
     errors = 0
     with ExternalPredictor(child_command("echo"), timeout=120.0,
                            batch_size=256) as gateway:
         try:
-            results = gateway.predict(specs)
+            results = gateway.predict(MaskBatch(instance, masks))
             mids = results[0][:, 0]
             if not np.allclose(mids, expected, rtol=1e-12, atol=0):
                 errors += 1
@@ -265,10 +273,9 @@ def test_08_protocol_relay_and_reassembly(capsys):
             errors += 1
 
     reordered_match = False
-    subset = specs[:2000]
     with ExternalPredictor(child_command("reorder"), timeout=60.0,
                            batch_size=64) as gateway:
-        results = gateway.predict(subset)
+        results = gateway.predict(MaskBatch(instance, masks[:2000]))
         mids = results[0][:, 0]
         reordered_match = bool(np.allclose(mids, expected[:2000],
                                            rtol=1e-12, atol=0))

@@ -52,6 +52,7 @@ from conftest import (
     db_spec,
     planted_fixture,
     random_db_image,
+    unmasked,
 )
 from naive_reference import (
     blas_weighted_gram,
@@ -177,14 +178,14 @@ class TestApplyMask:
 
     def test_all_zeros_silence_floor(self):
         seg_map, base = small_setup()
-        out = apply_mask(base, seg_map, np.zeros(seg_map.segment_count),
-                         FillStrategy.SILENCE_FLOOR)
+        out = Instance(base, seg_map, FillStrategy.SILENCE_FLOOR).render(
+            np.zeros(seg_map.segment_count))
         assert np.all(out.values == base.config.floor_db)
 
     def test_segment_mean_fill(self):
         seg_map = block_map(4, 4, 4, 2)  # two vertical segments
         base = db_spec(random_db_image(5, 4, 4))
-        out = apply_mask(base, seg_map, np.array([1, 0]), FillStrategy.SEGMENT_MEAN)
+        out = Instance(base, seg_map, FillStrategy.SEGMENT_MEAN).render(np.array([1, 0]))
         assert np.array_equal(out.values[:, :2], base.values[:, :2])
         expected = base.values[:, 2:].mean()
         assert np.allclose(out.values[:, 2:], expected, atol=1e-12)
@@ -192,7 +193,7 @@ class TestApplyMask:
     def test_global_mean_fill(self):
         seg_map = block_map(4, 4, 4, 2)
         base = db_spec(random_db_image(6, 4, 4))
-        out = apply_mask(base, seg_map, np.array([0, 1]), FillStrategy.GLOBAL_MEAN)
+        out = Instance(base, seg_map, FillStrategy.GLOBAL_MEAN).render(np.array([0, 1]))
         assert np.allclose(out.values[:, :2], base.values.mean(), atol=1e-12)
         assert np.array_equal(out.values[:, 2:], base.values[:, 2:])
 
@@ -558,7 +559,7 @@ class TestNoBlas:
         predictor = BuiltinPredictor(seed=0)
         config = LimeConfig(n_samples=seg_map.segment_count + 130, seed=5)
         expl = explain_instance(lambda batch: predictor.predict(batch)[0][:, 2],
-                                spec, seg_map, config, workers=2)
+                                Instance(spec, seg_map, config.fill), config, workers=2)
         assert expl.selected
 
     def test_package_source_names_no_blas_product(self):
@@ -620,7 +621,8 @@ class TestTwoSidedT:
 
     def test_noisy_planted_fit_matches_scipy(self):
         box, _, _, base, seg_map = planted_fixture(noise_sigma=0.18, jitter_count=8)
-        expl = explain_instance(box, base, seg_map, LimeConfig(n_samples=1150, seed=4))
+        expl = explain_instance(box, Instance(base, seg_map, "silence"),
+                                LimeConfig(n_samples=1150, seed=4))
         fit = expl.fit
         ref = scipy_two_sided(fit.dof, fit.weights / fit.std_errors)
         assert fit.std_errors.min() > 0
@@ -685,7 +687,7 @@ class TestExplainInstance:
     def test_exact_linear_black_box_recovered(self):
         box, coefficients, base, seg_map = planted_small()
         config = LimeConfig(n_samples=600, seed=4)
-        expl = explain_instance(box, base, seg_map, config)
+        expl = explain_instance(box, Instance(base, seg_map, "silence"), config)
         assert np.allclose(expl.fit.weights, coefficients, atol=1e-6)
         assert {s.segment for s in expl.selected} == {2, 7, 9}
         assert expl.positive_ids == (2, 9)
@@ -700,7 +702,7 @@ class TestExplainInstance:
         def constant(batch):
             return [1.25] * len(batch)
 
-        expl = explain_instance(constant, base, seg_map,
+        expl = explain_instance(constant, Instance(base, seg_map, "silence"),
                                 LimeConfig(n_samples=200, seed=5))
         assert expl.selected == ()
         assert expl.positive_ids == () and expl.negative_ids == ()
@@ -709,7 +711,8 @@ class TestExplainInstance:
         box, _, base, seg_map = planted_small()
         config = LimeConfig(n_samples=400, seed=6)
         texts = [json.dumps(explanation_to_json(
-                     explain_instance(box, base, seg_map, config, target="mid:m")),
+                     explain_instance(box, Instance(base, seg_map, "silence"), config,
+                                      target="mid:m")),
                      indent=2)
                  for _ in range(2)]
         assert texts[0] == texts[1]
@@ -717,10 +720,10 @@ class TestExplainInstance:
     def test_batch_size_and_workers_do_not_change_the_result(self):
         box, _, base, seg_map = planted_small()
         config = LimeConfig(n_samples=300, seed=7)
-        baseline = explain_instance(box, base, seg_map, config, batch_size=300)
-        chunked = explain_instance(box, base, seg_map, config, batch_size=17)
-        threaded = explain_instance(box, base, seg_map, config, batch_size=32,
-                                    workers=3)
+        instance = Instance(base, seg_map, "silence")
+        baseline = explain_instance(box, instance, config, batch_size=300)
+        chunked = explain_instance(box, instance, config, batch_size=17)
+        threaded = explain_instance(box, instance, config, batch_size=32, workers=3)
         for other in (chunked, threaded):
             assert np.array_equal(baseline.fit.weights, other.fit.weights)
             assert baseline.selected == other.selected
@@ -737,7 +740,7 @@ class TestExplainInstance:
             return out
 
         with pytest.raises(PredictionValueError) as info:
-            explain_instance(flaky, base, seg_map,
+            explain_instance(flaky, Instance(base, seg_map, "silence"),
                              LimeConfig(n_samples=100, seed=8), batch_size=16)
         assert info.value.index == 37
 
@@ -750,7 +753,7 @@ class TestExplainInstance:
             return [0.5] * (len(batch) - 1)
 
         with pytest.raises(TransportError):
-            explain_instance(short, base, seg_map,
+            explain_instance(short, Instance(base, seg_map, "silence"),
                              LimeConfig(n_samples=100, seed=9), batch_size=25)
 
     @pytest.mark.parametrize("make, attr, value", [
@@ -771,7 +774,7 @@ class TestExplainInstance:
 
         original = make()
         with pytest.raises(type(original)) as info:
-            explain_instance(failing_third_chunk, base, seg_map,
+            explain_instance(failing_third_chunk, Instance(base, seg_map, "silence"),
                              LimeConfig(n_samples=100, seed=8), batch_size=16)
         assert type(info.value) is type(original)
         assert getattr(info.value, attr) == value
@@ -780,11 +783,22 @@ class TestExplainInstance:
     def test_invalid_worker_and_batch_args(self):
         seg_map, base = small_setup()
         with pytest.raises(ConfigError):
-            explain_instance(lambda b: [0.0] * len(b), base, seg_map,
+            explain_instance(lambda b: [0.0] * len(b), Instance(base, seg_map, "silence"),
                              LimeConfig(n_samples=100, seed=1), batch_size=0)
         with pytest.raises(ConfigError):
-            explain_instance(lambda b: [0.0] * len(b), base, seg_map,
+            explain_instance(lambda b: [0.0] * len(b), Instance(base, seg_map, "silence"),
                              LimeConfig(n_samples=100, seed=1), workers=0)
+
+    @pytest.mark.parametrize("fill", [FillStrategy.SEGMENT_MEAN, FillStrategy.GLOBAL_MEAN])
+    def test_refuses_an_instance_of_another_fill(self, fill):
+        # The bundle's config echo names the fill, so it must be the one used.
+        seg_map, base = small_setup()
+        calls = []
+        with pytest.raises(ConfigError, match=f"fills with {fill.value}"):
+            explain_instance(lambda b: calls.append(b) or [0.0] * len(b),
+                             Instance(base, seg_map, fill),
+                             LimeConfig(n_samples=100, seed=1))
+        assert calls == []
 
 
 class TestStability:
@@ -829,7 +843,7 @@ class TestStability:
 class TestSerialization:
     def test_json_schema(self):
         box, _, base, seg_map = planted_small()
-        expl = explain_instance(box, base, seg_map,
+        expl = explain_instance(box, Instance(base, seg_map, "silence"),
                                 LimeConfig(n_samples=300, seed=10),
                                 target="mid:melodiousness")
         payload = explanation_to_json(expl)
@@ -856,6 +870,11 @@ def fixture_instance(fixture_wav):
     return dbspec, felzenszwalb_segment(dbspec, SegmentationConfig())
 
 
+def unmasked_scores(predictor, specs) -> np.ndarray:
+    """Mids and emotions, side by side, of each spectrogram scored as itself."""
+    return np.vstack([np.hstack(predictor.predict(unmasked(spec))) for spec in specs])
+
+
 class TestMaskBatch:
     """Closed-form scores of mask rows against the dense path as the oracle."""
 
@@ -880,8 +899,7 @@ class TestMaskBatch:
                                             monkeypatch):
         base, seg_map = instance
         masks = self._rows(seg_map)
-        dense = np.hstack(predictor.predict(
-            [apply_mask(base, seg_map, row, fill) for row in masks]))
+        dense = unmasked_scores(predictor, MaskBatch(Instance(base, seg_map, fill), masks))
 
         def no_render(self, row):
             raise AssertionError("the predictor rendered a mask row")
@@ -891,7 +909,7 @@ class TestMaskBatch:
         fast = np.hstack(predictor.predict(batch))
         # Relative to the largest magnitude of each output over the batch.
         assert np.all(np.abs(fast - dense) <= 1e-12 * np.abs(dense).max(axis=0))
-        assert np.array_equal(fast[0], np.hstack(predictor.predict([base]))[0])
+        assert np.array_equal(fast[0], unmasked_scores(predictor, [base])[0])
         assert np.array_equal(fast[0], dense[0])
 
     @pytest.mark.parametrize("rows", [1, _MID_BLOCK - 1, _MID_BLOCK, _MID_BLOCK + 1, 256])
@@ -906,17 +924,15 @@ class TestMaskBatch:
         mids = predictor._masked_mids(batch)
         assert mids.tobytes() == one_shot_masked_mids(predictor, batch).tobytes()
         # Rendered and scored 16 rows at a time, so that few are alive.
-        dense = np.vstack([
-            predictor.predict([apply_mask(base, seg_map, row, fill)
-                               for row in masks[i:i + 16]])[0]
-            for i in range(0, rows, 16)])
+        dense = np.vstack([predictor._mids(np.stack([s.values for s in batch[i:i + 16]]))
+                           for i in range(0, rows, 16)])
         assert np.all(np.abs(mids - dense) <= 1e-12 * np.abs(dense).max(axis=0))
 
     @pytest.mark.parametrize("fill", list(FillStrategy))
     def test_items_equal_apply_mask_and_render_once(self, instance, fill, monkeypatch):
         base, seg_map = instance
         masks = self._rows(seg_map, count=12)
-        expected = [apply_mask(base, seg_map, row, fill) for row in masks]
+        expected = [Instance(base, seg_map, fill).render(row) for row in masks]
         rendered = []
         render = Instance.render
         monkeypatch.setattr(Instance, "render",
@@ -960,12 +976,13 @@ class TestMaskBatch:
                             or coefficients(self, instance))
         config = LimeConfig(n_samples=48, seed=6)
 
+        instance = Instance(base, seg_map, config.fill)
+
         def explain():
-            return explain_instance(lambda b: predictor.predict(b)[0][:, 0], base,
-                                    seg_map, config, batch_size=8, workers=2)
+            return explain_instance(lambda b: predictor.predict(b)[0][:, 0], instance,
+                                    config, batch_size=8, workers=2)
 
         first = explain()
-        assert len(built) == 1
         second = explain()
-        assert len(built) == 2 and built[0] is not built[1]
+        assert built == [instance]
         assert first.fit.weights.tobytes() == second.fit.weights.tobytes()

@@ -21,6 +21,7 @@ from hypothesis.extra.numpy import arrays
 
 import midlime
 from midlime import pipeline
+from midlime import predictor as predictor_module
 from midlime.audio import AudioClip, decode_wav, encode_wav
 from midlime.cli import main as cli_main
 from midlime.dsp import SCALE_DB, StftConfig, istft, magnitude_db, stft
@@ -32,7 +33,7 @@ from midlime.errors import (
     SpawnError,
     StageError,
 )
-from midlime.lime import FillStrategy, LimeConfig, explain_instance
+from midlime.lime import FillStrategy, Instance, LimeConfig, explain_instance
 from midlime.pipeline import (
     BUNDLE_FILES,
     MODE_ADD,
@@ -47,7 +48,14 @@ from midlime.pipeline import (
 from midlime.predictor import BuiltinPredictor, ConstantPredictor, ExternalPredictor
 from midlime.segmentation import SegmentationConfig
 
-from conftest import GOLDEN_DIR, child_command, package_env, selection_row
+from conftest import (
+    GOLDEN_DIR,
+    child_command,
+    package_env,
+    selection_row,
+    uniform_noise,
+    unmasked,
+)
 
 FAST_STFT = StftConfig(frame_size=1024, hop_size=512)
 
@@ -67,6 +75,21 @@ def fast_config(audio_path, out_dir, **overrides) -> RunConfig:
     )
     defaults.update(overrides)
     return RunConfig(**defaults)
+
+
+def short_exec_config(tmp_path, name: str) -> RunConfig:
+    """A run through the echo child on 0.36 s of noise, written to `name`."""
+    wav = tmp_path / "short.wav"
+    encode_wav(AudioClip(samples=0.3 * uniform_noise(400, 8000), sample_rate=22050), wav)
+    return fast_config(
+        wav, tmp_path / name,
+        predictor=f"exec:{child_command('echo')}",
+        lime=LimeConfig(n_samples=60, seed=2),
+        segmentation=SegmentationConfig(scale=25.0, min_size=800, sigma=0.8),
+        stft=StftConfig(frame_size=256, hop_size=128),
+        gl_iterations=1,
+        timeout=60.0,
+    )
 
 
 @pytest.fixture(scope="module")
@@ -118,9 +141,10 @@ class TestBundle:
         payload = json.loads((bundle.out_dir / BUNDLE_FILES["prediction"]).read_text())
         clip = decode_wav(fixture_wav)
         spec = magnitude_db(stft(clip, FAST_STFT))
-        (mid,), (emotion,) = BuiltinPredictor(seed=0).predict([spec])
-        assert np.allclose(payload["mid"], mid, atol=1e-12)
-        assert np.allclose(payload["emotion"], emotion, atol=1e-12)
+        (mid,), (emotion,) = BuiltinPredictor(seed=0).predict(unmasked(spec))
+        # The run scores the all-ones row of its own instance: the same bits.
+        assert payload["mid"] == mid.tolist()
+        assert payload["emotion"] == emotion.tolist()
         assert payload["mid_names"][0] == "melodiousness"
 
     def test_masked_spectrograms_are_disjoint(self, bundle):
@@ -434,25 +458,32 @@ class TestBundleEdges:
         assert result.report["target"]["index"] == 0
 
     def test_external_predictor_round_trip(self, tmp_path):
-        from conftest import uniform_noise
-
-        samples = 0.3 * uniform_noise(400, 8000)
-        wav = tmp_path / "short.wav"
-        encode_wav(AudioClip(samples=samples, sample_rate=22050), wav)
-        config = fast_config(
-            wav, tmp_path / "ext",
-            predictor=f"exec:{child_command('echo')}",
-            lime=LimeConfig(n_samples=60, seed=2),
-            segmentation=SegmentationConfig(scale=25.0, min_size=800, sigma=0.8),
-            stft=StftConfig(frame_size=256, hop_size=128),
-            gl_iterations=1,
-            timeout=60.0,
-        )
-        result = run_explanation(config)
+        result = run_explanation(short_exec_config(tmp_path, "ext"))
         assert result.report["predictor"]["exit_code"] == 0
         assert result.report["predictor"]["mid_names"][0] == "m1"
         assert result.report["segments"]["count"] + 2 <= 60
         assert (result.out_dir / BUNDLE_FILES["report"]).is_file()
+
+    def test_exec_sends_the_unmasked_clip_as_its_json(self, tmp_path, monkeypatch):
+        sent = []
+        relay = ExternalPredictor._relay
+
+        def recording_relay(self, children, payloads, want, on_line):
+            def record():
+                for pieces in payloads:
+                    sent.append(b"".join(pieces))
+                    yield pieces
+            return relay(self, children, record(), want, on_line)
+
+        monkeypatch.setattr(ExternalPredictor, "_relay", recording_relay)
+        config = short_exec_config(tmp_path, "ext")
+        run_explanation(config)
+        dbspec = magnitude_db(stft(decode_wav(config.audio_path), config.stft))
+        first = next(line for line in sent if line.startswith(b'{"type":"predict"'))
+        assert first == json.dumps(
+            {"type": "predict", "id": 0, "shape": list(dbspec.values.shape),
+             "scale": "db", "batch": [dbspec.values.ravel().tolist()]},
+            separators=(",", ":")).encode() + b"\n"
 
     def test_fixed_input_spec_mismatch_exits_2_before_any_predict(self, fixture_wav,
                                                                   tmp_path, capsys):
@@ -619,7 +650,7 @@ def prepared(fixture_wav):
     def target(batch):
         return [float(s.values.mean()) for s in batch]
 
-    expl = explain_instance(target, dbspec, seg_map,
+    expl = explain_instance(target, Instance(dbspec, seg_map, "silence"),
                             LimeConfig(n_samples=300, seed=3))
     return clip, cspec, seg_map, expl
 
@@ -739,7 +770,7 @@ class TestRunStability:
         calls = []
 
         def counted(*args, **kwargs):
-            calls.append(args[3].n_samples)
+            calls.append(args[2].n_samples)
             return explain_instance(*args, **kwargs)
 
         monkeypatch.setattr(pipeline, "explain_instance", counted)
@@ -780,6 +811,26 @@ class TestRunStability:
         assert "lime[n=700,seed=2]" in report["peak_rss_mb_by_stage"]
         assert_peaks_by_stage(report)
         assert_cpu_time(report)
+
+    def test_builds_the_builtin_coefficients_once(self, fixture_wav, tmp_path,
+                                                  monkeypatch):
+        built = []
+        coefficients = BuiltinPredictor._coefficients
+        monkeypatch.setattr(BuiltinPredictor, "_coefficients",
+                            lambda self, instance: built.append(instance)
+                            or coefficients(self, instance))
+        config = fast_config(fixture_wav, tmp_path / "stab", workers=2)
+        run_stability(config, seeds=[1, 2], sample_counts=[600, 700])
+        assert len(built) == 1
+
+    def test_builds_the_run_texts_once(self, tmp_path, monkeypatch):
+        built = []
+        run_texts = predictor_module._RunTexts
+        monkeypatch.setattr(predictor_module, "_RunTexts",
+                            lambda instance: built.append(instance) or run_texts(instance))
+        run_stability(short_exec_config(tmp_path, "stab"), seeds=[1, 2],
+                      sample_counts=[60, 70])
+        assert len(built) == 1
 
     def test_rejects_fewer_than_two_seeds(self, fixture_wav, tmp_path):
         config = fast_config(fixture_wav, tmp_path / "x")

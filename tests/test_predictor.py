@@ -15,15 +15,13 @@ from hypothesis import strategies as st
 
 from midlime import predictor
 from midlime.audio import AudioClip
-from midlime.dsp import SCALE_MAGNITUDE, Spectrogram, StftConfig, magnitude_db, stft
+from midlime.dsp import Spectrogram, StftConfig, magnitude_db, stft
 from midlime.errors import (
-    BatchShapeError,
     CapabilitiesError,
     PredictionValueError,
     PredictorTimeoutError,
     ProtocolError,
     ProtocolVersionError,
-    ScaleMismatchError,
     SpawnError,
     TransportError,
 )
@@ -32,7 +30,6 @@ from midlime.lime import (
     Instance,
     LimeConfig,
     MaskBatch,
-    apply_mask,
     explain_instance,
     sample_masks,
 )
@@ -59,6 +56,7 @@ from conftest import (
     db_spec,
     make_fixture_samples,
     random_db_image,
+    unmasked,
 )
 
 TINY = StftConfig(frame_size=16, hop_size=4)  # 9 bins
@@ -91,8 +89,29 @@ EDITING_CHILD = (
 )
 
 
-def tiny_spec(seed: int, frames: int = 6) -> Spectrogram:
-    return db_spec(random_db_image(seed, 9, frames), config=TINY)
+def tiny_spec(seed: int) -> Spectrogram:
+    return db_spec(random_db_image(seed, 9, 6), config=TINY)
+
+
+def tiny_batch(n: int) -> MaskBatch:
+    """`n` mask rows, all ones first, over tiny_spec(3) in six 3 x 3 segments."""
+    masks = sample_masks(6, LimeConfig(n_samples=max(n, 8), seed=3))[:n]
+    return MaskBatch(Instance(tiny_spec(3), block_map(9, 6, 3, 3), "silence"), masks)
+
+
+def item_means(batch: MaskBatch) -> list[float]:
+    return [float(item.values.mean()) for item in batch]
+
+
+def request_lines(batch: MaskBatch, batch_size: int, first_id: int = 0) -> list[bytes]:
+    """The predict requests of `batch` as `json.dumps` writes its rendered rows."""
+    shape = list(batch.instance.spec.values.shape)
+    return [json.dumps({"type": "predict", "id": first_id + k, "shape": shape,
+                        "scale": "db",
+                        "batch": [s.values.ravel().tolist()
+                                  for s in batch[start:start + batch_size]]},
+                       separators=(",", ":")).encode() + b"\n"
+            for k, start in enumerate(range(0, len(batch), batch_size))]
 
 
 class TestLinearHead:
@@ -130,7 +149,7 @@ class TestBuiltin:
     def test_all_floor_closed_form(self):
         predictor = BuiltinPredictor(seed=0)
         spec = db_spec(np.full((40, 30), -80.0))
-        (mid,), (emotion,) = predictor.predict([spec])
+        (mid,), (emotion,) = predictor.predict(unmasked(spec))
         # every region mean is -80, so mid_j = -80 + 0.5*80 + offset_j
         expected_mid = -80.0 + 40.0 + predictor.offsets
         assert np.allclose(mid, expected_mid, atol=1e-12)
@@ -140,7 +159,7 @@ class TestBuiltin:
         predictor = BuiltinPredictor(seed=3)
         values = random_db_image(40, 50, 36)
         spec = db_spec(values)
-        (mid,), _ = predictor.predict([spec])
+        (mid,), _ = predictor.predict(unmasked(spec))
         for j, (pos, neg) in enumerate(predictor.regions((50, 36))):
             pos_mean = values[pos[0]:pos[1], pos[2]:pos[3]].mean()
             neg_mean = values[neg[0]:neg[1], neg[2]:neg[3]].mean()
@@ -150,7 +169,7 @@ class TestBuiltin:
     def test_emotion_is_exactly_linear_in_mid(self):
         predictor = BuiltinPredictor(seed=1)
         for seed in range(4):
-            (mid,), (emotion,) = predictor.predict([tiny_spec(seed)])
+            (mid,), (emotion,) = predictor.predict(unmasked(tiny_spec(seed)))
             assert np.max(np.abs(emotion - predictor.head.apply(mid))) <= 1e-12
 
     def test_functional_is_affine_in_pixels(self):
@@ -158,16 +177,15 @@ class TestBuiltin:
         a, b = tiny_spec(1).values, tiny_spec(2).values
         lam = 0.3
         mix = db_spec(lam * a + (1 - lam) * b, config=TINY)
-        (mid_mix,), _ = predictor.predict([mix])
-        (mid_a,), _ = predictor.predict([db_spec(a, config=TINY)])
-        (mid_b,), _ = predictor.predict([db_spec(b, config=TINY)])
+        (mid_mix,), _ = predictor.predict(unmasked(mix))
+        (mid_a,), _ = predictor.predict(unmasked(db_spec(a, config=TINY)))
+        (mid_b,), _ = predictor.predict(unmasked(db_spec(b, config=TINY)))
         offset = predictor.offsets
         expected = lam * (mid_a - offset) + (1 - lam) * (mid_b - offset) + offset
         assert np.allclose(mid_mix, expected, atol=1e-10)
 
     def test_duplicate_batch_items_agree(self):
-        spec = tiny_spec(7)
-        mids, emotions = BuiltinPredictor(seed=0).predict([spec, spec])
+        mids, emotions = BuiltinPredictor(seed=0).predict(unmasked(tiny_spec(7), rows=2))
         assert np.array_equal(mids[0], mids[1])
         assert np.array_equal(emotions[0], emotions[1])
 
@@ -180,12 +198,8 @@ class TestBuiltin:
         assert not np.array_equal(a.head.weights, c.head.weights)
 
     def test_empty_batch(self):
-        mids, emotions = BuiltinPredictor().predict([])
+        mids, emotions = BuiltinPredictor().predict(tiny_batch(0))
         assert mids.shape == (0, MID_COUNT) and emotions.shape == (0, EMOTION_COUNT)
-
-    def test_mixed_shapes_rejected(self):
-        with pytest.raises(BatchShapeError):
-            BuiltinPredictor().predict([tiny_spec(0, frames=6), tiny_spec(0, frames=7)])
 
     def test_peak_memory_of_one_mask_chunk(self):
         # A 6 s clip has about 950 segments and a chunk is 256 rows. Here
@@ -218,7 +232,7 @@ class TestBuiltin:
 class TestConstantPredictor:
     def test_constant_output(self):
         predictor = ConstantPredictor(mid_value=0.25)
-        mids, emotions = predictor.predict([tiny_spec(0), tiny_spec(1)])
+        mids, emotions = predictor.predict(tiny_batch(2))
         assert mids.shape == (2, MID_COUNT) and emotions.shape == (2, EMOTION_COUNT)
         assert np.all(mids == 0.25)
         assert np.all(emotions == 0.0)
@@ -282,7 +296,7 @@ class TestCapabilitiesParsing:
 
 class TestGateway:
     def test_handshake_and_echo_relay(self):
-        batch = [tiny_spec(s) for s in range(5)]
+        batch = tiny_batch(5)
         with ExternalPredictor(child_command("echo"), timeout=20) as gateway:
             caps = gateway.capabilities
             assert caps.mid_names == tuple(f"m{i}" for i in range(1, 8))
@@ -296,7 +310,7 @@ class TestGateway:
             assert np.allclose(emotion, expected, rtol=1e-9, atol=1e-12)
 
     def test_batch_size_does_not_change_results(self):
-        batch = [tiny_spec(s) for s in range(7)]
+        batch = tiny_batch(7)
         with ExternalPredictor(child_command("echo"), timeout=20,
                                batch_size=2) as small:
             chunked = small.predict(batch)
@@ -309,13 +323,13 @@ class TestGateway:
     def test_empty_batch_sends_nothing(self):
         with ExternalPredictor(child_command("silent"), timeout=5) as gateway:
             began = time.monotonic()
-            mids, emotions = gateway.predict([])
+            mids, emotions = gateway.predict(tiny_batch(0))
             # Nothing to send or await: no wait on the silent child.
             assert time.monotonic() - began < 2.5
         assert mids.shape == (0, MID_COUNT) and emotions.shape == (0, EMOTION_COUNT)
 
     def test_out_of_order_replies_reassembled(self):
-        batch = [tiny_spec(s) for s in range(8)]
+        batch = tiny_batch(8)
         with ExternalPredictor(child_command("echo"), timeout=20,
                                batch_size=2) as ordered_gw:
             expected = ordered_gw.predict(batch)
@@ -327,14 +341,14 @@ class TestGateway:
 
     def test_multiple_predict_calls_reuse_the_child(self):
         with ExternalPredictor(child_command("echo"), timeout=20) as gateway:
-            first = gateway.predict([tiny_spec(0)])
-            second = gateway.predict([tiny_spec(0)])
+            first = gateway.predict(unmasked(tiny_spec(0)))
+            second = gateway.predict(unmasked(tiny_spec(0)))
         assert np.array_equal(first[0], second[0])
 
     def test_close_returns_zero_exit(self):
         gateway = ExternalPredictor(child_command("echo"), timeout=20)
         gateway.start()
-        gateway.predict([tiny_spec(0)])
+        gateway.predict(unmasked(tiny_spec(0)))
         assert gateway.close() == 0
         assert gateway.close() is None  # idempotent
 
@@ -394,7 +408,7 @@ class TestGateway:
         try:
             gateway.start()
             with pytest.raises(PredictionValueError) as info:
-                gateway.predict([tiny_spec(s) for s in range(4)])
+                gateway.predict(tiny_batch(4))
         finally:
             gateway.close()
         assert info.value.index == 0
@@ -414,7 +428,7 @@ class TestGateway:
         with ExternalPredictor([sys.executable, "-c", EDITING_CHILD, "1", edit],
                                timeout=10, batch_size=2) as gateway:
             with pytest.raises(ProtocolError) as info:
-                gateway.predict([tiny_spec(s) for s in range(4)])
+                gateway.predict(tiny_batch(4))
         assert info.value.line
 
     def test_nan_in_a_later_chunk_carries_the_batch_index(self):
@@ -422,7 +436,7 @@ class TestGateway:
         with ExternalPredictor([sys.executable, "-c", EDITING_CHILD, "1", edit],
                                timeout=10, batch_size=2) as gateway:
             with pytest.raises(PredictionValueError) as info:
-                gateway.predict([tiny_spec(s) for s in range(4)])
+                gateway.predict(tiny_batch(4))
         assert info.value.index == 3
 
     def test_integer_too_large_for_a_float_is_a_protocol_error(self):
@@ -430,7 +444,7 @@ class TestGateway:
         with ExternalPredictor([sys.executable, "-c", EDITING_CHILD, "0", edit],
                                timeout=10) as gateway:
             with pytest.raises(ProtocolError) as info:
-                gateway.predict([tiny_spec(0)])
+                gateway.predict(unmasked(tiny_spec(0)))
         assert info.value.line
 
     @pytest.mark.parametrize("started", [False, True], ids=["never-started", "closed"])
@@ -451,7 +465,7 @@ class TestGateway:
         monkeypatch.setattr(subprocess, "Popen", recording_popen)
         try:
             with pytest.raises(TransportError, match="start"):
-                gateway.predict([tiny_spec(0)])
+                gateway.predict(unmasked(tiny_spec(0)))
         finally:
             gateway.close()
             for proc in spawned:
@@ -465,7 +479,7 @@ class TestGateway:
         try:
             gateway.start()
             with pytest.raises(TransportError):
-                gateway.predict([tiny_spec(s) for s in range(4)])
+                gateway.predict(tiny_batch(4))
         finally:
             gateway.close()
 
@@ -474,7 +488,7 @@ class TestGateway:
         try:
             gateway.start()
             with pytest.raises(TransportError):
-                gateway.predict([tiny_spec(0)])
+                gateway.predict(unmasked(tiny_spec(0)))
         finally:
             gateway.close()
 
@@ -483,52 +497,9 @@ class TestGateway:
         try:
             gateway.start()
             with pytest.raises(PredictorTimeoutError):
-                gateway.predict([tiny_spec(0)])
+                gateway.predict(unmasked(tiny_spec(0)))
         finally:
             gateway.close()
-
-    def test_rejects_magnitude_scale(self):
-        spec = Spectrogram(values=np.ones((9, 4)), scale=SCALE_MAGNITUDE,
-                           config=TINY, sample_rate=22050)
-        gateway = ExternalPredictor(child_command("echo"), timeout=10)
-        try:
-            gateway.start()
-            with pytest.raises(ScaleMismatchError):
-                gateway.predict([spec])
-        finally:
-            gateway.close()
-
-    @pytest.mark.parametrize("faults, error", [
-        ({2: "shape", 3: "scale"}, BatchShapeError),
-        ({2: "scale", 3: "shape"}, ScaleMismatchError),
-    ], ids=["shape-first", "scale-first"])
-    def test_first_faulty_item_decides_and_nothing_is_sent(self, faults, error,
-                                                            monkeypatch):
-        def item(i):
-            if faults.get(i) == "shape":
-                return tiny_spec(i, frames=7)
-            if faults.get(i) == "scale":
-                return Spectrogram(values=np.ones((9, 6)), scale=SCALE_MAGNITUDE,
-                                   config=TINY, sample_rate=22050)
-            return tiny_spec(i)
-
-        relayed = []
-        relay = ExternalPredictor._relay
-
-        def counting_relay(self, proc, payloads, want, on_line):
-            payloads = list(payloads)
-            relayed.append(len(payloads))
-            return relay(self, proc, payloads, want, on_line)
-
-        monkeypatch.setattr(ExternalPredictor, "_relay", counting_relay)
-        with ExternalPredictor(child_command("echo"), timeout=10,
-                               batch_size=2) as gateway:
-            with pytest.raises(error, match="item 2"):
-                gateway.predict([item(i) for i in range(5)])
-            assert relayed == [1]
-            mids, _ = gateway.predict([tiny_spec(0), tiny_spec(1)])
-        assert np.allclose(mids[:, 0], [tiny_spec(s).values.mean() for s in (0, 1)],
-                           rtol=0, atol=1e-12)
 
     def test_chunks_are_written_only_when_the_window_has_room(self, monkeypatch):
         replies, written = [], []
@@ -542,7 +513,7 @@ class TestGateway:
                             or predict_line(cid, *args))
         with ExternalPredictor(child_command("echo"), timeout=20,
                                batch_size=1) as gateway:
-            gateway.predict([tiny_spec(s) for s in range(WINDOW + 4)])
+            gateway.predict(tiny_batch(WINDOW + 4))
         assert [cid for cid, _ in written] == list(range(WINDOW + 4))
         assert all(got >= cid - WINDOW + 1 for cid, got in written)
         assert [got for _, got in written[:WINDOW]] == [0] * WINDOW
@@ -662,9 +633,9 @@ class TestGatewayPool:
                             or predict_line(cid, *args))
         with ExternalPredictor(child_command("reorder"), timeout=20, batch_size=1,
                                children=2) as gateway:
-            mids, _ = gateway.predict([tiny_spec(s) for s in range(3 * WINDOW)])
-        assert np.allclose(mids[:, 0], [tiny_spec(s).values.mean()
-                                        for s in range(3 * WINDOW)], rtol=0, atol=1e-12)
+            batch = tiny_batch(3 * WINDOW)
+            mids, _ = gateway.predict(batch)
+        assert np.allclose(mids[:, 0], item_means(batch), rtol=0, atol=1e-12)
         assert [cid for cid, _ in written] == list(range(3 * WINDOW))
         assert [got for _, got in written[:2 * WINDOW]] == [0] * (2 * WINDOW)
         assert all(got >= cid - 2 * WINDOW + 1 for cid, got in written)
@@ -696,7 +667,7 @@ class TestGatewayPool:
         gateway = ExternalPredictor(child_with("echo", "--tally", tally), timeout=20,
                                     batch_size=1, children=3)
         with gateway:
-            gateway.predict([tiny_spec(s) for s in range(6)])
+            gateway.predict(tiny_batch(6))
         assert gateway.close() is None
         assert json.loads(tally.read_text())["writers"] == 3
 
@@ -717,7 +688,7 @@ class TestGatewayPool:
         gateway = ExternalPredictor(child_with("echo", "--record", record), timeout=20,
                                     batch_size=2, children=2)
         with gateway:
-            gateway.predict([tiny_spec(s) for s in range(7)])
+            gateway.predict(tiny_batch(7))
         requests = [r for child in recorded_requests(record) for r in child]
         handshake = len(gateway._encode({"type": "handshake", "protocol": 1}))
         shutdown = len(gateway._encode({"type": "shutdown"}))
@@ -734,10 +705,13 @@ class TestGatewayMaskBatch:
     @pytest.mark.parametrize("fill", list(FillStrategy))
     def test_request_lines_match_rendered_rows_and_render_once(self, fill,
                                                                 monkeypatch):
-        # The dense list renders each row once; the gateway renders none.
+        # The expected lines render each row once; the gateway renders none.
         base = tiny_spec(3)
         seg_map = block_map(9, 6, 3, 3)
         masks = sample_masks(6, LimeConfig(n_samples=9, seed=2))
+        batch = MaskBatch(Instance(base, seg_map, fill), masks)
+        expected = request_lines(batch, 2)
+        means = item_means(batch)
         sent, renders = [], []
         relay = ExternalPredictor._relay
 
@@ -752,23 +726,15 @@ class TestGatewayMaskBatch:
 
         monkeypatch.setattr(ExternalPredictor, "_relay", recording_relay)
 
-        def relay_batch(batch):
-            sent.clear()
-            with ExternalPredictor(child_command("echo"), timeout=20,
-                                   batch_size=2) as gateway:
-                results = gateway.predict(batch)
-            return list(sent), results
-
-        dense_lines, dense = relay_batch([apply_mask(base, seg_map, row, fill)
-                                          for row in masks])
         monkeypatch.setattr(Instance, "render",
                             lambda self, row: renders.append(row.copy()))
-        mask_lines, batched = relay_batch(MaskBatch(Instance(base, seg_map, fill), masks))
-        assert len(mask_lines) == 5
-        assert mask_lines == dense_lines
+        with ExternalPredictor(child_command("echo"), timeout=20,
+                               batch_size=2) as gateway:
+            mids, _ = gateway.predict(batch)
+        assert len(sent) == 5
+        assert sent == expected
         assert renders == []
-        assert np.array_equal(dense[0], batched[0])
-        assert np.array_equal(dense[1], batched[1])
+        assert np.allclose(mids[:, 0], means, rtol=1e-12, atol=0)
 
     @given(data=st.data(), height=st.integers(1, 6), width=st.integers(1, 6),
            segments=st.integers(1, 5), fill=st.sampled_from(list(FillStrategy)),
@@ -797,14 +763,7 @@ class TestGatewayMaskBatch:
                                    seg_map, fill), masks)
         gateway = WireGateway(batch_size)
         gateway.predict(batch)
-        expected = [
-            json.dumps({"type": "predict", "id": cid, "shape": [height, width],
-                        "scale": "db",
-                        "batch": [s.values.ravel().tolist()
-                                  for s in batch[start:start + batch_size]]},
-                       separators=(",", ":")).encode() + b"\n"
-            for cid, start in enumerate(range(0, n, batch_size))]
-        assert gateway.lines == expected
+        assert gateway.lines == request_lines(batch, batch_size)
 
     def test_run_texts_are_built_once_per_instance(self, monkeypatch):
         # At one worker, as `exec:` runs are: the gateway is not thread-safe.
@@ -817,16 +776,16 @@ class TestGatewayMaskBatch:
                             or run_texts(instance))
         monkeypatch.setattr(Instance, "render",
                             lambda self, row: renders.append(row.copy()))
+        config = LimeConfig(n_samples=40, seed=3)
+        instance = Instance(base, seg_map, config.fill)
         with ExternalPredictor(child_command("echo"), timeout=20) as gateway:
             def explain():
-                return explain_instance(lambda b: gateway.predict(b)[0][:, 0], base,
-                                        seg_map, LimeConfig(n_samples=40, seed=3),
-                                        batch_size=8, workers=1)
+                return explain_instance(lambda b: gateway.predict(b)[0][:, 0], instance,
+                                        config, batch_size=8, workers=1)
 
             first = explain()
-            assert len(built) == 1
             second = explain()
-        assert len(built) == 2 and built[0] is not built[1]
+        assert built == [instance]
         assert first.fit.weights.tobytes() == second.fit.weights.tobytes()
         assert renders == []
 
@@ -834,13 +793,14 @@ class TestGatewayMaskBatch:
         base = tiny_spec(5)
         seg_map = block_map(9, 6, 3, 3)
         masks = sample_masks(6, LimeConfig(n_samples=9, seed=4))
-        gateway, dense = WireGateway(batch_size=8), WireGateway(batch_size=8)
+        gateway, expected = WireGateway(batch_size=8), []
         for fill in (FillStrategy.SILENCE_FLOOR, FillStrategy.SEGMENT_MEAN,
                      FillStrategy.SILENCE_FLOOR):
-            gateway.predict(MaskBatch(Instance(base, seg_map, fill), masks))
-            dense.predict([apply_mask(base, seg_map, row, fill) for row in masks])
+            batch = MaskBatch(Instance(base, seg_map, fill), masks)
+            expected += request_lines(batch, 8, first_id=len(expected))
+            gateway.predict(batch)
         assert len(gateway.lines) == 6
-        assert gateway.lines == dense.lines
+        assert gateway.lines == expected
 
     def test_a_request_is_held_once(self):
         # 224 rows of the fixture's first second at 257 x 85 make a 47.6 MB
