@@ -94,6 +94,8 @@ def decode_wav(path: str | Path) -> AudioClip:
     elif audio_format == _IEEE_FLOAT and bits == 32:
         raw = np.frombuffer(payload[: len(payload) - len(payload) % (4 * channels)],
                             dtype="<f4")
+        if not np.all(np.isfinite(raw)):
+            raise WavDecodeError("data chunk contains non-finite samples", chunk="data")
         samples = np.clip(raw.astype(np.float64), -1.0, 1.0)
     else:
         raise UnsupportedFormatError(
@@ -101,8 +103,6 @@ def decode_wav(path: str | Path) -> AudioClip:
         )
     if channels == 2:
         samples = samples.reshape(-1, 2).mean(axis=1)
-    if not np.all(np.isfinite(samples)):
-        raise WavDecodeError("data chunk contains non-finite samples", chunk="data")
     return AudioClip(samples=samples, sample_rate=int(sample_rate))
 
 

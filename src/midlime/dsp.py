@@ -7,12 +7,17 @@ Conventions used throughout:
 * Inversion is the least-squares overlap-add estimate: frames are windowed
   again and the sum is divided by the accumulated squared window. With this
   inverse the Griffin-Lim spectral error is non-increasing by construction.
+* Griffin-Lim iterates only the frames whose target magnitude is not all
+  zero. A silent frame would add only +-0 to the overlap-add sum, so
+  skipping it changes no bit (see `_griffin_lim`); a mask-only target is
+  silent outside its segments, so most of its frames are skipped.
 * dB conversion is ``20*log10(|X| + 1e-10)`` clamped at a floor; the epsilon
   only guards against -inf, the clamp dominates it.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
@@ -28,12 +33,15 @@ from .errors import (
     ShapeMismatchError,
 )
 
+log = logging.getLogger(__name__)
+
 SCALE_DB = "db"
 SCALE_MAGNITUDE = "magnitude"
 
 _LOG_EPS = 1e-10
 
-# Frames per block in synthesis and in Griffin-Lim's re-analysis. Each frame
+# Frames per block in synthesis and in Griffin-Lim's re-analysis; Griffin-Lim
+# cuts its blocks at the edges of each run of live frames as well. Each frame
 # is transformed on its own and the frames covering a sample are added in
 # increasing frame order whatever the block, so it sets memory and speed,
 # never bits. At 2048-sample frames a block's temporaries are about 2 MB,
@@ -184,7 +192,7 @@ def istft(spec: ComplexSpectrogram) -> AudioClip:
     n_frames = spec.values.shape[1]
     den = _window_sum(w, config.hop_size, n_frames)
     frame_major = spec.values.T
-    samples = _synthesise((frame_major[t:t + _FRAME_BLOCK]
+    samples = _synthesise(((t, frame_major[t:t + _FRAME_BLOCK])
                            for t in range(0, n_frames, _FRAME_BLOCK)),
                           w, config.hop_size, den)
     return AudioClip(samples=samples, sample_rate=spec.sample_rate)
@@ -197,21 +205,21 @@ def _window_sum(window: np.ndarray, hop: int, n_frames: int) -> np.ndarray:
     return out[:(n_frames - 1) * hop + len(window)]
 
 
-def _synthesise(spectra: Iterable[np.ndarray], window: np.ndarray, hop: int,
-                den: np.ndarray) -> np.ndarray:
+def _synthesise(spectra: Iterable[tuple[int, np.ndarray]], window: np.ndarray,
+                hop: int, den: np.ndarray) -> np.ndarray:
     """Least-squares overlap-add inverse of a frame-major spectrum.
 
-    `spectra` gives its rows in frame order, a block at a time; each block is
-    inverted, windowed and added into the output before the next is read.
+    `spectra` gives ``(first_frame, rows)`` blocks in increasing frame
+    order; each block is inverted, windowed and added into the output from
+    frame ``first_frame`` on before the next is read. A frame that no block
+    holds adds nothing.
     """
     frame = len(window)
     out = _overlap_zeros((len(den) - frame) // hop + 1, frame, hop)
-    first = 0
-    for spec in spectra:
+    for first, spec in spectra:
         frames = np.fft.irfft(spec, n=frame, axis=1)
         frames *= window
         _overlap_add(out, frames, first, hop)
-        first += len(frames)
     num = out[:len(den)]
     return np.divide(num, den, out=np.zeros_like(num), where=den > 0)
 
@@ -287,7 +295,19 @@ def _griffin_lim(
     trace: bool,
 ) -> tuple[AudioClip, np.ndarray]:
     """The loop behind both entry points; only a trace pays for the errors
-    and for the analysis of the final signal, which only the errors use."""
+    and for the analysis of the final signal, which only the errors use.
+
+    A plain run analyses, projects and resynthesises only the live frames,
+    those whose target column is not all zero; a trace visits every frame,
+    as its error sum needs the silent frames' |STFT| too. Skipping a silent
+    frame changes no bit. It projects to a spectrum of +-0 whatever its
+    phase, so its ``irfft`` and its window product are +-0 as well. The
+    overlap-add sum starts at +0.0 and never becomes -0.0, because round to
+    nearest gives -0.0 only for (-0) + (-0); adding +-0 to it is therefore
+    the identity, and the live frames are still added in increasing frame
+    order. Random starting phases depend only on (bin, frame), so a live
+    frame starts where it would if every frame were visited.
+    """
     if target_magnitude.scale != SCALE_MAGNITUDE:
         raise ScaleMismatchError(
             f"target must be linear magnitude, got scale '{target_magnitude.scale}'"
@@ -307,39 +327,43 @@ def _griffin_lim(
 
     # Frame-major from here on: row t is frame t, so every FFT runs along
     # contiguous rows, and the squared-window sum is computed once. Every
-    # pass walks the frames `_FRAME_BLOCK` at a time, so no full-size
-    # spectrum, frame array or magnitude is ever held.
+    # pass walks the blocks, at most `_FRAME_BLOCK` frames each, so no
+    # full-size spectrum, frame array or magnitude is ever held.
+    live = np.ones(target.shape[1], dtype=bool) if trace else target.any(axis=0)
+    blocks = _live_blocks(live)
+    log.info("griffin-lim iterates %d of %d frames", np.count_nonzero(live), len(live))
     target = target.T
     n_frames, bins = target.shape
     w = window_samples(cfg.window, cfg.frame_size)
     hop = cfg.hop_size
     den = _window_sum(w, hop, n_frames)
-    starts = range(0, n_frames, _FRAME_BLOCK)
 
-    def initial(t: int) -> np.ndarray:
-        block = target[t:t + _FRAME_BLOCK]
+    def initial(t: int, stop: int) -> np.ndarray:
+        block = target[t:stop]
         if init_phase is None:
             phase = 2.0 * np.pi * rng.uniform_grid(
-                seed, np.arange(bins), np.arange(t, t + len(block))).T
+                seed, np.arange(bins), np.arange(t, stop)).T
             return block * np.exp(1j * phase)
-        spec = np.array(init_phase.values[:, t:t + _FRAME_BLOCK].T, order="C")
+        spec = np.array(init_phase.values[:, t:stop].T, order="C")
         _project(spec, block, np.abs(spec))
         return spec
 
-    def reprojected(x: np.ndarray, squares: list | None) -> Iterator[np.ndarray]:
-        """The spectra of `x`'s frames given the target magnitude, block by
-        block; a trace collects each block's squared error in `squares`."""
+    def reprojected(x: np.ndarray, squares: list | None
+                    ) -> Iterator[tuple[int, np.ndarray]]:
+        """The spectra of `x`'s frames in `blocks` given the target
+        magnitude, as ``(first_frame, rows)`` pairs; a trace collects each
+        block's squared error in `squares`."""
         frames = _frames(x, len(w), hop)
-        for t in starts:
-            block = target[t:t + _FRAME_BLOCK]
-            spec = _analyse(frames[t:t + _FRAME_BLOCK], w)
+        for t, stop in blocks:
+            block = target[t:stop]
+            spec = _analyse(frames[t:stop], w)
             magnitude = np.abs(spec)
             if squares is not None:
                 squares.append(float(np.square(magnitude - block).sum()))
             _project(spec, block, magnitude)
-            yield spec
+            yield t, spec
 
-    x = _synthesise(map(initial, starts), w, hop, den)
+    x = _synthesise(((t, initial(t, stop)) for t, stop in blocks), w, hop, den)
     errors = []
     for _ in range(iterations):
         squares = [] if trace else None
@@ -354,6 +378,16 @@ def _griffin_lim(
         errors.append(math.sqrt(math.fsum(squares)))
     clip = AudioClip(samples=x, sample_rate=target_magnitude.sample_rate)
     return clip, np.asarray(errors)
+
+
+def _live_blocks(live: np.ndarray) -> list[tuple[int, int]]:
+    """``(start, stop)`` frame ranges of at most `_FRAME_BLOCK` frames that
+    cover the True entries of `live` in order, cut at the edges of each run
+    of them."""
+    edges = np.flatnonzero(np.diff(live, prepend=False, append=False))
+    return [(t, min(t + _FRAME_BLOCK, stop))
+            for start, stop in edges.reshape(-1, 2).tolist()
+            for t in range(start, stop, _FRAME_BLOCK)]
 
 
 def _project(spec: np.ndarray, target: np.ndarray, magnitude: np.ndarray) -> None:

@@ -193,6 +193,11 @@ class Instance:
                 self._memo[key] = build(self)
             return self._memo[key]
 
+    def forget(self) -> None:
+        """Drop every memoised value; a later `memo` call builds its key again."""
+        with self._lock:
+            self._memo.clear()
+
 
 class MaskBatch(Sequence):
     """The spectrograms that a block of mask rows renders, as a read-only sequence.

@@ -397,6 +397,9 @@ def run_explanation(config: RunConfig) -> ExplanationBundle:
             rows[0, list(explanation.positive_ids)] = 1
             rows[1, list(explanation.negative_ids)] = 1
             pos_row, neg_row = rows
+        # Nothing predicts after this stage: free what the predictor kept
+        # on the instance (an exec: run's request texts) before synthesis.
+        prep.instance.forget()
         log.info("selected %d segments (%d positive, %d negative)",
                  len(explanation.selected), len(explanation.positive_ids),
                  len(explanation.negative_ids))

@@ -64,6 +64,18 @@ def test_decode_float32(tmp_path):
     assert np.allclose(clip.samples, values.astype(np.float64))
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_decode_rejects_non_finite_float32(tmp_path, bad):
+    # An infinity must not be clipped to full scale and decoded silently.
+    values = np.array([0.25, bad, -0.5], dtype="<f4")
+    path = tmp_path / "bad.wav"
+    path.write_bytes(wav_bytes(values.tobytes(), fmt=3, bits=32))
+    with pytest.raises(WavDecodeError) as info:
+        decode_wav(path)
+    assert info.value.chunk == "data"
+    assert "non-finite" in str(info.value)
+
+
 def test_decode_skips_unknown_chunks(tmp_path):
     extra = struct.pack("<4sI", b"LIST", 4) + b"INFO"
     path = tmp_path / "listed.wav"

@@ -1,5 +1,6 @@
 """STFT, dB mapping, inversion, Griffin-Lim: examples plus oracle checks."""
 
+import logging
 import tracemalloc
 
 import numpy as np
@@ -388,3 +389,71 @@ class TestLoopAgainstOracle:
             slow = naive_griffin_lim(values, SMALL.frame_size, SMALL.hop_size,
                                      SMALL.window, iterations, init_phase=init)
             assert oracle_gap(out, slow) <= 1e-9
+
+
+N_FRAMES = 2 * dsp._FRAME_BLOCK + 12
+# The frames whose target is silent, by where they fall.
+SILENT = {
+    "first": range(0, 5),
+    "middle-short": range(10, 10 + dsp._FRAME_BLOCK // 2),
+    "middle-long": range(8, 8 + dsp._FRAME_BLOCK + 5),
+    "last": range(N_FRAMES - 7, N_FRAMES),
+    "all-but-one": [t for t in range(N_FRAMES) if t != N_FRAMES // 2],
+    "all": range(N_FRAMES),
+}
+
+
+class TestSilentFrames:
+    """A plain run skips the frames whose target is all zero, with the bits
+    of the loop that visits every frame."""
+
+    @staticmethod
+    def target_with(silent, seed: int) -> np.ndarray:
+        values = 0.1 + np.abs(uniform_noise(seed, 129 * N_FRAMES)).reshape(129, N_FRAMES)
+        values[:, list(silent)] = 0.0
+        return values
+
+    @pytest.mark.parametrize("silent", SILENT.values(), ids=SILENT.keys())
+    def test_skip_matches_the_full_size_loop_bit_for_bit(self, silent):
+        values = self.target_with(silent, 300)
+        target = Spectrogram(values=values, scale=SCALE_MAGNITUDE, config=SMALL,
+                             sample_rate=8000)
+        init = complex_noise(301, 129, N_FRAMES)
+        init_phase = ComplexSpectrogram(values=init, config=SMALL, sample_rate=8000)
+        for kwargs, start in (({"seed": 7}, {"seed": 7}),
+                              ({"init_phase": init_phase}, {"init_phase": init})):
+            out = griffin_lim(target, SMALL, 5, **kwargs).samples
+            samples, _ = full_size_griffin_lim(
+                values, SMALL.frame_size, SMALL.hop_size, SMALL.window, 5, **start)
+            assert out.tobytes() == samples.tobytes()
+            # The trace visits every frame and still gives the same bits.
+            traced, _ = griffin_lim_trace(target, SMALL, 5, **kwargs)
+            assert traced.samples.tobytes() == out.tobytes()
+
+    def test_a_plain_run_analyses_only_the_live_frames(self, monkeypatch):
+        analysed = []
+        real = dsp._analyse
+
+        def counting(frames, window):
+            analysed.append(len(frames))
+            return real(frames, window)
+
+        monkeypatch.setattr(dsp, "_analyse", counting)
+        silent = SILENT["middle-long"]
+        target = Spectrogram(values=self.target_with(silent, 302), scale=SCALE_MAGNITUDE,
+                             config=SMALL, sample_rate=8000)
+        live = N_FRAMES - len(silent)
+        griffin_lim(target, SMALL, 6, seed=1)
+        assert sum(analysed) == 6 * live
+        assert max(analysed) <= dsp._FRAME_BLOCK
+        analysed.clear()
+        griffin_lim_trace(target, SMALL, 6, seed=1)
+        assert sum(analysed) == 7 * N_FRAMES
+
+    def test_logs_the_frames_it_iterates(self, caplog):
+        target = Spectrogram(values=self.target_with(SILENT["first"], 303),
+                             scale=SCALE_MAGNITUDE, config=SMALL, sample_rate=8000)
+        with caplog.at_level(logging.INFO, logger="midlime"):
+            griffin_lim(target, SMALL, 2, seed=1)
+        assert [r.getMessage() for r in caplog.records if r.name == "midlime.dsp"] == [
+            f"griffin-lim iterates {N_FRAMES - 5} of {N_FRAMES} frames"]

@@ -263,6 +263,13 @@ class TestInstance:
         assert instance.memo("other", build) is not got[0]
         assert len(built) == 2
 
+    def test_forget_drops_the_memo(self):
+        seg_map, base = small_setup()
+        instance = Instance(base, seg_map, FillStrategy.GLOBAL_MEAN)
+        first = instance.memo("key", lambda inst: object())
+        instance.forget()
+        assert instance.memo("key", lambda inst: object()) is not first
+
 
 class TestProximity:
     def test_all_ones_weight_is_one(self):

@@ -547,6 +547,36 @@ class TestSynthesisThreads:
         assert not out.exists()
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("kind", ["builtin", "exec"])
+    def test_instance_memo_is_released_before_synthesis(self, kind, fixture_wav,
+                                                       tmp_path, monkeypatch):
+        instances, after_lime, at_synthesis = [], [], []
+
+        class Recorded(Instance):
+            def __init__(self, *args):
+                super().__init__(*args)
+                instances.append(self)
+
+        def recording_explain(*args, **kwargs):
+            result = explain_instance(*args, **kwargs)
+            after_lime.append(set(instances[0]._memo))
+            return result
+
+        def recording_synthesis(*args, **kwargs):
+            at_synthesis.append(set(instances[0]._memo))
+            return synthesize_modified(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "Instance", Recorded)
+        monkeypatch.setattr(pipeline, "explain_instance", recording_explain)
+        monkeypatch.setattr(pipeline, "synthesize_modified", recording_synthesis)
+        config = (short_exec_config(tmp_path, "ext") if kind == "exec"
+                  else fast_config(fixture_wav, tmp_path / "out"))
+        run_explanation(config)
+        # The predictor's per-instance work (the builtin's coefficients, an
+        # exec: run's request texts) is gone before the first rendering.
+        assert len(instances) == 1 and after_lime[0]
+        assert at_synthesis == [set()] * 4
+
 
 class TestWriteCsv:
     @settings(max_examples=60, deadline=None)
