@@ -624,12 +624,8 @@ def fit_surrogate(masks: np.ndarray, targets: np.ndarray,
         raise ValueError("weights must be finite, non-negative, not all zero")
     if not 0 <= alpha < math.inf:
         raise ConfigError(f"alpha must be finite and >= 0, got {alpha}")
+    check_sample_count(n, n_seg)
     dof = n - n_seg - 1
-    if dof < 1:
-        raise ConfigError(
-            f"{n} samples leave no residual degrees of freedom for "
-            f"{n_seg} segments (need at least {n_seg + 2})"
-        )
 
     pi = w * (n / math.fsum(w))
     gram = _weighted_gram(m, pi)

@@ -1,9 +1,11 @@
 """End-to-end run: audio in, explanation bundle out.
 
-Stage order: decode audio, STFT + dB view, predictor start, segmentation,
+Stage order: decode audio, STFT + dB view, segmentation, predictor start,
 full-clip prediction (the all-ones mask row of the run's one instance),
 effects decomposition, target resolution, per-segment attribution, masked
-spectrogram rendering, audio resynthesis, bundle writing. The
+spectrogram rendering, audio resynthesis, bundle writing. Every sample
+count the command will draw is checked against the segments before the
+predictor starts, and the predictor stops when the attribution ends. The
 resynthesis renders its four clips as independent jobs on up to four
 threads; the jobs share only read-only inputs, so the thread count changes
 no byte. Every computation happens before the first byte is written, and
@@ -56,7 +58,6 @@ from .errors import (
     StageError,
 )
 from .lime import (
-    FillStrategy,
     Instance,
     LimeConfig,
     LimeExplanation,
@@ -185,11 +186,7 @@ def make_predictor(spec_string: str, *, seed: int = 0, timeout: float = 30.0,
         command = spec_string[len("exec:"):]
         handle = ExternalPredictor(command, timeout=timeout, batch_size=batch_size,
                                    children=min(workers, os.cpu_count() or 1))
-        try:
-            return handle, handle.start()
-        except BaseException:
-            handle.close()
-            raise
+        return handle, handle.start()
     raise ConfigError(
         f"unknown predictor {spec_string!r}; expected builtin, constant, or exec:CMD"
     )
@@ -302,8 +299,12 @@ class _Prepared:
         return f"{self.target['kind']}:{self.target['name']}"
 
 
-def _prepare(config: RunConfig, stage: _Stages) -> _Prepared:
-    """Shared front half: decode, analyze, segment, predict, resolve target."""
+def _prepare(config: RunConfig, stage: _Stages,
+             counts: Sequence[int]) -> _Prepared:
+    """Shared front half: audio, analysis, segmentation, then a check of
+    each of the sample `counts` the command will draw against the segments,
+    so that a count too small costs no predictor start, then predictor, the
+    predictor's input spec, prediction, effects and target."""
     _check_out_dir(Path(config.out_dir))
     with stage("audio"):
         try:
@@ -313,6 +314,14 @@ def _prepare(config: RunConfig, stage: _Stages) -> _Prepared:
     with stage("analysis"):
         cspec = stft(clip, config.stft)
         dbspec = magnitude_db(cspec)
+    with stage("segmentation"):
+        seg_map = felzenszwalb_segment(dbspec, config.segmentation)
+        segments = _segment_summary(seg_map)
+    log.info("segmented into %d regions of %d to %d pixels, median %g",
+             segments["count"], segments["min_area"], segments["max_area"],
+             segments["median_area"])
+    for count in counts:
+        check_sample_count(count, seg_map.segment_count)
     with stage("predictor"):
         predictor, caps = make_predictor(
             config.predictor, seed=config.predictor_seed,
@@ -321,12 +330,6 @@ def _prepare(config: RunConfig, stage: _Stages) -> _Prepared:
         )
     try:
         _check_input_spec(caps, dbspec)
-        with stage("segmentation"):
-            seg_map = felzenszwalb_segment(dbspec, config.segmentation)
-            segments = _segment_summary(seg_map)
-        log.info("segmented into %d regions of %d to %d pixels, median %g",
-                 segments["count"], segments["min_area"], segments["max_area"],
-                 segments["median_area"])
         with stage("prediction"):
             instance = Instance(dbspec, seg_map, config.lime.fill)
             ones = np.ones((1, seg_map.segment_count), dtype=np.uint8)
@@ -383,7 +386,7 @@ def _lime_workers(config: RunConfig) -> int:
 def run_explanation(config: RunConfig) -> ExplanationBundle:
     """The whole workflow; returns the bundle and leaves it on disk."""
     stage = _Stages()
-    prep = _prepare(config, stage)
+    prep = _prepare(config, stage, [config.lime.n_samples])
     seg_map = prep.instance.seg_map
     try:
         with stage("lime"):
@@ -397,33 +400,34 @@ def run_explanation(config: RunConfig) -> ExplanationBundle:
             rows[0, list(explanation.positive_ids)] = 1
             rows[1, list(explanation.negative_ids)] = 1
             pos_row, neg_row = rows
-        # Nothing predicts after this stage: free what the predictor kept
-        # on the instance (an exec: run's request texts) before synthesis.
-        prep.instance.forget()
-        log.info("selected %d segments (%d positive, %d negative)",
-                 len(explanation.selected), len(explanation.positive_ids),
-                 len(explanation.negative_ids))
-        with stage("render"):
-            instance = prep.instance
-            if instance.fill is not FillStrategy.SILENCE_FLOOR:
-                instance = Instance(instance.spec, seg_map, FillStrategy.SILENCE_FLOOR)
-            pos_spec, neg_spec = instance.render(pos_row), instance.render(neg_row)
-        # The four renderings share only read-only inputs, and numpy's FFTs
-        # and ufuncs release the GIL, so they run side by side with the
-        # same bytes as one after another. Mask-only ignores the gain.
-        jobs = {"masked_pos": (pos_row, MODE_MASK_ONLY),
-                "masked_neg": (neg_row, MODE_MASK_ONLY),
-                "modified_add": (pos_row, MODE_ADD),
-                "modified_sub": (neg_row, MODE_SUBTRACT)}
-        with stage("synthesis"), \
-                ThreadPoolExecutor(min(4, os.cpu_count() or 1)) as pool:
-            futures = {name: pool.submit(synthesize_modified, prep.cspec, seg_map,
-                                         row, mode, config.synth_gain,
-                                         iterations=config.gl_iterations)
-                       for name, (row, mode) in jobs.items()}
-            clips = {name: future.result() for name, future in futures.items()}
     finally:
         predictor_exit = prep.predictor.close()
+    # Nothing predicts after this stage: free what the predictor kept on the
+    # instance (an exec: run's request texts) before synthesis.
+    prep.instance.forget()
+    log.info("selected %d segments (%d positive, %d negative)",
+             len(explanation.selected), len(explanation.positive_ids),
+             len(explanation.negative_ids))
+    # The mask CSVs keep the selected pixels and put the silence floor
+    # elsewhere, whatever fill the attribution used.
+    with stage("render"):
+        spec = prep.instance.spec
+        pos_mask, neg_mask = (np.where(seg_map.pixels(row), spec.values,
+                                       spec.config.floor_db) for row in rows)
+    # The four renderings share only read-only inputs, and numpy's FFTs
+    # and ufuncs release the GIL, so they run side by side with the
+    # same bytes as one after another. Mask-only ignores the gain.
+    jobs = {"masked_pos": (pos_row, MODE_MASK_ONLY),
+            "masked_neg": (neg_row, MODE_MASK_ONLY),
+            "modified_add": (pos_row, MODE_ADD),
+            "modified_sub": (neg_row, MODE_SUBTRACT)}
+    with stage("synthesis"), \
+            ThreadPoolExecutor(min(4, os.cpu_count() or 1)) as pool:
+        futures = {name: pool.submit(synthesize_modified, prep.cspec, seg_map,
+                                     row, mode, config.synth_gain,
+                                     iterations=config.gl_iterations)
+                   for name, (row, mode) in jobs.items()}
+        clips = {name: future.result() for name, future in futures.items()}
 
     caps = prep.caps
     names = {k: v for k, v in BUNDLE_FILES.items()
@@ -450,8 +454,8 @@ def run_explanation(config: RunConfig) -> ExplanationBundle:
             write_effects_csv(prep.effects, caps.linear_head, path["effects"])
         _write_json(path["explanation"], explanation_to_json(explanation))
         write_segment_csv(seg_map, path["segments"])
-        _write_csv(path["pos_mask"], pos_spec.values)
-        _write_csv(path["neg_mask"], neg_spec.values)
+        _write_csv(path["pos_mask"], pos_mask)
+        _write_csv(path["neg_mask"], neg_mask)
         for key in ("masked_pos", "masked_neg", "modified_add", "modified_sub"):
             encode_wav(clips[key], path[key])
         _write_report(path["report"], report, stage)
@@ -632,14 +636,10 @@ def run_stability(config: RunConfig, seeds: Sequence[int],
                     for count in sample_counts}
 
     stage = _Stages()
-    prep = _prepare(config, stage)
+    prep = _prepare(config, stage, sample_counts)
     results: dict = {}
     runs = []
     try:
-        # Every count before the first attribution, so that a count too
-        # small for the segments costs no predictor time.
-        for count in sample_counts:
-            check_sample_count(count, prep.instance.seg_map.segment_count)
         fn = _target_fn(prep.predictor, prep.target)
         workers = _lime_workers(config)
         for count in sample_counts:

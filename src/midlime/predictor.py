@@ -436,9 +436,10 @@ class ExternalPredictor:
     child, and every child's stdin/stdout are driven by one non-blocking
     event loop so a slow or bursty child cannot deadlock its pipe pair.
     `predict` works only between `start()` (or entering a `with` block) and
-    `close()`. Not thread-safe: callers sharing a gateway must serialize
-    access themselves. `counters` counts the requests, the items and the
-    bytes that crossed the wire.
+    `close()`, and a `start()` that fails has closed its children. Not
+    thread-safe: callers sharing a gateway must serialize access themselves.
+    `counters` counts the requests, the items and the bytes that crossed
+    the wire.
     """
 
     def __init__(self, command: str | Sequence[str], *, timeout: float = 30.0,
@@ -477,45 +478,46 @@ class ExternalPredictor:
 
     def start(self) -> PredictorCapabilities:
         """Spawn the children, then shake hands with each in turn; every
-        child must report the same capabilities."""
+        child must report the same capabilities. A failed spawn or handshake
+        closes the children spawned so far before it raises."""
         if self._pool:
             return self.capabilities
-        procs: list[subprocess.Popen] = []
         try:
             for _ in range(self.children):
-                procs.append(subprocess.Popen(
-                    self._argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-                    stderr=None, bufsize=0,
-                ))
-        except BaseException as exc:
-            for proc in procs:
-                _reap(proc)
-            if isinstance(exc, OSError):
-                raise SpawnError(f"cannot spawn predictor {self._argv!r}: {exc}") from exc
+                try:
+                    proc = subprocess.Popen(
+                        self._argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                        stderr=None, bufsize=0,
+                    )
+                except OSError as exc:
+                    raise SpawnError(
+                        f"cannot spawn predictor {self._argv!r}: {exc}") from exc
+                self._pool.append(_Child(proc))
+                flags = fcntl.fcntl(proc.stdin.fileno(), fcntl.F_GETFL)
+                fcntl.fcntl(proc.stdin.fileno(), fcntl.F_SETFL, flags | os.O_NONBLOCK)
+            first = None
+            for k, child in enumerate(self._pool):
+                lines: list[bytes] = []
+                self._relay([child], [[self._encode(
+                    {"type": "handshake", "protocol": PROTOCOL_VERSION})]], 1,
+                    lines.append)
+                line = lines[0]
+                msg = self._decode(line)
+                if msg.get("type") != "capabilities":
+                    raise ProtocolError(
+                        f"expected a capabilities reply, got type {msg.get('type')!r}",
+                        line=line,
+                    )
+                caps = _parse_capabilities(msg)
+                if first is None:
+                    first = caps
+                elif (unlike := _unlike_field(first, caps)) is not None:
+                    raise CapabilitiesError(
+                        f"predictor child {k} reports other {unlike} than child 0",
+                        field=unlike)
+        except BaseException:
+            self.close()
             raise
-        for proc in procs:
-            flags = fcntl.fcntl(proc.stdin.fileno(), fcntl.F_GETFL)
-            fcntl.fcntl(proc.stdin.fileno(), fcntl.F_SETFL, flags | os.O_NONBLOCK)
-        self._pool = [_Child(proc) for proc in procs]
-        first = None
-        for k, child in enumerate(self._pool):
-            lines: list[bytes] = []
-            self._relay([child], [[self._encode(
-                {"type": "handshake", "protocol": PROTOCOL_VERSION})]], 1, lines.append)
-            line = lines[0]
-            msg = self._decode(line)
-            if msg.get("type") != "capabilities":
-                raise ProtocolError(
-                    f"expected a capabilities reply, got type {msg.get('type')!r}",
-                    line=line,
-                )
-            caps = _parse_capabilities(msg)
-            if first is None:
-                first = caps
-            elif (unlike := _unlike_field(first, caps)) is not None:
-                raise CapabilitiesError(
-                    f"predictor child {k} reports other {unlike} than child 0",
-                    field=unlike)
         self._capabilities = first
         return first
 

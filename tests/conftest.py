@@ -8,6 +8,7 @@ machines and worker counts.
 from __future__ import annotations
 
 import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -31,6 +32,25 @@ SAMPLE_RATE = 22050
 
 def child_command(mode: str = "echo") -> str:
     return f"{sys.executable} {CHILD_SCRIPT} --mode {mode}"
+
+
+@pytest.fixture
+def spawned(monkeypatch) -> list[subprocess.Popen]:
+    """Every process that `subprocess.Popen` starts during the test, in
+    order; any still running at the end are killed."""
+    procs: list[subprocess.Popen] = []
+    popen = subprocess.Popen
+
+    def recording_popen(*args, **kwargs):
+        procs.append(popen(*args, **kwargs))
+        return procs[-1]
+
+    monkeypatch.setattr(subprocess, "Popen", recording_popen)
+    yield procs
+    for proc in procs:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
 
 
 def package_env() -> dict:

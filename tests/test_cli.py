@@ -2,6 +2,7 @@
 
 import json
 import os
+import shlex
 import struct
 import subprocess
 import sys
@@ -139,6 +140,24 @@ class TestExplainCommand:
         assert not (tmp_path / "b").exists()
 
 
+@pytest.mark.parametrize("command, counts", [
+    ("explain", ["--samples", "10"]),
+    ("stability", ["--seeds", "1,2", "--sample-counts", "600,10"]),
+], ids=["explain", "stability"])
+def test_a_small_count_exits_2_before_the_predictor_starts(command, counts,
+                                                           fixture_wav, tmp_path,
+                                                           capsys):
+    # The predictor command leaves a marker if it is ever spawned.
+    marker, out = tmp_path / "spawned", tmp_path / "out"
+    code = run_cli(command, "--audio", str(fixture_wav), "--out", str(out),
+                   "--predictor", f"exec:{shlex.join(['touch', str(marker)])}",
+                   *counts, *FAST_ANALYSIS)
+    assert code == 2
+    assert "n_samples 10 cannot overdetermine" in capsys.readouterr().err
+    assert not marker.exists()
+    assert not out.exists()
+
+
 # A short noise clip with few segments: 60 mask rows of about 150 kB each.
 POOL = ["--frame-size", "256", "--hop", "128", "--min-size", "800",
         "--samples", "60", "--gl-iters", "1"]
@@ -178,30 +197,16 @@ class TestChildPool:
         assert bundles[2] == bundles[0]
 
     def test_a_child_that_exits_early_exits_3_and_leaves_no_process(
-            self, short_wav, tmp_path, monkeypatch, capsys):
-        spawned = []
-        popen = subprocess.Popen
-
-        def recording_popen(*args, **kwargs):
-            spawned.append(popen(*args, **kwargs))
-            return spawned[-1]
-
-        monkeypatch.setattr(subprocess, "Popen", recording_popen)
+            self, short_wav, tmp_path, monkeypatch, capsys, spawned):
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        try:
-            code = run_cli("explain", "--audio", str(short_wav),
-                           "--out", str(tmp_path / "b"), *POOL, "--workers", "3",
-                           "--predictor", f"exec:{child_command('exit-early')}")
-            assert code == 3
-            assert "error:" in capsys.readouterr().err
-            assert len(spawned) == 3
-            assert all(proc.poll() is not None for proc in spawned)
-            assert not (tmp_path / "b").exists()
-        finally:
-            for proc in spawned:
-                if proc.poll() is None:
-                    proc.kill()
-                    proc.wait()
+        code = run_cli("explain", "--audio", str(short_wav),
+                       "--out", str(tmp_path / "b"), *POOL, "--workers", "3",
+                       "--predictor", f"exec:{child_command('exit-early')}")
+        assert code == 3
+        assert "error:" in capsys.readouterr().err
+        assert len(spawned) == 3
+        assert all(proc.poll() is not None for proc in spawned)
+        assert not (tmp_path / "b").exists()
 
 
 class TestStabilityCommand:

@@ -578,6 +578,19 @@ class TestSynthesisThreads:
         assert at_synthesis == [set()] * 4
 
 
+def test_exec_children_are_reaped_before_synthesis(tmp_path, monkeypatch, spawned):
+    running_at_synthesis = []
+
+    def recording_synthesis(*args, **kwargs):
+        running_at_synthesis.append([proc.returncode is None for proc in spawned])
+        return synthesize_modified(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "synthesize_modified", recording_synthesis)
+    run_explanation(short_exec_config(tmp_path, "ext"))
+    assert spawned
+    assert running_at_synthesis == [[False] * len(spawned)] * 4
+
+
 class TestWriteCsv:
     @settings(max_examples=60, deadline=None)
     @given(arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 6)),

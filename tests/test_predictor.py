@@ -365,6 +365,13 @@ class TestGateway:
             gateway.close()
         assert info.value.field == "mid_names"
 
+    def test_a_failed_handshake_in_a_with_block_leaves_no_child(self, spawned):
+        with pytest.raises(CapabilitiesError):
+            with ExternalPredictor(child_command("bad-arity"), timeout=10):
+                pass
+        assert len(spawned) == 1
+        assert spawned[0].returncode is not None, "the child outlived start()"
+
     def test_non_json_line(self):
         gateway = ExternalPredictor(child_command("non-json"), timeout=10)
         try:
@@ -567,16 +574,16 @@ class TestGatewayPool:
                     proc.kill()
                     proc.wait()
 
-    def test_children_must_report_the_same_capabilities(self):
+    def test_children_must_report_the_same_capabilities(self, spawned):
         with ExternalPredictor(child_command("pid-names"), timeout=10) as single:
             assert single.capabilities.mid_names[0].startswith("m1-")
         gateway = ExternalPredictor(child_command("pid-names"), timeout=10, children=2)
-        try:
-            with pytest.raises(CapabilitiesError, match="child 1") as info:
-                gateway.start()
-        finally:
-            assert gateway.close() == 0
+        with pytest.raises(CapabilitiesError, match="child 1") as info:
+            gateway.start()
         assert info.value.field == "mid_names"
+        # The failed start() has shut both of its children down.
+        assert [proc.returncode for proc in spawned] == [0, 0, 0]
+        assert gateway.close() is None
 
     def test_a_differing_or_missing_head_is_named(self):
         head = BuiltinPredictor(0).head
