@@ -269,9 +269,9 @@ def griffin_lim(
     target each round. The per-iteration spectral error
     ``|| |STFT(x_i)| - target ||_F`` never increases.
     """
-    clip, _ = _griffin_lim(target_magnitude, config, iterations, init_phase, seed,
-                           trace=False)
-    return clip
+    for x in _griffin_lim(target_magnitude, config, iterations, init_phase, seed):
+        pass
+    return AudioClip(samples=x, sample_rate=target_magnitude.sample_rate)
 
 
 def griffin_lim_trace(
@@ -281,9 +281,14 @@ def griffin_lim_trace(
     init_phase: ComplexSpectrogram | None = None,
     seed: int = 0,
 ) -> tuple[AudioClip, np.ndarray]:
-    """griffin_lim plus the spectral-error trajectory (length iterations + 1)."""
-    return _griffin_lim(target_magnitude, config, iterations, init_phase, seed,
-                        trace=True)
+    """griffin_lim plus the spectral-error trajectory (length iterations + 1):
+    the error of the initial signal, then of each iteration's."""
+    cfg = target_magnitude.config if config is None else config
+    errors = []
+    for x in _griffin_lim(target_magnitude, cfg, iterations, init_phase, seed):
+        errors.append(_spectral_error(x, target_magnitude.values, cfg))
+    clip = AudioClip(samples=x, sample_rate=target_magnitude.sample_rate)
+    return clip, np.asarray(errors)
 
 
 def _griffin_lim(
@@ -292,21 +297,19 @@ def _griffin_lim(
     iterations: int,
     init_phase: ComplexSpectrogram | None,
     seed: int,
-    trace: bool,
-) -> tuple[AudioClip, np.ndarray]:
-    """The loop behind both entry points; only a trace pays for the errors
-    and for the analysis of the final signal, which only the errors use.
+) -> Iterator[np.ndarray]:
+    """The loop behind both entry points: yields the signal after the
+    initial synthesis and after each iteration.
 
-    A plain run analyses, projects and resynthesises only the live frames,
-    those whose target column is not all zero; a trace visits every frame,
-    as its error sum needs the silent frames' |STFT| too. Skipping a silent
-    frame changes no bit. It projects to a spectrum of +-0 whatever its
-    phase, so its ``irfft`` and its window product are +-0 as well. The
-    overlap-add sum starts at +0.0 and never becomes -0.0, because round to
-    nearest gives -0.0 only for (-0) + (-0); adding +-0 to it is therefore
-    the identity, and the live frames are still added in increasing frame
-    order. Random starting phases depend only on (bin, frame), so a live
-    frame starts where it would if every frame were visited.
+    It analyses, projects and resynthesises only the live frames, those
+    whose target column is not all zero. Skipping a silent frame changes no
+    bit. It projects to a spectrum of +-0 whatever its phase, so its
+    ``irfft`` and its window product are +-0 as well. The overlap-add sum
+    starts at +0.0 and never becomes -0.0, because round to nearest gives
+    -0.0 only for (-0) + (-0); adding +-0 to it is therefore the identity,
+    and the live frames are still added in increasing frame order. Random
+    starting phases depend only on (bin, frame), so a live frame starts
+    where it would if every frame were visited.
     """
     if target_magnitude.scale != SCALE_MAGNITUDE:
         raise ScaleMismatchError(
@@ -329,7 +332,7 @@ def _griffin_lim(
     # contiguous rows, and the squared-window sum is computed once. Every
     # pass walks the blocks, at most `_FRAME_BLOCK` frames each, so no
     # full-size spectrum, frame array or magnitude is ever held.
-    live = np.ones(target.shape[1], dtype=bool) if trace else target.any(axis=0)
+    live = target.any(axis=0)
     blocks = _live_blocks(live)
     log.info("griffin-lim iterates %d of %d frames", np.count_nonzero(live), len(live))
     target = target.T
@@ -348,36 +351,33 @@ def _griffin_lim(
         _project(spec, block, np.abs(spec))
         return spec
 
-    def reprojected(x: np.ndarray, squares: list | None
-                    ) -> Iterator[tuple[int, np.ndarray]]:
+    def reprojected(x: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
         """The spectra of `x`'s frames in `blocks` given the target
-        magnitude, as ``(first_frame, rows)`` pairs; a trace collects each
-        block's squared error in `squares`."""
+        magnitude, as ``(first_frame, rows)`` pairs."""
         frames = _frames(x, len(w), hop)
         for t, stop in blocks:
-            block = target[t:stop]
             spec = _analyse(frames[t:stop], w)
-            magnitude = np.abs(spec)
-            if squares is not None:
-                squares.append(float(np.square(magnitude - block).sum()))
-            _project(spec, block, magnitude)
+            _project(spec, target[t:stop], np.abs(spec))
             yield t, spec
 
     x = _synthesise(((t, initial(t, stop)) for t, stop in blocks), w, hop, den)
-    errors = []
+    yield x
     for _ in range(iterations):
-        squares = [] if trace else None
-        x = _synthesise(reprojected(x, squares), w, hop, den)
-        if trace:
-            errors.append(math.sqrt(math.fsum(squares)))
-    if trace:
-        # The final signal's error; its projected spectra go unused.
-        squares = []
-        for _ in reprojected(x, squares):
-            pass
-        errors.append(math.sqrt(math.fsum(squares)))
-    clip = AudioClip(samples=x, sample_rate=target_magnitude.sample_rate)
-    return clip, np.asarray(errors)
+        x = _synthesise(reprojected(x), w, hop, den)
+        yield x
+
+
+def _spectral_error(x: np.ndarray, target: np.ndarray, config: StftConfig) -> float:
+    """``|| |STFT(x)| - target ||_F`` over every frame of the bin-major
+    `target`: the squares summed per block of `_FRAME_BLOCK` frames, and
+    the blocks' sums added by `math.fsum`."""
+    w = window_samples(config.window, config.frame_size)
+    frames = _frames(x, len(w), config.hop_size)
+    target = target.T
+    return math.sqrt(math.fsum(
+        float(np.square(np.abs(_analyse(frames[t:t + _FRAME_BLOCK], w))
+                        - target[t:t + _FRAME_BLOCK]).sum())
+        for t in range(0, len(target), _FRAME_BLOCK)))
 
 
 def _live_blocks(live: np.ndarray) -> list[tuple[int, int]]:

@@ -3,9 +3,10 @@
 Stage order: decode audio, STFT + dB view, segmentation, predictor start,
 full-clip prediction (the all-ones mask row of the run's one instance),
 effects decomposition, target resolution, per-segment attribution, masked
-spectrogram rendering, audio resynthesis, bundle writing. Every sample
-count the command will draw is checked against the segments before the
-predictor starts, and the predictor stops when the attribution ends. The
+spectrogram rendering, audio resynthesis, bundle writing. The predictor and
+target strings are refused before the audio is read, every sample count the
+command will draw is checked against the segments before the predictor
+starts, and the predictor stops when the attribution ends. The
 resynthesis renders its four clips as independent jobs on up to four
 threads; the jobs share only read-only inputs, so the thread count changes
 no byte. Every computation happens before the first byte is written, and
@@ -134,6 +135,9 @@ class RunConfig:
                 f"timeout must be finite and positive, got {self.timeout}")
         if self.workers < 1 or self.batch_size < 1:
             raise ConfigError("workers and batch_size must be >= 1")
+        if self.target != "auto" and not self.target.startswith(("mid:", "emotion:")):
+            raise ConfigError(f"cannot parse target {self.target!r}; expected auto, "
+                              "mid:NAME, mid:INDEX, emotion:NAME or emotion:INDEX")
 
 
 @dataclass(frozen=True)
@@ -171,22 +175,20 @@ class _Stages:
 
 def make_predictor(spec_string: str, *, seed: int = 0, timeout: float = 30.0,
                    batch_size: int = 256, workers: int = 1):
-    """Predictor handle + capabilities from a CLI-style predictor string.
+    """The predictor handle of a CLI-style predictor string, not started:
+    its `start()` returns the capabilities.
 
     An exec: predictor runs one child per worker, but no more than there
     are CPUs.
     """
     if spec_string == "builtin":
-        handle = BuiltinPredictor(seed)
-        return handle, handle.capabilities()
+        return BuiltinPredictor(seed)
     if spec_string == "constant":
-        handle = ConstantPredictor()
-        return handle, handle.capabilities()
+        return ConstantPredictor()
     if spec_string.startswith("exec:"):
-        command = spec_string[len("exec:"):]
-        handle = ExternalPredictor(command, timeout=timeout, batch_size=batch_size,
-                                   children=min(workers, os.cpu_count() or 1))
-        return handle, handle.start()
+        return ExternalPredictor(spec_string[len("exec:"):], timeout=timeout,
+                                 batch_size=batch_size,
+                                 children=min(workers, os.cpu_count() or 1))
     raise ConfigError(
         f"unknown predictor {spec_string!r}; expected builtin, constant, or exec:CMD"
     )
@@ -195,7 +197,8 @@ def make_predictor(spec_string: str, *, seed: int = 0, timeout: float = 30.0,
 def _resolve_target(target: str, caps: PredictorCapabilities,
                     effects: EffectsMatrix | None,
                     emotion: np.ndarray) -> dict:
-    """Map the target string to a concrete output dimension."""
+    """Map the target string, whose syntax `RunConfig` checked, to a
+    concrete output dimension."""
     if target == "auto":
         if effects is None:
             raise ConfigError(
@@ -214,28 +217,23 @@ def _resolve_target(target: str, caps: PredictorCapabilities,
                 "effect_value": effect_value,
             },
         }
-    for kind, names in (("mid", caps.mid_names), ("emotion", caps.emotion_names)):
-        prefix = kind + ":"
-        if target.startswith(prefix):
-            key = target[len(prefix):]
-            if key in names:
-                index = names.index(key)
-            else:
-                try:
-                    index = int(key)
-                except ValueError:
-                    raise ConfigError(
-                        f"{kind} target {key!r} is neither a known name "
-                        f"{list(names)} nor an index"
-                    ) from None
-                if not 0 <= index < len(names):
-                    raise ConfigError(
-                        f"{kind} index {index} out of range 0..{len(names) - 1}"
-                    )
-            return {"kind": kind, "index": index, "name": names[index], "auto": None}
-    raise ConfigError(
-        f"cannot parse target {target!r}; expected auto, mid:NAME, or mid:INDEX"
-    )
+    kind, key = target.split(":", 1)
+    names = caps.mid_names if kind == "mid" else caps.emotion_names
+    if key in names:
+        index = names.index(key)
+    else:
+        try:
+            index = int(key)
+        except ValueError:
+            raise ConfigError(
+                f"{kind} target {key!r} is neither a known name "
+                f"{list(names)} nor an index"
+            ) from None
+        if not 0 <= index < len(names):
+            raise ConfigError(
+                f"{kind} index {index} out of range 0..{len(names) - 1}"
+            )
+    return {"kind": kind, "index": index, "name": names[index], "auto": None}
 
 
 def synthesize_modified(
@@ -301,11 +299,17 @@ class _Prepared:
 
 def _prepare(config: RunConfig, stage: _Stages,
              counts: Sequence[int]) -> _Prepared:
-    """Shared front half: audio, analysis, segmentation, then a check of
-    each of the sample `counts` the command will draw against the segments,
-    so that a count too small costs no predictor start, then predictor, the
-    predictor's input spec, prediction, effects and target."""
+    """Shared front half: the output path and the predictor handle, so that
+    a bad path or predictor string costs no work; audio, analysis,
+    segmentation; then a check of each of the sample `counts` the command
+    will draw against the segments, so that a count too small costs no
+    predictor start; then predictor start, the predictor's input spec,
+    prediction, effects and target."""
     _check_out_dir(Path(config.out_dir))
+    predictor = make_predictor(
+        config.predictor, seed=config.predictor_seed, timeout=config.timeout,
+        batch_size=config.batch_size, workers=config.workers,
+    )
     with stage("audio"):
         try:
             clip = decode_wav(config.audio_path)
@@ -323,11 +327,7 @@ def _prepare(config: RunConfig, stage: _Stages,
     for count in counts:
         check_sample_count(count, seg_map.segment_count)
     with stage("predictor"):
-        predictor, caps = make_predictor(
-            config.predictor, seed=config.predictor_seed,
-            timeout=config.timeout, batch_size=config.batch_size,
-            workers=config.workers,
-        )
+        caps = predictor.start()
     try:
         _check_input_spec(caps, dbspec)
         with stage("prediction"):
@@ -378,9 +378,9 @@ def _target_fn(predictor, target_info):
     return fn
 
 
-def _lime_workers(config: RunConfig) -> int:
+def _lime_workers(predictor, workers: int) -> int:
     # An exec: predictor spreads each chunk over its own children.
-    return 1 if config.predictor.startswith("exec:") else config.workers
+    return 1 if isinstance(predictor, ExternalPredictor) else workers
 
 
 def run_explanation(config: RunConfig) -> ExplanationBundle:
@@ -392,8 +392,8 @@ def run_explanation(config: RunConfig) -> ExplanationBundle:
         with stage("lime"):
             explanation = explain_instance(
                 _target_fn(prep.predictor, prep.target), prep.instance,
-                config.lime, target=prep.target_label,
-                batch_size=config.batch_size, workers=_lime_workers(config),
+                config.lime, target=prep.target_label, batch_size=config.batch_size,
+                workers=_lime_workers(prep.predictor, config.workers),
             )
             # The selections as mask rows: positive, then negative.
             rows = np.zeros((2, seg_map.segment_count), dtype=np.uint8)
@@ -641,7 +641,7 @@ def run_stability(config: RunConfig, seeds: Sequence[int],
     runs = []
     try:
         fn = _target_fn(prep.predictor, prep.target)
-        workers = _lime_workers(config)
+        workers = _lime_workers(prep.predictor, config.workers)
         for count in sample_counts:
             explanations = []
             for lime_cfg in lime_configs[count]:

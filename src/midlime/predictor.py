@@ -1,9 +1,10 @@
 """Black-box predictor access.
 
-Three implementations of the same contract: `predict(batch)` takes a
-``MaskBatch``, mask rows over one ``lime.Instance``, and returns two float64
-matrices, the mid-level values `(n, 7)` and the emotions `(n, 8)`, with row
-i for mask row i. The unmasked spectrogram is the all-ones row.
+Three implementations of the same contract: `start()` returns the
+``PredictorCapabilities``, `predict(batch)` takes a ``MaskBatch``, mask rows
+over one ``lime.Instance``, and returns two float64 matrices, the mid-level
+values `(n, 7)` and the emotions `(n, 8)`, with row i for mask row i, and
+`close()` stops the predictor. The unmasked spectrogram is the all-ones row.
 
 * ``BuiltinPredictor``: a seeded synthetic model, affine end to end, whose
   ground truth is computable in closed form. Used by tests and as a default.
@@ -170,7 +171,27 @@ class PredictorCapabilities:
         object.__setattr__(self, "input_spec", spec)
 
 
-class BuiltinPredictor:
+class _InProcessPredictor:
+    """A predictor that runs in this process under the builtin names: it
+    starts at once, and scores a MaskBatch from its mask rows, mid vectors
+    by `_masked_mids` and emotions through its linear `head`."""
+
+    def start(self) -> PredictorCapabilities:
+        return PredictorCapabilities(
+            mid_names=BUILTIN_MID_NAMES,
+            emotion_names=BUILTIN_EMOTION_NAMES,
+            linear_head=self.head,
+        )
+
+    def predict(self, batch: MaskBatch) -> tuple[np.ndarray, np.ndarray]:
+        mids = self._masked_mids(batch)
+        return mids, self.head.apply(mids)
+
+    def close(self) -> None:
+        pass
+
+
+class BuiltinPredictor(_InProcessPredictor):
     """Seeded synthetic stand-in for a trained audio-to-emotion model.
 
     Each mid-level output is an affine functional of the input: the mean over
@@ -213,17 +234,6 @@ class BuiltinPredictor:
             return self._rect(frac[0:2], h) + self._rect(frac[2:4], w)
 
         return [(rect(self._pos_frac[j]), rect(self._neg_frac[j])) for j in range(MID_COUNT)]
-
-    def capabilities(self) -> PredictorCapabilities:
-        return PredictorCapabilities(
-            mid_names=BUILTIN_MID_NAMES,
-            emotion_names=BUILTIN_EMOTION_NAMES,
-            linear_head=self.head,
-        )
-
-    def predict(self, batch: MaskBatch) -> tuple[np.ndarray, np.ndarray]:
-        mids = self._masked_mids(batch)
-        return mids, self.head.apply(mids)
 
     def _mids(self, stack: np.ndarray) -> np.ndarray:
         mids = np.empty((len(stack), MID_COUNT))
@@ -268,11 +278,8 @@ class BuiltinPredictor:
         # scores the unmasked spectrogram as a one-item stack, bit for bit.
         return coef, self._mids(np.stack([base]))
 
-    def close(self) -> None:
-        pass
 
-
-class ConstantPredictor:
+class ConstantPredictor(_InProcessPredictor):
     """Degenerate predictor returning the same vectors for every input."""
 
     def __init__(self, mid_value: float = 0.5):
@@ -280,19 +287,8 @@ class ConstantPredictor:
         self.head = LinearHead(weights=np.zeros((EMOTION_COUNT, MID_COUNT)),
                                bias=np.zeros(EMOTION_COUNT))
 
-    def capabilities(self) -> PredictorCapabilities:
-        return PredictorCapabilities(
-            mid_names=BUILTIN_MID_NAMES,
-            emotion_names=BUILTIN_EMOTION_NAMES,
-            linear_head=self.head,
-        )
-
-    def predict(self, batch: MaskBatch) -> tuple[np.ndarray, np.ndarray]:
-        mids = np.tile(self._mid, (len(batch), 1))
-        return mids, self.head.apply(mids)
-
-    def close(self) -> None:
-        pass
+    def _masked_mids(self, batch: MaskBatch) -> np.ndarray:
+        return np.tile(self._mid, (len(batch), 1))
 
 
 def _parse_capabilities(msg: dict) -> PredictorCapabilities:
@@ -383,17 +379,6 @@ class _RunTexts:
         return b",".join(np.where(keep, self.base_texts, self.filler_texts).tolist())
 
 
-def _front(outbox: deque[memoryview], limit: int) -> bytes:
-    """The first `limit` bytes of `outbox`, or all of it if it is shorter."""
-    parts, size = [], 0
-    for view in outbox:
-        parts.append(view[:limit - size])
-        size += len(parts[-1])
-        if size == limit:
-            break
-    return b"".join(parts)
-
-
 def _drop_front(outbox: deque[memoryview], n: int) -> None:
     """Remove the first `n` bytes of `outbox`."""
     while n:
@@ -436,7 +421,8 @@ class ExternalPredictor:
     child, and every child's stdin/stdout are driven by one non-blocking
     event loop so a slow or bursty child cannot deadlock its pipe pair.
     `predict` works only between `start()` (or entering a `with` block) and
-    `close()`, and a `start()` that fails has closed its children. Not
+    `close()`. `start()` returns the capabilities, those of the running
+    pool if it runs, and a `start()` that fails has closed its children. Not
     thread-safe: callers sharing a gateway must serialize access themselves.
     `counters` counts the requests, the items and the bytes that crossed
     the wire.
@@ -444,7 +430,10 @@ class ExternalPredictor:
 
     def __init__(self, command: str | Sequence[str], *, timeout: float = 30.0,
                  batch_size: int = 256, children: int = 1):
-        argv = shlex.split(command) if isinstance(command, str) else list(command)
+        try:
+            argv = shlex.split(command) if isinstance(command, str) else list(command)
+        except ValueError as exc:
+            raise ConfigError(f"cannot parse predictor command {command!r}: {exc}") from None
         if not argv:
             raise ConfigError("empty predictor command")
         if not 0 < timeout < math.inf:
@@ -470,18 +459,12 @@ class ExternalPredictor:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    @property
-    def capabilities(self) -> PredictorCapabilities:
-        if self._capabilities is None:
-            raise TransportError("handshake not completed")
-        return self._capabilities
-
     def start(self) -> PredictorCapabilities:
         """Spawn the children, then shake hands with each in turn; every
         child must report the same capabilities. A failed spawn or handshake
         closes the children spawned so far before it raises."""
         if self._pool:
-            return self.capabilities
+            return self._capabilities
         try:
             for _ in range(self.children):
                 try:
@@ -605,9 +588,10 @@ class ExternalPredictor:
         The next payload goes to the child with the fewest replies
         outstanding, the first on a tie, and is taken from `payloads` only
         while that child has fewer than `WINDOW`. Each child's outbox holds
-        views of the pieces, not copies, and drops each piece once it is
-        written. Any read or write that makes progress, and taking a
-        payload, restarts the timeout.
+        views of the pieces, not copies, hands up to 64 of them to one
+        `os.writev` and drops each piece once it is written. Any read or
+        write that makes progress, and taking a payload, restarts the
+        timeout.
         """
         payloads = iter(payloads)
         pending = True
@@ -673,7 +657,7 @@ class ExternalPredictor:
                         progressed = True
                     else:
                         try:
-                            n = os.write(proc.stdin.fileno(), _front(outbox, 65536))
+                            n = os.writev(proc.stdin.fileno(), list(islice(outbox, 64)))
                         except BlockingIOError:
                             n = 0
                         except BrokenPipeError as exc:

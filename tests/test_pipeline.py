@@ -620,21 +620,21 @@ class TestChunking:
 
 class TestMakePredictor:
     def test_builtin(self):
-        predictor, caps = make_predictor("builtin", seed=3)
+        predictor = make_predictor("builtin", seed=3)
         assert isinstance(predictor, BuiltinPredictor)
         assert predictor.seed == 3
-        assert caps.linear_head is not None
+        assert predictor.start().linear_head is not None
 
     def test_constant(self):
-        predictor, caps = make_predictor("constant")
+        predictor = make_predictor("constant")
         assert isinstance(predictor, ConstantPredictor)
-        assert np.all(caps.linear_head.weights == 0.0)
+        assert np.all(predictor.start().linear_head.weights == 0.0)
 
     def test_exec(self):
-        predictor, caps = make_predictor(f"exec:{child_command('echo')}",
-                                         timeout=15.0)
+        predictor = make_predictor(f"exec:{child_command('echo')}", timeout=15.0)
         assert isinstance(predictor, ExternalPredictor)
-        assert caps.mid_names[0] == "m1"
+        assert predictor._pool == [], "make_predictor spawned the command"
+        assert predictor.start().mid_names[0] == "m1"
         assert predictor.close() == 0
 
     def test_unknown(self):
@@ -645,19 +645,20 @@ class TestMakePredictor:
     def test_exec_children_are_capped_at_the_cpu_count(self, cpus, children,
                                                        monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        predictor, _ = make_predictor(f"exec:{child_command('echo')}", timeout=15.0,
-                                      workers=64)
+        predictor = make_predictor(f"exec:{child_command('echo')}", timeout=15.0,
+                                   workers=64)
         try:
+            predictor.start()
             assert predictor.counters["children"] == children
             assert len(predictor._pool) == children
         finally:
             assert predictor.close() == 0
 
-    def test_lime_runs_one_thread_for_exec(self, fixture_wav, tmp_path):
-        config = fast_config(fixture_wav, tmp_path, workers=3)
-        assert pipeline._lime_workers(config) == 3
-        config = replace(config, predictor=f"exec:{child_command('echo')}")
-        assert pipeline._lime_workers(config) == 1
+    def test_lime_runs_one_thread_for_exec(self):
+        assert pipeline._lime_workers(make_predictor("builtin"), 3) == 3
+        assert pipeline._lime_workers(make_predictor("constant"), 3) == 3
+        predictor = make_predictor(f"exec:{child_command('echo')}", workers=3)
+        assert pipeline._lime_workers(predictor, 3) == 1
 
     def test_failed_handshake_reaps_the_child(self, monkeypatch):
         spawned = []
@@ -670,15 +671,44 @@ class TestMakePredictor:
 
         monkeypatch.setattr(subprocess, "Popen", recording_popen)
         try:
+            predictor = make_predictor(f"exec:{child_command('bad-arity')}", timeout=10.0)
             with pytest.raises(CapabilitiesError):
-                make_predictor(f"exec:{child_command('bad-arity')}", timeout=10.0)
+                predictor.start()
             assert len(spawned) == 1
-            assert spawned[0].poll() is not None, "the child outlived make_predictor"
+            assert spawned[0].poll() is not None, "the child outlived start()"
         finally:
             for proc in spawned:
                 if proc.poll() is None:
                     proc.kill()
                     proc.wait()
+
+    @pytest.mark.parametrize("command", ["explain", "stability"])
+    @pytest.mark.parametrize("spec", ["mystery", "exec:", 'exec:python3 "model.py'],
+                             ids=["unknown", "no-command", "unclosed-quote"])
+    def test_bad_predictor_is_refused_before_the_audio(self, command, spec, fixture_wav,
+                                                       tmp_path, monkeypatch, capsys):
+        read = []
+        monkeypatch.setattr(pipeline, "decode_wav", lambda *a: read.append(a))
+        out = tmp_path / "out"
+        code = cli_main([command, "--audio", str(fixture_wav), "--predictor", spec,
+                         "--out", str(out)])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert read == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["explain", "stability"])
+    def test_bad_target_is_refused_before_the_audio(self, command, fixture_wav, tmp_path,
+                                                    monkeypatch, capsys):
+        read = []
+        monkeypatch.setattr(pipeline, "decode_wav", lambda *a: read.append(a))
+        out = tmp_path / "out"
+        code = cli_main([command, "--audio", str(fixture_wav), "--target", "foo",
+                         "--out", str(out)])
+        assert code == 2
+        assert "cannot parse target 'foo'" in capsys.readouterr().err
+        assert read == []
+        assert not out.exists()
 
 
 @pytest.fixture(scope="module")

@@ -18,6 +18,7 @@ from midlime.audio import AudioClip
 from midlime.dsp import Spectrogram, StftConfig, magnitude_db, stft
 from midlime.errors import (
     CapabilitiesError,
+    ConfigError,
     PredictionValueError,
     PredictorTimeoutError,
     ProtocolError,
@@ -221,7 +222,7 @@ class TestBuiltin:
         assert peak < 6.5e6
 
     def test_capabilities(self):
-        caps = BuiltinPredictor(seed=0).capabilities()
+        caps = BuiltinPredictor(seed=0).start()
         assert caps.mid_names == BUILTIN_MID_NAMES
         assert caps.emotion_names == BUILTIN_EMOTION_NAMES
         assert caps.linear_head is not None
@@ -236,6 +237,30 @@ class TestConstantPredictor:
         assert mids.shape == (2, MID_COUNT) and emotions.shape == (2, EMOTION_COUNT)
         assert np.all(mids == 0.25)
         assert np.all(emotions == 0.0)
+
+
+class TestLifecycle:
+    """Every predictor starts, predicts and closes through one contract."""
+
+    def test_start_twice_gives_equal_capabilities_and_close_reports(self):
+        handles = [BuiltinPredictor(seed=0), ConstantPredictor(),
+                   ExternalPredictor(child_command("echo"), timeout=20)]
+        exits = []
+        for handle in handles:
+            try:
+                first = handle.start()
+                assert isinstance(first, PredictorCapabilities)
+                assert predictor._unlike_field(first, handle.start()) is None
+                mids, emotions = handle.predict(tiny_batch(3))
+                assert mids.shape == (3, MID_COUNT)
+                assert emotions.shape == (3, EMOTION_COUNT)
+            finally:
+                exits.append(handle.close())
+        assert exits == [None, None, 0]
+
+    def test_unclosed_quote_in_the_command_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="cannot parse predictor command"):
+            ExternalPredictor('python3 "model.py')
 
 
 class TestCapabilitiesParsing:
@@ -298,7 +323,7 @@ class TestGateway:
     def test_handshake_and_echo_relay(self):
         batch = tiny_batch(5)
         with ExternalPredictor(child_command("echo"), timeout=20) as gateway:
-            caps = gateway.capabilities
+            caps = gateway.start()
             assert caps.mid_names == tuple(f"m{i}" for i in range(1, 8))
             assert caps.linear_head is not None
             mids, emotions = gateway.predict(batch)
@@ -408,7 +433,7 @@ class TestGateway:
 
     def test_headless_child(self):
         with ExternalPredictor(child_command("no-head"), timeout=10) as gateway:
-            assert gateway.capabilities.linear_head is None
+            assert gateway.start().linear_head is None
 
     def test_nan_reply_carries_batch_index(self):
         gateway = ExternalPredictor(child_command("nan"), timeout=10, batch_size=4)
@@ -536,7 +561,7 @@ class TestGateway:
                 "sys.stdout.flush()\n"
                 "sys.stdin.readline()\n")
         with ExternalPredictor([sys.executable, "-c", code], timeout=10) as gateway:
-            assert gateway.capabilities.linear_head is None
+            assert gateway.start().linear_head is None
 
 
 def child_with(mode: str, option: str, path) -> str:
@@ -576,7 +601,7 @@ class TestGatewayPool:
 
     def test_children_must_report_the_same_capabilities(self, spawned):
         with ExternalPredictor(child_command("pid-names"), timeout=10) as single:
-            assert single.capabilities.mid_names[0].startswith("m1-")
+            assert single.start().mid_names[0].startswith("m1-")
         gateway = ExternalPredictor(child_command("pid-names"), timeout=10, children=2)
         with pytest.raises(CapabilitiesError, match="child 1") as info:
             gateway.start()
