@@ -95,6 +95,23 @@ class SurrogateFit:
 
 
 @dataclass(frozen=True)
+class Design:
+    """What a surrogate fit computes before it reads a target: the mask
+    matrix, the proximity weights rescaled to trace n, the upper Cholesky
+    factor U of the (ridge) normal matrix, the per-coefficient variance
+    factors that sigma^2 scales into squared standard errors, and the
+    residual dof. Every array is read-only, so one design serves any number
+    of targets, also from several threads.
+    """
+
+    masks: np.ndarray
+    weights: np.ndarray
+    factor: np.ndarray
+    variance: np.ndarray
+    dof: int
+
+
+@dataclass(frozen=True)
 class SelectedFeature:
     segment: int
     weight: float
@@ -128,6 +145,17 @@ def check_sample_count(n_samples: int, n_segments: int) -> None:
             f"n_samples {n_samples} cannot overdetermine {n_segments} "
             f"segments; need at least {n_segments + 2}"
         )
+
+
+def _check_binary(masks: np.ndarray) -> None:
+    """Refuse mask entries other than 0 and 1."""
+    # On uint8, max() checks that without a copy of the matrix.
+    if masks.dtype == np.uint8:
+        binary = masks.max(initial=0) <= 1
+    else:
+        binary = ((masks == 0) | (masks == 1)).all()
+    if not binary:
+        raise ValueError("mask entries must be 0 or 1")
 
 
 def sample_masks(n_segments: int, config: LimeConfig) -> np.ndarray:
@@ -202,15 +230,18 @@ class Instance:
 class MaskBatch(Sequence):
     """The spectrograms that a block of mask rows renders, as a read-only sequence.
 
-    It holds the `Instance` and the uint8 mask rows, one per item; it is
-    the one input of every predictor. A predictor that is affine in the
-    mask can score `masks` directly and never render. Any other consumer
-    indexes the batch: item i is `instance.render(masks[i])`, rendered on
-    each access and not kept.
+    It holds the `Instance` and the uint8 mask rows, one per item, whose
+    entries must be 0 or 1; it is the one input of every predictor. A
+    predictor that is affine in the mask can score `masks` directly and
+    never render. Any other consumer indexes the batch: item i is
+    `instance.render(masks[i])`, rendered on each access and not kept.
     """
 
     def __init__(self, instance: Instance, masks: np.ndarray):
-        masks = np.asarray(masks, dtype=np.uint8).view()
+        masks = np.asarray(masks)
+        # Checked before the cast, which would turn 0.5 into 0 and -1 into 255.
+        _check_binary(masks)
+        masks = masks.astype(np.uint8, copy=False).view()
         count = instance.seg_map.segment_count
         if masks.ndim != 2 or masks.shape[1] != count:
             raise ShapeMismatchError(
@@ -582,50 +613,29 @@ def _t_two_sided(dof: int, t: np.ndarray) -> np.ndarray:
     return p
 
 
-def fit_surrogate(masks: np.ndarray, targets: np.ndarray,
-                  weights: np.ndarray, alpha: float = 0.0) -> SurrogateFit:
-    """Weighted least squares with two-sided t-test p-values on 0/1 masks.
+def design(masks: np.ndarray, weights: np.ndarray, alpha: float = 0.0) -> Design:
+    """The target-free half of `fit_surrogate`: checks, the rescaled
+    weights, the normal matrix and its factor, and the variance factors.
 
-    The proximity weights are rescaled to trace n. At alpha 0 the standard
-    errors come from the plain WLS covariance; with ridge they use the
-    sandwich form, since the penalized estimator is biased. Each p-value is
-    the Student-t tail of |w| / se at the fit's residual dof, computed by
-    `_t_two_sided` to within about 1e-12 of its value, relative.
-
-    The fit makes no BLAS call, so the result is a fixed function of the
-    inputs on any BLAS, thread count and SIMD width: sums over samples run
-    in a fixed order of elementwise operations or through `math.fsum`, the
-    0/1 mask entries are counted exactly by popcounts, and the normal
-    matrix is factored by a hand-written Cholesky. The normal matrix is
-    built once per distinct weight value, so the fit is fastest when the
-    weights take few values, as proximity weights do (one per popcount).
+    At alpha 0 the variance factors are the diagonal of A^-1, the plain
+    WLS covariance over sigma^2; with ridge they are the diagonal of the
+    sandwich A^-1 G A^-1, since the penalized estimator is biased. The
+    normal matrix and the inverse are freed when the design returns.
     """
-    m = np.asarray(masks)
+    m = np.asarray(masks).view()
     if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
         raise ShapeMismatchError(f"masks must be a non-empty 2-D matrix, got {m.shape}")
-    # The exact counts of _weighted_gram hold for 0/1 entries only. On uint8,
-    # max() checks that without a copy of the matrix.
-    if m.dtype == np.uint8:
-        binary = m.max() <= 1
-    else:
-        binary = ((m == 0) | (m == 1)).all()
-    if not binary:
-        raise ValueError("mask entries must be 0 or 1")
-    y = np.asarray(targets, dtype=np.float64)
+    # The exact counts of _weighted_gram hold for 0/1 entries only.
+    _check_binary(m)
     w = np.asarray(weights, dtype=np.float64)
     n, n_seg = m.shape
-    if y.shape != (n,) or w.shape != (n,):
-        raise ShapeMismatchError(
-            f"targets {y.shape} / weights {w.shape} do not match {n} masks"
-        )
-    if not np.all(np.isfinite(y)):
-        raise ValueError("targets must be finite")
+    if w.shape != (n,):
+        raise ShapeMismatchError(f"weights {w.shape} do not match {n} masks")
     if not np.all(np.isfinite(w)) or (w < 0).any() or math.fsum(w) <= 0:
         raise ValueError("weights must be finite, non-negative, not all zero")
     if not 0 <= alpha < math.inf:
         raise ConfigError(f"alpha must be finite and >= 0, got {alpha}")
     check_sample_count(n, n_seg)
-    dof = n - n_seg - 1
 
     pi = w * (n / math.fsum(w))
     gram = _weighted_gram(m, pi)
@@ -640,18 +650,39 @@ def fit_surrogate(masks: np.ndarray, targets: np.ndarray,
     if pivots.max() > _MAX_PIVOT_RATIO * pivots.min():
         raise RankDeficiencyError(_SINGULAR)
 
+    x_inv = _inverse_lower(u)
+    if alpha == 0:
+        variance = _tree_sum(x_inv * x_inv)
+    else:
+        a_inv = _matmul(x_inv.T, x_inv)
+        variance = _tree_sum(a_inv * _matmul(gram, a_inv))
+    for array in (m, pi, u, variance):
+        array.flags.writeable = False
+    return Design(masks=m, weights=pi, factor=u, variance=variance, dof=n - n_seg - 1)
+
+
+def solve(design: Design, targets: np.ndarray) -> SurrogateFit:
+    """The fit of one target against `design`: the moment, the coefficients,
+    the residual variance, the p-values and r^2.
+
+    Each p-value is the Student-t tail of |w| / se at the design's residual
+    dof, computed by `_t_two_sided` to within about 1e-12 of its value,
+    relative.
+    """
+    m, pi, u, dof = design.masks, design.weights, design.factor, design.dof
+    y = np.asarray(targets, dtype=np.float64)
+    if y.shape != (m.shape[0],):
+        raise ShapeMismatchError(
+            f"targets {y.shape} do not match {m.shape[0]} masks")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("targets must be finite")
+
     beta = _cholesky_solve(u, _moment(m, pi * y))
     resid = y - _fitted(m, beta)
     wrss = math.fsum(pi * resid * resid)
     sigma2 = max(wrss, 0.0) / dof
 
-    x_inv = _inverse_lower(u)
-    if alpha == 0:
-        cov_diag = _tree_sum(x_inv * x_inv) * sigma2
-    else:
-        a_inv = _matmul(x_inv.T, x_inv)
-        cov_diag = _tree_sum(a_inv * _matmul(gram, a_inv)) * sigma2
-    cov_diag = np.maximum(cov_diag, 0.0)
+    cov_diag = np.maximum(design.variance * sigma2, 0.0)
     se = np.sqrt(cov_diag)
 
     coef = beta[1:]
@@ -672,6 +703,22 @@ def fit_surrogate(masks: np.ndarray, targets: np.ndarray,
         r_squared=float(r_squared),
         dof=dof,
     )
+
+
+def fit_surrogate(masks: np.ndarray, targets: np.ndarray,
+                  weights: np.ndarray, alpha: float = 0.0) -> SurrogateFit:
+    """Weighted least squares with two-sided t-test p-values on 0/1 masks:
+    `solve(design(masks, weights, alpha), targets)`.
+
+    The fit makes no BLAS call, so the result is a fixed function of the
+    inputs on any BLAS, thread count and SIMD width: sums over samples run
+    in a fixed order of elementwise operations or through `math.fsum`, the
+    0/1 mask entries are counted exactly by popcounts, and the normal
+    matrix is factored by a hand-written Cholesky. The normal matrix is
+    built once per distinct weight value, so the fit is fastest when the
+    weights take few values, as proximity weights do (one per popcount).
+    """
+    return solve(design(masks, weights, alpha), targets)
 
 
 def select_features(fit: SurrogateFit, ratio_threshold: float) -> tuple[SelectedFeature, ...]:

@@ -379,7 +379,9 @@ def _target_fn(predictor, target_info):
 
 
 def _lime_workers(predictor, workers: int) -> int:
-    # An exec: predictor spreads each chunk over its own children.
+    # An exec: predictor already spreads each chunk over its own children,
+    # and on one LIME thread its relay runs on the main thread, where
+    # Ctrl-C reaches it.
     return 1 if isinstance(predictor, ExternalPredictor) else workers
 
 
@@ -477,9 +479,8 @@ def _report(config: RunConfig, prep: _Prepared, predictor_exit: int | None) -> d
         "emotion_names": list(caps.emotion_names),
         "has_linear_head": caps.linear_head is not None,
         "exit_code": predictor_exit,
+        **prep.predictor.counters,
     }
-    if isinstance(prep.predictor, ExternalPredictor):
-        predictor.update(prep.predictor.counters)
     return {
         "version": __version__,
         "audio": {

@@ -42,12 +42,14 @@ The child's stderr is inherited, so its diagnostics land in the host's logs.
 from __future__ import annotations
 
 import fcntl
+import functools
 import json
 import math
 import os
 import selectors
 import shlex
 import subprocess
+import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -166,15 +168,37 @@ class PredictorCapabilities:
                 raise CapabilitiesError(
                     f'input_spec {key} must be "variable" or a positive integer, '
                     f"got {value!r}", field="input_spec")
+        _check_names(mid, "mid_names")
+        _check_names(emo, "emotion_names")
         object.__setattr__(self, "mid_names", mid)
         object.__setattr__(self, "emotion_names", emo)
         object.__setattr__(self, "input_spec", spec)
 
 
+def _check_names(names: tuple[str, ...], name_field: str) -> None:
+    """Refuse names that `effects.csv` cannot hold as plain fields, or that
+    a `--target` could not tell apart: empty, repeated, or with a comma, a
+    double quote or a line break."""
+    for name in names:
+        if not name or "," in name or '"' in name or name.splitlines() != [name]:
+            raise CapabilitiesError(
+                f"{name_field} entry {name!r} must be non-empty, without a comma, "
+                "a double quote or a line break", field=name_field)
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise CapabilitiesError(f"{name_field} repeats {', '.join(map(repr, repeated))}",
+                                field=name_field)
+
+
 class _InProcessPredictor:
     """A predictor that runs in this process under the builtin names: it
     starts at once, and scores a MaskBatch from its mask rows, mid vectors
-    by `_masked_mids` and emotions through its linear `head`."""
+    by `_masked_mids` and emotions through its linear `head`. Nothing
+    crosses a wire, so it has no counters."""
+
+    @property
+    def counters(self) -> dict:
+        return {}
 
     def start(self) -> PredictorCapabilities:
         return PredictorCapabilities(
@@ -414,6 +438,15 @@ def _reap(proc: subprocess.Popen) -> None:
     proc.stdout.close()
 
 
+def _locked(method):
+    """`method`, run under its instance's `_lock`."""
+    @functools.wraps(method)
+    def locked(self, *args):
+        with self._lock:
+            return method(self, *args)
+    return locked
+
+
 class ExternalPredictor:
     """Gateway owning a pool of child predictor processes of one command.
 
@@ -422,10 +455,10 @@ class ExternalPredictor:
     event loop so a slow or bursty child cannot deadlock its pipe pair.
     `predict` works only between `start()` (or entering a `with` block) and
     `close()`. `start()` returns the capabilities, those of the running
-    pool if it runs, and a `start()` that fails has closed its children. Not
-    thread-safe: callers sharing a gateway must serialize access themselves.
-    `counters` counts the requests, the items and the bytes that crossed
-    the wire.
+    pool if it runs, and a `start()` that fails has closed its children.
+    Threads may share a gateway: `start`, `predict` and `close` take one
+    re-entrant lock, so their calls run one at a time. `counters` counts
+    the requests, the items and the bytes that crossed the wire.
     """
 
     def __init__(self, command: str | Sequence[str], *, timeout: float = 30.0,
@@ -449,6 +482,8 @@ class ExternalPredictor:
         self._pool: list[_Child] = []
         self._capabilities: PredictorCapabilities | None = None
         self._next_id = 0
+        # Re-entrant, as a failed start() closes the pool while it holds it.
+        self._lock = threading.RLock()
         self.counters = {"children": self.children, "requests": 0, "items": 0,
                          "bytes_out": 0, "bytes_in": 0}
 
@@ -459,6 +494,7 @@ class ExternalPredictor:
     def __exit__(self, *exc) -> None:
         self.close()
 
+    @_locked
     def start(self) -> PredictorCapabilities:
         """Spawn the children, then shake hands with each in turn; every
         child must report the same capabilities. A failed spawn or handshake
@@ -504,6 +540,7 @@ class ExternalPredictor:
         self._capabilities = first
         return first
 
+    @_locked
     def predict(self, batch: MaskBatch) -> tuple[np.ndarray, np.ndarray]:
         if not self._pool:
             raise TransportError("predictor is not running; call start() first")
@@ -535,6 +572,7 @@ class ExternalPredictor:
                     lambda line: self._handle_prediction(line, bounds, mids, emotions))
         return mids, emotions
 
+    @_locked
     def close(self) -> int | None:
         """Stop and reap the children one at a time, in order, each gone
         before the next is told to stop; returns 0, or the first nonzero

@@ -5,6 +5,7 @@ import json
 import math
 import time
 import tracemalloc
+from dataclasses import FrozenInstanceError
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +36,7 @@ from midlime.lime import (
     SelectedFeature,
     SurrogateFit,
     apply_mask,
+    design,
     explain_instance,
     explanation_to_json,
     fit_surrogate,
@@ -42,6 +44,7 @@ from midlime.lime import (
     proximity_weights,
     sample_masks,
     select_features,
+    solve,
     stability_score,
 )
 from midlime.predictor import _MID_BLOCK, BuiltinPredictor, ConstantPredictor
@@ -432,6 +435,46 @@ class TestFitSurrogate:
         fit = fit_surrogate(masks, noise, np.ones(n))
         stat = scipy.stats.kstest(fit.p_values, "uniform").statistic
         assert stat <= 0.05
+
+
+def fit_fields(fit: SurrogateFit) -> tuple:
+    """Every field of a fit, the arrays as their bytes."""
+    return (fit.weights.tobytes(), fit.intercept, fit.std_errors.tobytes(),
+            fit.p_values.tobytes(), fit.r_squared, fit.dof)
+
+
+class TestDesignAndSolve:
+    @pytest.mark.parametrize("alpha", [0.0, 0.5])
+    def test_one_design_solves_three_targets_as_fresh_fits(self, alpha):
+        masks, noisy, weights = TestFitSurrogate()._random_problem(seed=21, n=300, k=40)
+        exact = 2.0 * masks[:, 0] - 1.0 * masks[:, 1] + 0.5
+        constant = np.full(300, -1.25)
+        shared = design(masks, weights, alpha)
+        fits = [solve(shared, y) for y in (noisy, exact, constant)]
+        for y, fit in zip((noisy, exact, constant), fits):
+            assert fit_fields(fit) == fit_fields(fit_surrogate(masks, y, weights, alpha))
+        assert fits[0].r_squared < 1.0 - 1e-6 and fits[0].p_values.min() > 0.0
+
+    def test_design_arrays_are_read_only(self):
+        masks, _, weights = TestFitSurrogate()._random_problem(seed=22)
+        shared = design(masks, weights, 0.7)
+        for name in ("masks", "weights", "factor", "variance"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(shared, name)[0] = 1
+        with pytest.raises(FrozenInstanceError):
+            shared.dof = 0
+        # The design holds a view; the caller's matrix stays writable.
+        assert masks.flags.writeable and np.shares_memory(shared.masks, masks)
+
+    def test_solve_checks_the_target(self):
+        masks, targets, weights = TestFitSurrogate()._random_problem(seed=23)
+        shared = design(masks, weights)
+        with pytest.raises(ShapeMismatchError, match="do not match 200 masks"):
+            solve(shared, targets[:-1])
+        bad = targets.copy()
+        bad[3] = np.nan
+        with pytest.raises(ValueError, match="targets must be finite"):
+            solve(shared, bad)
 
 
 # Class sizes on both sides of the 64-row word boundaries of the packed gram.
@@ -965,6 +1008,23 @@ class TestMaskBatch:
                           np.ones((2, 12), dtype=np.uint8))
         with pytest.raises(ValueError):
             batch.masks[0, 0] = 0
+
+    @pytest.mark.parametrize("entry", [0.5, -1.0, 2])
+    def test_refuses_entries_other_than_0_and_1(self, entry):
+        _, _, base, seg_map = planted_small()
+        instance = Instance(base, seg_map, "silence")
+        row = [1.0] * 12
+        row[0] = entry
+        with pytest.raises(ValueError, match="mask entries must be 0 or 1"):
+            MaskBatch(instance, [row])
+
+    @pytest.mark.parametrize("dtype", [np.uint8, bool, np.float64])
+    def test_accepts_0_1_rows_of_uint8_bool_and_float(self, dtype):
+        _, _, base, seg_map = planted_small()
+        rows = sample_masks(12, LimeConfig(n_samples=20, seed=8))
+        batch = MaskBatch(Instance(base, seg_map, "silence"), rows.astype(dtype))
+        assert batch.masks.dtype == np.uint8
+        assert np.array_equal(batch.masks, rows)
 
     def test_rejects_mask_width(self):
         _, _, base, seg_map = planted_small()

@@ -89,6 +89,29 @@ EDITING_CHILD = (
     "        break\n"
 )
 
+# Completes the handshake with the mid names of the JSON list in argv[1],
+# then waits for one more line.
+NAMING_CHILD = (
+    "import json, sys\n"
+    "sys.stdin.readline()\n"
+    "print(json.dumps({'type': 'capabilities', 'mid_names': json.loads(sys.argv[1]),"
+    " 'emotion_names': ['e' + str(i) for i in range(8)],"
+    " 'linear_head': None}), flush=True)\n"
+    "sys.stdin.readline()\n"
+)
+
+# Completes the handshake, then ignores every message and the end of its
+# input for a minute.
+DEAF_CHILD = (
+    "import json, sys, time\n"
+    "sys.stdin.readline()\n"
+    "print(json.dumps({'type': 'capabilities',"
+    " 'mid_names': ['m' + str(i) for i in range(7)],"
+    " 'emotion_names': ['e' + str(i) for i in range(8)],"
+    " 'linear_head': None}), flush=True)\n"
+    "time.sleep(60)\n"
+)
+
 
 def tiny_spec(seed: int) -> Spectrogram:
     return db_spec(random_db_image(seed, 9, 6), config=TINY)
@@ -308,6 +331,28 @@ class TestCapabilitiesParsing:
             _parse_capabilities(msg)
         assert info.value.field == "linear_head"
 
+    @pytest.mark.parametrize("names", [
+        ["a,b", "m2", "m3", "m4", "m5", "m6", "m7"],
+        ["", "m2", "m3", "m4", "m5", "m6", "m7"],
+        ["m1", "m2", "m3", "m1", "m5", "m6", "m7"],
+        ['say "x"', "m2", "m3", "m4", "m5", "m6", "m7"],
+        ["m1", "two\nlines", "m3", "m4", "m5", "m6", "m7"],
+    ], ids=["comma", "empty", "repeated", "double-quote", "line-break"])
+    def test_names_that_would_break_the_effects_csv_fail_start(self, names):
+        gateway = ExternalPredictor([sys.executable, "-c", NAMING_CHILD,
+                                     json.dumps(names)], timeout=10)
+        with pytest.raises(CapabilitiesError) as info:
+            gateway.start()
+        assert info.value.field == "mid_names"
+        assert gateway.close() is None
+
+    def test_builtin_names_pass_and_emotion_names_are_checked_too(self):
+        caps = BuiltinPredictor(0).start()
+        assert caps.mid_names == BUILTIN_MID_NAMES
+        with pytest.raises(CapabilitiesError) as info:
+            PredictorCapabilities(BUILTIN_MID_NAMES, ("e1",) * EMOTION_COUNT, None)
+        assert info.value.field == "emotion_names"
+
     @pytest.mark.parametrize("protocol, error", [
         (0, ProtocolVersionError), (True, ProtocolError), (1.0, ProtocolError),
     ], ids=["version-0", "boolean", "float"])
@@ -504,6 +549,36 @@ class TestGateway:
                 proc.kill()
                 proc.wait()
         assert spawned == []
+
+    def test_a_second_reply_to_an_answered_id_is_a_transport_error(self):
+        edit = ("print(json.dumps({'type': 'prediction', 'id': msg['id'],"
+                " 'mid': mid, 'emotion': emotion}), flush=True)")
+        with ExternalPredictor([sys.executable, "-c", EDITING_CHILD, "0", edit],
+                               timeout=10, batch_size=2) as gateway:
+            with pytest.raises(TransportError, match="already-answered id 0"):
+                gateway.predict(tiny_batch(4))
+
+    def test_close_kills_a_child_that_ignores_shutdown(self, monkeypatch):
+        # close() grants each child 5 s to exit; the test waits 0.2 s.
+        waits = []
+        wait = subprocess.Popen.wait
+
+        def short_wait(self, timeout=None):
+            waits.append(timeout)
+            return wait(self, None if timeout is None else min(timeout, 0.2))
+
+        monkeypatch.setattr(subprocess.Popen, "wait", short_wait)
+        gateway = ExternalPredictor([sys.executable, "-c", DEAF_CHILD], timeout=10)
+        gateway.start()
+        proc = gateway._pool[0].proc
+        try:
+            assert gateway.close() == -signal.SIGKILL
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        assert waits[0] == 5.0
+        assert proc.returncode == -signal.SIGKILL
 
     def test_short_reply_is_a_transport_error(self):
         gateway = ExternalPredictor(child_command("short-reply"), timeout=10,
@@ -713,6 +788,31 @@ class TestGatewayPool:
         assert gateway.close() == -signal.SIGKILL
         assert [proc.returncode for proc in procs] == [0, -signal.SIGKILL,
                                                         -signal.SIGTERM]
+
+    def test_lime_threads_share_one_gateway(self):
+        instance = Instance(tiny_spec(3), block_map(9, 6, 3, 3), "silence")
+        config = LimeConfig(n_samples=400, seed=5)
+        fits = []
+        interval = sys.getswitchinterval()
+        # Up to four threads, switching often, so that unlocked calls would
+        # interleave.
+        sys.setswitchinterval(1e-5)
+        try:
+            with ExternalPredictor(child_command("echo"), timeout=20,
+                                   children=2) as gateway:
+                for workers in (1, 2, 4):
+                    fits.append(explain_instance(
+                        lambda batch: gateway.predict(batch)[0][:, 0], instance, config,
+                        batch_size=16, workers=workers).fit)
+        finally:
+            sys.setswitchinterval(interval)
+        assert gateway.counters["items"] == 3 * 400
+        assert gateway.counters["requests"] == 3 * 25
+        for fit in fits[1:]:
+            for name in ("weights", "std_errors", "p_values"):
+                assert getattr(fit, name).tobytes() == getattr(fits[0], name).tobytes()
+            assert (fit.intercept, fit.r_squared) == (fits[0].intercept,
+                                                      fits[0].r_squared)
 
     def test_counters_count_the_wire(self, tmp_path):
         record = tmp_path / "record"
