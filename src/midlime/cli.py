@@ -96,7 +96,7 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
                    help="perturbation evaluation workers: threads for builtin, "
                         "child processes for exec: (default: 1)")
     p.add_argument("--batch-size", type=int, default=256,
-                   help="predictor batch size (default: 256)")
+                   help="most mask rows per exec: request (default: 256)")
     p.add_argument("--timeout", type=float, default=30.0,
                    help="external predictor timeout in seconds (default: 30)")
     p.add_argument("--out", required=True, help="output directory")

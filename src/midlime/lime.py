@@ -296,6 +296,8 @@ def proximity_weights(masks: np.ndarray, kernel_width: float) -> np.ndarray:
     return np.array(per_count, dtype=np.float64)[inverse]
 
 
+# Mask rows per `predict` call; it sets memory and speed, never bits.
+_PREDICT_BLOCK = 256
 # Rows per block in the fixed-order accumulations over samples. It is part of
 # the summation order, so changing it changes result bits.
 _ROW_BLOCK = 1024
@@ -746,22 +748,21 @@ def explain_instance(
     config: LimeConfig,
     *,
     target: str | None = None,
-    batch_size: int = 256,
     workers: int = 1,
 ) -> LimeExplanation:
     """Full attribution of one scalar output over one instance.
 
-    `predict` receives each chunk of mask rows as a `MaskBatch` on
-    `instance`, whose fill must be `config.fill`, and must return one
-    finite real per row (the chosen output dimension of the black box).
+    `predict` gets `_PREDICT_BLOCK` mask rows at a time, on `workers` threads,
+    as a `MaskBatch` on `instance`, whose fill must be `config.fill`, and
+    returns one finite real per row (the chosen output of the black box).
     """
-    if batch_size < 1 or workers < 1:
-        raise ConfigError("batch_size and workers must be >= 1")
+    if workers < 1:
+        raise ConfigError("workers must be >= 1")
     if instance.fill is not config.fill:
         raise ConfigError(f"the instance fills with {instance.fill.value}, the "
                           f"config with {config.fill.value}")
     masks = sample_masks(instance.seg_map.segment_count, config)
-    targets = _predict_masked(predict, instance, masks, batch_size, workers)
+    targets = _predict_masked(predict, instance, masks, workers)
     weights = proximity_weights(masks, config.kernel_width)
     fit = fit_surrogate(masks, targets, weights, config.ridge_alpha)
     selected = select_features(fit, config.ratio_threshold)
@@ -778,11 +779,11 @@ def explain_instance(
     )
 
 
-def _predict_masked(predict, instance, masks, batch_size, workers):
+def _predict_masked(predict, instance, masks, workers):
     n = masks.shape[0]
-    bounds = [(s, min(s + batch_size, n)) for s in range(0, n, batch_size)]
+    bounds = [(s, min(s + _PREDICT_BLOCK, n)) for s in range(0, n, _PREDICT_BLOCK)]
 
-    def eval_chunk(bound):
+    def eval_block(bound):
         start, stop = bound
         batch = MaskBatch(instance, masks[start:stop])
         try:
@@ -808,11 +809,9 @@ def _predict_masked(predict, instance, masks, batch_size, workers):
         return arr
 
     if workers == 1 or len(bounds) == 1:
-        parts = [eval_chunk(b) for b in bounds]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(eval_chunk, bounds))
-    return np.concatenate(parts)
+        return np.concatenate([eval_block(b) for b in bounds])
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return np.concatenate(list(pool.map(eval_block, bounds)))
 
 
 @dataclass(frozen=True)

@@ -379,7 +379,7 @@ def _target_fn(predictor, target_info):
 
 
 def _lime_workers(predictor, workers: int) -> int:
-    # An exec: predictor already spreads each chunk over its own children,
+    # An exec: predictor already spreads each block over all its children,
     # and on one LIME thread its relay runs on the main thread, where
     # Ctrl-C reaches it.
     return 1 if isinstance(predictor, ExternalPredictor) else workers
@@ -394,7 +394,7 @@ def run_explanation(config: RunConfig) -> ExplanationBundle:
         with stage("lime"):
             explanation = explain_instance(
                 _target_fn(prep.predictor, prep.target), prep.instance,
-                config.lime, target=prep.target_label, batch_size=config.batch_size,
+                config.lime, target=prep.target_label,
                 workers=_lime_workers(prep.predictor, config.workers),
             )
             # The selections as mask rows: positive, then negative.
@@ -650,8 +650,7 @@ def run_stability(config: RunConfig, seeds: Sequence[int],
                 with stage(run_stage):
                     explanations.append(explain_instance(
                         fn, prep.instance, lime_cfg,
-                        target=prep.target_label,
-                        batch_size=config.batch_size, workers=workers,
+                        target=prep.target_label, workers=workers,
                     ))
                 runs.append({"sample_count": count, "seed": lime_cfg.seed,
                              "lime_s": stage.timings[run_stage],

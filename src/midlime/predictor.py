@@ -32,10 +32,11 @@ The wire protocol, one UTF-8 JSON object per line:
   id; the gateway fills the rows of request n from it
 * parent sends ``{"type": "shutdown"}`` and the child exits 0
 
-A request holds at most ``REQUEST_BYTES`` of text, or a single row. The
-gateway may run several children of one command. Each gets the handshake,
-the next request goes to the child with the fewest replies outstanding, so
-each child sees increasing ids, and the children are stopped one at a time.
+The gateway may run several children of one command; each gets the
+handshake, and they are stopped one at a time. A `predict` call is cut into
+requests of at most `batch_size` rows, ``REQUEST_BYTES`` of text (or one
+row) and an equal share per child, each sent to the child with the fewest
+replies outstanding, so every child serves every call, in increasing ids.
 The child's stderr is inherited, so its diagnostics land in the host's logs.
 """
 
@@ -552,7 +553,7 @@ class ExternalPredictor:
         # A request is its head, its rows with "],[" between them, and its
         # tail; the head is longest for the largest id.
         frame = len(_PREDICT_HEAD % (self._next_id + len(batch), *shape) + _PREDICT_TAIL)
-        step = max(1, min(self.batch_size,
+        step = max(1, min(self.batch_size, -(-len(batch) // len(self._pool)),
                           (REQUEST_BYTES - frame) // (texts.row_bytes + 3)))
         mids = np.empty((len(batch), MID_COUNT))
         emotions = np.empty((len(batch), EMOTION_COUNT))
@@ -608,9 +609,10 @@ class ExternalPredictor:
 
     @staticmethod
     def _decode(line: bytes) -> dict:
+        # ValueError: bad UTF-8 or JSON, or an integer too long to convert.
         try:
             msg = json.loads(line.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (ValueError, RecursionError) as exc:
             raise ProtocolError(f"child emitted a non-JSON line: {exc}",
                                 line=line.decode("utf-8", "replace")) from exc
         if not isinstance(msg, dict):

@@ -34,6 +34,38 @@ def child_command(mode: str = "echo") -> str:
     return f"{sys.executable} {CHILD_SCRIPT} --mode {mode}"
 
 
+def recorded_requests(directory) -> list[list[tuple[int, int, int]]]:
+    """Per child, the (id, rows, bytes) of each request it received, in
+    order, from the files that child.py's --record writes to `directory`."""
+    return [[tuple(map(int, line.split())) for line in path.read_text().splitlines()]
+            for path in sorted(Path(directory).iterdir())]
+
+
+# Writes the line that the Python expression in argv[2] makes: as its
+# handshake reply if argv[1] is "handshake", else after good capabilities as
+# its reply to the first predict request. Then waits for one more line.
+BAD_LINE_CHILD = (
+    "import json, sys\n"
+    "when, bad = sys.argv[1], eval(sys.argv[2])\n"
+    "sys.stdin.readline()\n"
+    "if when == 'prediction':\n"
+    "    print(json.dumps({'type': 'capabilities',"
+    " 'mid_names': ['m' + str(i) for i in range(7)],"
+    " 'emotion_names': ['e' + str(i) for i in range(8)],"
+    " 'linear_head': None}), flush=True)\n"
+    "    sys.stdin.readline()\n"
+    "print(bad, flush=True)\n"
+    "sys.stdin.readline()\n"
+)
+
+# Expressions for BAD_LINE_CHILD of lines that `json.loads` cannot read
+# without raising something other than `JSONDecodeError`.
+UNREADABLE_LINES = pytest.mark.parametrize("bad", [
+    "'{\"type\":\"prediction\",\"id\":' + '7' * 5000 + '}'",
+    "'[' * 100000 + ']' * 100000",
+], ids=["5000-digit-integer", "deeply-nested"])
+
+
 @pytest.fixture
 def spawned(monkeypatch) -> list[subprocess.Popen]:
     """Every process that `subprocess.Popen` starts during the test, in

@@ -24,7 +24,14 @@ from midlime.errors import (
 )
 from midlime.lime import FillStrategy
 
-from conftest import child_command, package_env, uniform_noise
+from conftest import (
+    BAD_LINE_CHILD,
+    UNREADABLE_LINES,
+    child_command,
+    package_env,
+    recorded_requests,
+    uniform_noise,
+)
 
 # Small analysis settings, which both commands take; FAST adds explain's own.
 FAST_ANALYSIS = ["--frame-size", "1024", "--hop", "512"]
@@ -195,6 +202,43 @@ class TestChildPool:
         assert len(bundles[0]) == 10
         assert bundles[1] == bundles[0]
         assert bundles[2] == bundles[0]
+
+    def test_requests_of_batch_size_rows_reach_every_child(self, short_wav, tmp_path,
+                                                          monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        bundles = []
+        for workers in (1, 2):
+            record = tmp_path / f"record-{workers}"
+            record.mkdir()
+            out = tmp_path / f"workers-{workers}"
+            code = run_cli("explain", "--audio", str(short_wav), "--out", str(out),
+                           *POOL, "--workers", str(workers), "--batch-size", "8",
+                           "--predictor", f"exec:{child_command('echo')} "
+                                          f"--record {shlex.quote(str(record))}")
+            assert code == 0
+            requests = recorded_requests(record)
+            assert len(requests) == workers
+            assert all(requests)
+            assert max(rows for child in requests for _, rows, _ in child) == 8
+            assert sum(rows for child in requests for _, rows, _ in child) == 60 + 1
+            bundles.append({p.name: p.read_bytes() for p in out.iterdir()
+                            if p.name != "report.json"})
+        assert len(bundles[0]) == 10
+        assert bundles[1] == bundles[0]
+
+    @UNREADABLE_LINES
+    @pytest.mark.parametrize("when", ["handshake", "prediction"])
+    def test_a_line_json_cannot_read_exits_3_and_leaves_no_process(
+            self, bad, when, short_wav, tmp_path, capsys, spawned):
+        command = shlex.join([sys.executable, "-c", BAD_LINE_CHILD, when, bad])
+        code = run_cli("explain", "--audio", str(short_wav),
+                       "--out", str(tmp_path / "b"), *POOL,
+                       "--predictor", f"exec:{command}")
+        assert code == 3
+        assert "non-JSON line" in capsys.readouterr().err
+        assert len(spawned) == 1
+        assert spawned[0].poll() is not None
+        assert not (tmp_path / "b").exists()
 
     def test_a_child_that_exits_early_exits_3_and_leaves_no_process(
             self, short_wav, tmp_path, monkeypatch, capsys, spawned):

@@ -767,18 +767,36 @@ class TestExplainInstance:
                  for _ in range(2)]
         assert texts[0] == texts[1]
 
-    def test_batch_size_and_workers_do_not_change_the_result(self):
+    def test_batch_size_and_workers_do_not_change_the_result(self, monkeypatch):
         box, _, base, seg_map = planted_small()
         config = LimeConfig(n_samples=300, seed=7)
         instance = Instance(base, seg_map, "silence")
-        baseline = explain_instance(box, instance, config, batch_size=300)
-        chunked = explain_instance(box, instance, config, batch_size=17)
-        threaded = explain_instance(box, instance, config, batch_size=32, workers=3)
+
+        def explain(block, workers=1):
+            monkeypatch.setattr(lime_module, "_PREDICT_BLOCK", block)
+            return explain_instance(box, instance, config, workers=workers)
+
+        baseline = explain(300)
+        chunked = explain(17)
+        threaded = explain(32, workers=3)
         for other in (chunked, threaded):
             assert np.array_equal(baseline.fit.weights, other.fit.weights)
             assert baseline.selected == other.selected
 
-    def test_non_finite_prediction_reports_global_index(self):
+    def test_predict_gets_blocks_of_256_rows(self):
+        box, _, base, seg_map = planted_small()
+        sizes = []
+
+        def sized(batch):
+            sizes.append(len(batch))
+            return box(batch)
+
+        explain_instance(sized, Instance(base, seg_map, "silence"),
+                         LimeConfig(n_samples=600, seed=7))
+        assert sizes == [256, 256, 88]
+
+    def test_non_finite_prediction_reports_global_index(self, monkeypatch):
+        monkeypatch.setattr(lime_module, "_PREDICT_BLOCK", 16)
         seg_map, base = small_setup()
         counter = {"n": 0}
 
@@ -791,12 +809,13 @@ class TestExplainInstance:
 
         with pytest.raises(PredictionValueError) as info:
             explain_instance(flaky, Instance(base, seg_map, "silence"),
-                             LimeConfig(n_samples=100, seed=8), batch_size=16)
+                             LimeConfig(n_samples=100, seed=8))
         assert info.value.index == 37
 
-    def test_wrong_reply_count_is_transport_error(self):
+    def test_wrong_reply_count_is_transport_error(self, monkeypatch):
         from midlime.errors import TransportError
 
+        monkeypatch.setattr(lime_module, "_PREDICT_BLOCK", 25)
         seg_map, base = small_setup()
 
         def short(batch):
@@ -804,7 +823,7 @@ class TestExplainInstance:
 
         with pytest.raises(TransportError):
             explain_instance(short, Instance(base, seg_map, "silence"),
-                             LimeConfig(n_samples=100, seed=9), batch_size=25)
+                             LimeConfig(n_samples=100, seed=9))
 
     @pytest.mark.parametrize("make, attr, value", [
         (lambda: ProtocolError("bad line", line="{oops"), "line", "{oops"),
@@ -812,7 +831,9 @@ class TestExplainInstance:
          "field", "mid_names"),
         (lambda: PredictionValueError("nan", index=3), "index", 35),
     ], ids=["protocol", "capabilities", "prediction-value"])
-    def test_predictor_errors_keep_type_and_attributes(self, make, attr, value):
+    def test_predictor_errors_keep_type_and_attributes(self, make, attr, value,
+                                                        monkeypatch):
+        monkeypatch.setattr(lime_module, "_PREDICT_BLOCK", 16)
         seg_map, base = small_setup()
         seen = {"rows": 0}
 
@@ -825,16 +846,17 @@ class TestExplainInstance:
         original = make()
         with pytest.raises(type(original)) as info:
             explain_instance(failing_third_chunk, Instance(base, seg_map, "silence"),
-                             LimeConfig(n_samples=100, seed=8), batch_size=16)
+                             LimeConfig(n_samples=100, seed=8))
         assert type(info.value) is type(original)
         assert getattr(info.value, attr) == value
         assert str(info.value) == f"while predicting mask rows 32..47: {original}"
 
     def test_invalid_worker_and_batch_args(self):
+        # The block of rows per call is LIME's own; the keyword is gone.
         seg_map, base = small_setup()
-        with pytest.raises(ConfigError):
+        with pytest.raises(TypeError, match="batch_size"):
             explain_instance(lambda b: [0.0] * len(b), Instance(base, seg_map, "silence"),
-                             LimeConfig(n_samples=100, seed=1), batch_size=0)
+                             LimeConfig(n_samples=100, seed=1), batch_size=8)
         with pytest.raises(ConfigError):
             explain_instance(lambda b: [0.0] * len(b), Instance(base, seg_map, "silence"),
                              LimeConfig(n_samples=100, seed=1), workers=0)
@@ -1041,13 +1063,14 @@ class TestMaskBatch:
         monkeypatch.setattr(BuiltinPredictor, "_coefficients",
                             lambda self, instance: built.append(instance)
                             or coefficients(self, instance))
+        monkeypatch.setattr(lime_module, "_PREDICT_BLOCK", 8)
         config = LimeConfig(n_samples=48, seed=6)
 
         instance = Instance(base, seg_map, config.fill)
 
         def explain():
             return explain_instance(lambda b: predictor.predict(b)[0][:, 0], instance,
-                                    config, batch_size=8, workers=2)
+                                    config, workers=2)
 
         first = explain()
         second = explain()

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import midlime
+from midlime import lime as lime_module
 from midlime import pipeline
 from midlime import predictor as predictor_module
 from midlime.audio import AudioClip, decode_wav, encode_wav
@@ -607,12 +608,13 @@ class TestWriteCsv:
 class TestChunking:
     @pytest.mark.parametrize("fill", list(FillStrategy))
     def test_batch_size_and_workers_do_not_change_bytes(self, fill, fixture_wav,
-                                                        tmp_path):
+                                                        tmp_path, monkeypatch):
         lime = LimeConfig(n_samples=600, seed=42, fill=fill)
         produced = []
-        for name, overrides in (("default", {}),
-                                ("chunked", {"batch_size": 17, "workers": 3})):
-            config = fast_config(fixture_wav, tmp_path / name, lime=lime, **overrides)
+        for name, block, workers in (("default", 256, 1), ("chunked", 17, 3)):
+            monkeypatch.setattr(lime_module, "_PREDICT_BLOCK", block)
+            config = fast_config(fixture_wav, tmp_path / name, lime=lime,
+                                 workers=workers)
             bundle = run_explanation(config)
             produced.append((bundle.out_dir / BUNDLE_FILES["explanation"]).read_bytes())
         assert produced[0] == produced[1]

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from midlime import lime as lime_module
 from midlime import predictor
 from midlime.audio import AudioClip
 from midlime.dsp import Spectrogram, StftConfig, magnitude_db, stft
@@ -51,12 +52,15 @@ from midlime.predictor import (
 from midlime.segmentation import SegmentationConfig, SegmentMap, felzenszwalb_segment
 
 from conftest import (
+    BAD_LINE_CHILD,
     SAMPLE_RATE,
+    UNREADABLE_LINES,
     block_map,
     child_command,
     db_spec,
     make_fixture_samples,
     random_db_image,
+    recorded_requests,
     unmasked,
 )
 
@@ -524,6 +528,17 @@ class TestGateway:
                 gateway.predict(unmasked(tiny_spec(0)))
         assert info.value.line
 
+    @UNREADABLE_LINES
+    @pytest.mark.parametrize("when", ["handshake", "prediction"])
+    def test_a_line_json_cannot_read_is_a_protocol_error(self, bad, when, spawned):
+        with pytest.raises(ProtocolError, match="non-JSON line") as info:
+            with ExternalPredictor([sys.executable, "-c", BAD_LINE_CHILD, when, bad],
+                                   timeout=10) as gateway:
+                gateway.predict(tiny_batch(4))
+        assert info.value.line
+        assert len(spawned) == 1
+        assert spawned[0].poll() is not None
+
     @pytest.mark.parametrize("started", [False, True], ids=["never-started", "closed"])
     def test_predict_outside_start_and_close_spawns_nothing(self, started,
                                                              monkeypatch):
@@ -641,12 +656,6 @@ class TestGateway:
 
 def child_with(mode: str, option: str, path) -> str:
     return f"{child_command(mode)} {option} {shlex.quote(str(path))}"
-
-
-def recorded_requests(directory) -> list[list[tuple[int, int, int]]]:
-    """Per child, the (id, rows, bytes) of each request it received, in order."""
-    return [[tuple(map(int, line.split())) for line in path.read_text().splitlines()]
-            for path in sorted(directory.iterdir())]
 
 
 class TestGatewayPool:
@@ -789,7 +798,8 @@ class TestGatewayPool:
         assert [proc.returncode for proc in procs] == [0, -signal.SIGKILL,
                                                         -signal.SIGTERM]
 
-    def test_lime_threads_share_one_gateway(self):
+    def test_lime_threads_share_one_gateway(self, monkeypatch):
+        monkeypatch.setattr(lime_module, "_PREDICT_BLOCK", 16)
         instance = Instance(tiny_spec(3), block_map(9, 6, 3, 3), "silence")
         config = LimeConfig(n_samples=400, seed=5)
         fits = []
@@ -803,16 +813,30 @@ class TestGatewayPool:
                 for workers in (1, 2, 4):
                     fits.append(explain_instance(
                         lambda batch: gateway.predict(batch)[0][:, 0], instance, config,
-                        batch_size=16, workers=workers).fit)
+                        workers=workers).fit)
         finally:
             sys.setswitchinterval(interval)
+        # Each block of 16 rows is two requests of 8, one per child.
         assert gateway.counters["items"] == 3 * 400
-        assert gateway.counters["requests"] == 3 * 25
+        assert gateway.counters["requests"] == 3 * 50
         for fit in fits[1:]:
             for name in ("weights", "std_errors", "p_values"):
                 assert getattr(fit, name).tobytes() == getattr(fits[0], name).tobytes()
             assert (fit.intercept, fit.r_squared) == (fits[0].intercept,
                                                       fits[0].r_squared)
+
+    def test_each_call_is_spread_over_every_child(self, tmp_path):
+        # At the default batch_size one request would hold all seven rows.
+        record = tmp_path / "record"
+        record.mkdir()
+        with ExternalPredictor(child_with("echo", "--record", record), timeout=20,
+                               children=2) as gateway:
+            batch = tiny_batch(7)
+            mids, _ = gateway.predict(batch)
+        assert np.allclose(mids[:, 0], item_means(batch), rtol=0, atol=1e-12)
+        assert [[(cid, rows) for cid, rows, _ in child]
+                for child in recorded_requests(record)] in ([[(0, 4)], [(1, 3)]],
+                                                            [[(1, 3)], [(0, 4)]])
 
     def test_counters_count_the_wire(self, tmp_path):
         record = tmp_path / "record"
@@ -898,7 +922,8 @@ class TestGatewayMaskBatch:
         assert gateway.lines == request_lines(batch, batch_size)
 
     def test_run_texts_are_built_once_per_instance(self, monkeypatch):
-        # At one worker, as `exec:` runs are: the gateway is not thread-safe.
+        # At one worker, as `exec:` runs are.
+        monkeypatch.setattr(lime_module, "_PREDICT_BLOCK", 8)
         base = tiny_spec(4)
         seg_map = block_map(9, 6, 3, 2)
         built, renders = [], []
@@ -913,7 +938,7 @@ class TestGatewayMaskBatch:
         with ExternalPredictor(child_command("echo"), timeout=20) as gateway:
             def explain():
                 return explain_instance(lambda b: gateway.predict(b)[0][:, 0], instance,
-                                        config, batch_size=8, workers=1)
+                                        config, workers=1)
 
             first = explain()
             second = explain()
