@@ -6,7 +6,8 @@ sample counts and writes Jaccard tables. Set MIDLIME_LOG=debug|info|warning
 to control verbosity on stderr.
 
 Exit codes: 0 success, 2 configuration error, 3 predictor/transport error,
-4 audio or file I/O error, 5 internal numeric error.
+4 audio or file I/O error, 5 internal error (numeric, or a stability helper
+process that ended without its results).
 """
 
 from __future__ import annotations
@@ -93,8 +94,9 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--predictor-seed", type=int, default=0,
                    help="seed of the builtin synthetic predictor (default: 0)")
     p.add_argument("--workers", type=int, default=1,
-                   help="perturbation evaluation workers: threads for builtin, "
-                        "child processes for exec: (default: 1)")
+                   help="workers: explain's predict threads and stability's "
+                        "attribution processes for builtin and constant, child "
+                        "processes for exec: (default: 1)")
     p.add_argument("--batch-size", type=int, default=256,
                    help="most mask rows per exec: request (default: 256)")
     p.add_argument("--timeout", type=float, default=30.0,

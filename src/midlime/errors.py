@@ -118,3 +118,7 @@ class StageError(MidlimeError):
         super().__init__(f"stage '{stage}' failed: {cause}")
         self.stage = stage
         self.cause = cause
+
+    def __reduce__(self):
+        # The default rebuilds from `args`, the one message string.
+        return type(self), (self.stage, self.cause)

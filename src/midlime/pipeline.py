@@ -13,6 +13,12 @@ no byte. Every computation happens before the first byte is written, and
 the files are written into a hidden sibling directory that one rename
 publishes, so an output directory is either complete or absent, even if
 the process is killed.
+
+`stability` runs its attributions in up to `--workers` processes on Linux:
+helpers forked after the predictor starts share the instance and the
+in-process predictor copy-on-write, and pipe their explanations back to the
+main process, which writes everything. The fit is the same function on the
+same inputs in any process, so the process count changes no byte.
 """
 
 from __future__ import annotations
@@ -21,9 +27,12 @@ import json
 import logging
 import math
 import os
+import pickle
 import resource
 import shutil
+import signal
 import sys
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
@@ -150,12 +159,14 @@ class ExplanationBundle:
 
 class _Stages:
     """The run's clock: the wall time and the peak RSS at the end of each
-    stage, in stage order."""
+    stage, in stage order, and the CPU time of the helper processes that
+    the run reaped."""
 
     def __init__(self):
         self.started = time.perf_counter()
         self.timings: dict = {}
         self.peaks: dict = {}
+        self.helper_cpu_s = 0.0
 
     @contextmanager
     def __call__(self, name: str):
@@ -519,13 +530,14 @@ def _report(config: RunConfig, prep: _Prepared, predictor_exit: int | None) -> d
 
 def _write_report(path: Path, report: dict, stage: _Stages) -> None:
     """Write `report` with the stage timings so far, the total, the CPU time
-    so far, the peak RSS at the end of each of those stages and the peak RSS
-    now."""
+    so far, the peak RSS at the end of each of those stages that this
+    process ran and its peak RSS now."""
     report["timings_s"] = {**stage.timings,
                            "total": round(time.perf_counter() - stage.started, 6)}
-    # User plus system time of every thread of the process, from its start.
+    # User plus system time of every thread of the process, from its start,
+    # and of the helper processes it forked.
     usage = resource.getrusage(resource.RUSAGE_SELF)
-    report["cpu_s"] = round(usage.ru_utime + usage.ru_stime, 6)
+    report["cpu_s"] = round(usage.ru_utime + usage.ru_stime + stage.helper_cpu_s, 6)
     report["peak_rss_mb_by_stage"] = dict(stage.peaks)
     report["peak_rss_mb"] = _peak_rss_mb()
     _write_json(path, report)
@@ -617,6 +629,8 @@ def run_stability(config: RunConfig, seeds: Sequence[int],
     Returns {sample_count: {"score": StabilityScore, "selected_counts": [...]}}
     and writes stability.csv (pairwise), stability_summary.csv and a
     report.json that adds the time and selected count of each attribution.
+    The attributions run as `_attribute_all` says: in up to `config.workers`
+    processes, with the same bytes as one after another.
     """
     seeds = [int(s) for s in seeds]
     sample_counts = [int(c) for c in sample_counts]
@@ -631,36 +645,29 @@ def run_stability(config: RunConfig, seeds: Sequence[int],
             raise ConfigError(f"stability {name}s must differ; repeated: "
                               f"{', '.join(map(str, repeated))}")
 
-    # Built up front, so that a bad count is refused before any work.
-    lime_configs = {count: [replace(config.lime, seed=seed, n_samples=count)
-                            for seed in seeds]
-                    for count in sample_counts}
+    # Built up front, so that a bad count is refused before any work; count
+    # by count, seed by seed.
+    lime_configs = [replace(config.lime, seed=seed, n_samples=count)
+                    for count in sample_counts for seed in seeds]
 
     stage = _Stages()
     prep = _prepare(config, stage, sample_counts)
-    results: dict = {}
-    runs = []
     try:
-        fn = _target_fn(prep.predictor, prep.target)
-        workers = _lime_workers(prep.predictor, config.workers)
-        for count in sample_counts:
-            explanations = []
-            for lime_cfg in lime_configs[count]:
-                run_stage = f"lime[n={count},seed={lime_cfg.seed}]"
-                with stage(run_stage):
-                    explanations.append(explain_instance(
-                        fn, prep.instance, lime_cfg,
-                        target=prep.target_label, workers=workers,
-                    ))
-                runs.append({"sample_count": count, "seed": lime_cfg.seed,
-                             "lime_s": stage.timings[run_stage],
-                             "selected": len(explanations[-1].selected)})
-            results[count] = {
-                "score": stability_score(explanations),
-                "selected_counts": [len(e.selected) for e in explanations],
-            }
+        explanations = _attribute_all(
+            prep, stage, lime_configs, _lime_workers(prep.predictor, config.workers))
     finally:
         predictor_exit = prep.predictor.close()
+    runs = [{"sample_count": cfg.n_samples, "seed": cfg.seed,
+             "lime_s": stage.timings[_run_stage(cfg)],
+             "selected": len(explanation.selected)}
+            for cfg, explanation in zip(lime_configs, explanations)]
+    results: dict = {}
+    for k, count in enumerate(sample_counts):
+        of_count = explanations[k * len(seeds):(k + 1) * len(seeds)]
+        results[count] = {
+            "score": stability_score(of_count),
+            "selected_counts": [len(e.selected) for e in of_count],
+        }
     report = _report(config, prep, predictor_exit)
     # Each run takes its seed and sample count from these lists, and no
     # run synthesises audio.
@@ -687,3 +694,120 @@ def run_stability(config: RunConfig, seeds: Sequence[int],
 
     _publish(Path(config.out_dir), write)
     return results
+
+
+def _run_stage(config: LimeConfig) -> str:
+    return f"lime[n={config.n_samples},seed={config.seed}]"
+
+
+def _attribute_all(prep: _Prepared, stage: _Stages, configs: Sequence[LimeConfig],
+                   workers: int) -> list[LimeExplanation]:
+    """The explanation of each of `configs`, in order, each timed as its own
+    stage.
+
+    With W = min(`workers`, CPUs, attributions) > 1 on Linux, and no other
+    Python thread running, attribution i runs in process i mod W. Process 0
+    is this one, so it always explains attribution 0; W - 1 forked helpers
+    share the instance and the in-process predictor copy-on-write, pipe
+    back their explanations and times, and exit. Each attribution then runs
+    on one thread. Otherwise they run here one after another, each on
+    `workers` threads. No process outlives this call: the helpers are
+    reaped, or killed and reaped if anything fails. A failure in this
+    process's share is raised at once; otherwise the failure of the lowest
+    failing attribution is raised as it was raised in its helper, which is
+    what one process would raise. A helper that ends without sending its
+    results is a `MidlimeError`.
+    """
+    fn = _target_fn(prep.predictor, prep.target)
+
+    def attribute(i: int, threads: int) -> LimeExplanation:
+        with stage(_run_stage(configs[i])):
+            return explain_instance(fn, prep.instance, configs[i],
+                                    target=prep.target_label, workers=threads)
+
+    processes = min(workers, os.cpu_count() or 1, len(configs))
+    # macOS system libraries are not fork-safe, and a fork copies only the
+    # calling thread of a threaded caller.
+    if processes == 1 or sys.platform != "linux" or threading.active_count() > 1:
+        return [attribute(i, workers) for i in range(len(configs))]
+
+    def share(p: int) -> range:
+        return range(p, len(configs), processes)
+
+    def timed(i: int) -> tuple:
+        explanation = attribute(i, 1)
+        return explanation, stage.timings[_run_stage(configs[i])]
+
+    helpers: dict[int, int] = {}   # pid -> read end of its pipe, until reaped
+    try:
+        for p in range(1, processes):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:
+                _helper(write, [*helpers.values(), read], timed, share(p))
+            os.close(write)
+            helpers[pid] = read
+        done = {i: timed(i) for i in share(0)}
+        failures = []
+        for p, pid in enumerate(list(helpers), 1):
+            # To EOF before the wait: a share may not fit in the pipe buffer.
+            with open(helpers[pid], "rb", closefd=False) as pipe:
+                data = pipe.read()
+            _, status, usage = os.wait4(pid, 0)
+            os.close(helpers.pop(pid))
+            stage.helper_cpu_s += usage.ru_utime + usage.ru_stime
+            # A helper exits with 0 only once it has sent all it made.
+            code = os.waitstatus_to_exitcode(status)
+            if code != 0:
+                how = (f"was killed by signal {-code}" if code < 0
+                       else f"exited with code {code}")
+                raise MidlimeError(f"attribution process {pid} {how} before "
+                                   "it sent all its results")
+            made, failure = pickle.loads(data)
+            done.update(zip(share(p), made))
+            if failure is not None:
+                failures.append((p + len(made) * processes, failure))
+        if failures:
+            raise min(failures, key=lambda f: f[0])[1]
+    finally:
+        for pid, read in helpers.items():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(read)
+    explanations = []
+    for i, config in enumerate(configs):
+        explanation, seconds = done[i]
+        # In the command's order, whichever process ran each.
+        stage.timings.pop(_run_stage(config), None)
+        stage.timings[_run_stage(config)] = seconds
+        explanations.append(explanation)
+    return explanations
+
+
+def _helper(write: int, inherited: list[int], run: Callable[[int], tuple],
+            share: range):
+    """A forked helper's whole life: close the pipe ends that belong to
+    others, `run` each index of `share` until one fails, send the pickled
+    (results, failure) down `write` and exit with 0. It never returns, and
+    exits with 1 if it cannot send them all."""
+    code = 1
+    try:
+        for fd in inherited:
+            os.close(fd)
+        made, failure = [], None
+        try:
+            for i in share:
+                made.append(run(i))
+        except Exception as exc:
+            failure = exc
+        data = pickle.dumps((made, failure))
+        with open(write, "wb") as pipe:
+            pipe.write(data)
+        code = 0
+    finally:
+        os._exit(code)

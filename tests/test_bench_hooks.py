@@ -5,6 +5,7 @@ rename would otherwise surface only in a traced benchmark run.
 """
 
 import json
+import os
 import subprocess
 import sys
 
@@ -101,6 +102,20 @@ def test_stability_spans_carry_what_the_benchmark_reads(short_wav, tmp_path):
     assert sorted((s["seed"], s["rows"]) for s in by_name["lime.sample"]) == [
         (1, 40), (1, 60), (2, 40), (2, 60)]
     assert "dsp.griffin_lim" not in by_name
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="one CPU runs one process")
+def test_forked_stability_keeps_spans_in_the_traced_process(short_wav, tmp_path):
+    # The helpers' spans stay in the helpers. `layer_metrics` needs the
+    # run's span and the traced process's own attributions: 0, 2, ...
+    by_name = traced_spans(["stability", "--audio", str(short_wav),
+                            "--out", str(tmp_path / "stab"), *SMALL,
+                            "--seeds", "1,2", "--sample-counts", "40,60",
+                            "--workers", "2"])
+    assert len(by_name["pipeline.run"]) == 1
+    assert len(by_name["lime.explain"]) == 2
+    assert sorted((s["seed"], s["rows"]) for s in by_name["lime.sample"]) == [
+        (1, 40), (1, 60)]
 
 
 def test_gateway_spans_carry_what_the_benchmark_reads(short_wav, tmp_path):

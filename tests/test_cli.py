@@ -2,6 +2,7 @@
 
 import json
 import os
+import pickle
 import shlex
 import struct
 import subprocess
@@ -16,11 +17,15 @@ from midlime.audio import AudioClip, encode_wav
 from midlime.cli import build_parser, exit_code_for, main
 from midlime.errors import (
     AudioIOError,
+    CapabilitiesError,
     ConfigError,
+    PredictionValueError,
+    ProtocolError,
     RankDeficiencyError,
     SpawnError,
     StageError,
     TransportError,
+    WavDecodeError,
 )
 from midlime.lime import FillStrategy
 
@@ -404,6 +409,25 @@ class TestExitCodeMapping:
         assert exit_code_for(nested) == 2
         assert exit_code_for(StageError("predictor", SpawnError("x"))) == 3
         assert exit_code_for(StageError("audio", AudioIOError("x"))) == 4
+
+
+# A forked stability helper sends its failure to the main process pickled.
+@pytest.mark.parametrize("error", [
+    StageError("lime[n=600,seed=2]", PredictionValueError("bad", index=3)),
+    StageError("lime", StageError("fit", ConfigError("x"))),
+    PredictionValueError("bad", index=3),
+    ProtocolError("bad line", line="{"),
+    CapabilitiesError("bad", field="mid_names"),
+    WavDecodeError("bad", chunk="fmt "),
+], ids=lambda error: type(error).__name__)
+def test_errors_survive_pickling(error):
+    copy = pickle.loads(pickle.dumps(error))
+    while isinstance(error, StageError):
+        assert type(copy) is StageError and str(copy) == str(error)
+        assert copy.stage == error.stage
+        error, copy = error.cause, copy.cause
+    assert type(copy) is type(error) and str(copy) == str(error)
+    assert copy.__dict__ == error.__dict__
 
 
 def test_every_exported_name_resolves():

@@ -10,8 +10,10 @@ import stat
 import subprocess
 import sys
 import tempfile
+import threading
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -99,11 +101,12 @@ def bundle(fixture_wav, tmp_path_factory):
     return run_explanation(fast_config(fixture_wav, out))
 
 
-def assert_peaks_by_stage(report: dict) -> None:
-    """One peak per timed stage, in stage order, never falling, at most the
-    run's peak."""
+def assert_peaks_by_stage(report: dict, away: frozenset = frozenset()) -> None:
+    """One peak per timed stage but those run in another process (`away`),
+    in stage order, never falling, at most the run's peak."""
     by_stage = report["peak_rss_mb_by_stage"]
-    assert list(by_stage) == [k for k in report["timings_s"] if k != "total"]
+    assert list(by_stage) == [k for k in report["timings_s"]
+                              if k != "total" and k not in away]
     peaks = list(by_stage.values())
     assert peaks == sorted(peaks) and 0 < peaks[0]
     assert peaks[-1] <= report["peak_rss_mb"]
@@ -111,12 +114,45 @@ def assert_peaks_by_stage(report: dict) -> None:
 
 def assert_cpu_time(report: dict) -> None:
     """`cpu_s` follows `timings_s` and is a finite, non-negative time that
-    this process, which ran the command, has at least spent by now."""
+    this process, which ran the command, and the children it reaped have at
+    least spent by now."""
     keys = list(report)
     assert keys[keys.index("timings_s") + 1] == "cpu_s"
     cpu = report["cpu_s"]
-    usage = resource.getrusage(resource.RUSAGE_SELF)
-    assert np.isfinite(cpu) and 0 <= cpu <= usage.ru_utime + usage.ru_stime
+    spent = sum(u.ru_utime + u.ru_stime for u in map(
+        resource.getrusage, (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)))
+    assert np.isfinite(cpu) and 0 <= cpu <= spent
+
+
+def assert_no_child_left() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forks(monkeypatch) -> list[int]:
+    """The pid of each process that `os.fork` starts during the test, on
+    two CPUs whatever the machine has."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    pids: list[int] = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids
+
+
+@pytest.fixture
+def no_fork(monkeypatch):
+    def refused():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", refused)
 
 
 class TestBundle:
@@ -866,10 +902,14 @@ class TestRunStability:
             assert len(results[count]["selected_counts"]) == 2
             assert 0.0 <= results[count]["score"].mean_pairwise_jaccard <= 1.0
 
-    def test_writes_a_report_with_each_attribution(self, fixture_wav, tmp_path, bundle):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_writes_a_report_with_each_attribution(self, fixture_wav, tmp_path, bundle,
+                                                   workers, forks):
         out = tmp_path / "stab"
-        config = fast_config(fixture_wav, out, lime=LimeConfig(n_samples=600, seed=0))
+        config = fast_config(fixture_wav, out, lime=LimeConfig(n_samples=600, seed=0),
+                             workers=workers)
         results = run_stability(config, seeds=[1, 2], sample_counts=[600, 700])
+        assert len(forks) == workers - 1
         report = json.loads((out / "report.json").read_text())
         assert sorted(p.name for p in out.iterdir()) == sorted(report["files"].values())
         shared = set(bundle.report) - {"selected", "files"}
@@ -880,11 +920,13 @@ class TestRunStability:
             (600, 1), (600, 2), (700, 1), (700, 2)]
         assert [r["selected"] for r in runs] == (results[600]["selected_counts"]
                                                  + results[700]["selected_counts"])
-        for r in runs:
-            stage = f"lime[n={r['sample_count']},seed={r['seed']}]"
-            assert r["lime_s"] == report["timings_s"][stage]
-        assert "lime[n=700,seed=2]" in report["peak_rss_mb_by_stage"]
-        assert_peaks_by_stage(report)
+        stages = [f"lime[n={r['sample_count']},seed={r['seed']}]" for r in runs]
+        assert [k for k in report["timings_s"] if k.startswith("lime")] == stages
+        for r, stage in zip(runs, stages):
+            assert r["lime_s"] == report["timings_s"][stage] > 0
+        # This process runs attributions 0, W, 2W, ...; the helpers time
+        # theirs, but their peaks are not this process's.
+        assert_peaks_by_stage(report, away=frozenset(stages) - set(stages[::workers]))
         assert_cpu_time(report)
 
     def test_builds_the_builtin_coefficients_once(self, fixture_wav, tmp_path,
@@ -918,6 +960,168 @@ class TestRunStability:
         config = fast_config(fixture_wav, tmp_path / "y")
         with pytest.raises(ConfigError):
             run_stability(config, seeds=[1, 2], sample_counts=[])
+
+
+STABILITY_TABLES = ("stability.csv", "stability_summary.csv")
+
+
+def stability_argv(fixture_wav, out, workers: int, seeds: str = "1,2") -> list[str]:
+    return ["stability", "--audio", str(fixture_wav), "--out", str(out),
+            "--frame-size", "1024", "--hop", "512", "--seeds", seeds,
+            "--sample-counts", "600,700", "--workers", str(workers)]
+
+
+def patch_attribution(monkeypatch, change, *runs) -> None:
+    """Run each attribution of `runs`, (sample count, seed) pairs, through
+    `change(predict)`'s predictor; `change` may also raise or act instead."""
+    explain = pipeline.explain_instance
+
+    def changed(predict, instance, config, **kwargs):
+        if (config.n_samples, config.seed) in runs:
+            predict = change(predict)
+        return explain(predict, instance, config, **kwargs)
+
+    monkeypatch.setattr(pipeline, "explain_instance", changed)
+
+
+def non_finite(predict):
+    return lambda batch: np.full(len(batch), np.nan)
+
+
+class TestForkedStability:
+    """Attribution i of W > 1 workers runs in process i mod W, with the same
+    bytes as one process, and no process outlives the command."""
+
+    def test_tables_are_identical_across_worker_counts(self, fixture_wav, tmp_path,
+                                                       forks):
+        tables, scores = [], []
+        for workers in (1, 2, 3):
+            out = tmp_path / f"stab-{workers}"
+            config = fast_config(fixture_wav, out, workers=workers)
+            results = run_stability(config, seeds=[1, 2, 3], sample_counts=[600, 700])
+            tables.append([(out / name).read_bytes() for name in STABILITY_TABLES])
+            scores.append(results)
+        # Three workers are capped at the two CPUs.
+        assert len(forks) == 2
+        assert tables[0] == tables[1] == tables[2]
+        assert scores[0] == scores[1] == scores[2]
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("seed", [1, 2], ids=["main-process", "helper"])
+    def test_a_failure_exits_as_at_one_worker(self, seed, fixture_wav, tmp_path,
+                                              monkeypatch, capsys, forks):
+        patch_attribution(monkeypatch, non_finite, (700, seed))
+        outcomes = []
+        for workers in (1, 2):
+            code = cli_main(stability_argv(fixture_wav, tmp_path / f"s{workers}", workers))
+            outcomes.append((code, capsys.readouterr().err))
+            assert_no_child_left()
+        assert len(forks) == 1
+        assert outcomes[0] == outcomes[1] == (
+            3, f"error: stage 'lime[n=700,seed={seed}]' failed: "
+               "non-finite prediction at mask row 0\n")
+        assert os.listdir(tmp_path) == []
+
+    def test_the_lowest_failing_attribution_is_reported(self, fixture_wav, tmp_path,
+                                                        monkeypatch, capsys, forks):
+        # Of six attributions on three processes, helper 1 runs 1 and 4,
+        # helper 2 runs 2 and 5; 4 and 2 fail.
+        patch_attribution(monkeypatch, non_finite, (700, 2), (600, 3))
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        code = cli_main(stability_argv(fixture_wav, tmp_path / "s", 3, seeds="1,2,3"))
+        assert len(forks) == 2
+        assert code == 3
+        assert capsys.readouterr().err.startswith(
+            "error: stage 'lime[n=600,seed=3]' failed: non-finite")
+        assert_no_child_left()
+
+    def test_an_interrupt_in_the_main_share_kills_the_helpers(self, fixture_wav,
+                                                             tmp_path, monkeypatch,
+                                                             forks):
+        def interrupt(predict):
+            raise KeyboardInterrupt
+
+        patch_attribution(monkeypatch, interrupt, (600, 1))
+        config = fast_config(fixture_wav, tmp_path / "stab", workers=2)
+        with pytest.raises(KeyboardInterrupt):
+            run_stability(config, seeds=[1, 2], sample_counts=[600, 700])
+        assert len(forks) == 1
+        assert_no_child_left()
+        assert os.listdir(tmp_path) == []
+
+    def test_a_helper_that_dies_exits_5(self, fixture_wav, tmp_path, monkeypatch,
+                                        capsys, forks):
+        def die(predict):
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        patch_attribution(monkeypatch, die, (600, 2))
+        code = cli_main(stability_argv(fixture_wav, tmp_path / "s", 2))
+        assert code == 5
+        assert capsys.readouterr().err == (
+            f"error: attribution process {forks[0]} was killed by signal "
+            f"{signal.SIGKILL} before it sent all its results\n")
+        assert_no_child_left()
+        assert os.listdir(tmp_path) == []
+
+    def test_results_larger_than_the_pipe_buffer_arrive(self, fixture_wav, tmp_path,
+                                                        monkeypatch, forks):
+        # Each explanation a helper sends carries 800 kB of extra weights.
+        explain = pipeline.explain_instance
+
+        def padded(*args, **kwargs):
+            explanation = explain(*args, **kwargs)
+            fit = replace(explanation.fit, std_errors=np.zeros(100_000))
+            return replace(explanation, fit=fit)
+
+        config = fast_config(fixture_wav, tmp_path / "one", workers=1)
+        expected = run_stability(config, seeds=[1, 2], sample_counts=[600, 700])
+        monkeypatch.setattr(pipeline, "explain_instance", padded)
+        config = fast_config(fixture_wav, tmp_path / "two", workers=2)
+        assert run_stability(config, seeds=[1, 2], sample_counts=[600, 700]) == expected
+        assert len(forks) == 1
+        assert_no_child_left()
+
+    def test_cpu_time_adds_each_helpers(self, fixture_wav, tmp_path, monkeypatch,
+                                        forks):
+        wait4 = os.wait4
+
+        def padded(pid, options):
+            pid, status, usage = wait4(pid, options)
+            return pid, status, SimpleNamespace(ru_utime=usage.ru_utime + 1000.0,
+                                                ru_stime=usage.ru_stime)
+
+        monkeypatch.setattr(os, "wait4", padded)
+        out = tmp_path / "stab"
+        run_stability(fast_config(fixture_wav, out, workers=2), seeds=[1, 2],
+                      sample_counts=[600, 700])
+        assert len(forks) == 1
+        assert json.loads((out / "report.json").read_text())["cpu_s"] > 1000.0
+
+    def test_one_worker_does_not_fork(self, fixture_wav, tmp_path, no_fork):
+        run_stability(fast_config(fixture_wav, tmp_path / "stab", workers=1),
+                      seeds=[1, 2], sample_counts=[600, 700])
+
+    def test_exec_does_not_fork(self, tmp_path, no_fork):
+        run_stability(replace(short_exec_config(tmp_path, "stab"), workers=2),
+                      seeds=[1, 2], sample_counts=[60, 70])
+
+    def test_a_second_python_thread_does_not_fork(self, fixture_wav, tmp_path,
+                                                  no_fork):
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            run_stability(fast_config(fixture_wav, tmp_path / "stab", workers=2),
+                          seeds=[1, 2], sample_counts=[600, 700])
+        finally:
+            stop.set()
+            thread.join()
+
+    def test_other_platforms_do_not_fork(self, fixture_wav, tmp_path, monkeypatch,
+                                         no_fork):
+        monkeypatch.setattr(sys, "platform", "darwin")
+        run_stability(fast_config(fixture_wav, tmp_path / "stab", workers=2),
+                      seeds=[1, 2], sample_counts=[600, 700])
 
 
 class TestRunConfigValidation:
