@@ -94,9 +94,9 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--predictor-seed", type=int, default=0,
                    help="seed of the builtin synthetic predictor (default: 0)")
     p.add_argument("--workers", type=int, default=1,
-                   help="workers: explain's predict threads and stability's "
-                        "attribution processes for builtin and constant, child "
-                        "processes for exec: (default: 1)")
+                   help="workers that evaluate the predictor, at most one per "
+                        "usable CPU: exec: children, else explain's threads and "
+                        "stability's processes (default: 1)")
     p.add_argument("--batch-size", type=int, default=256,
                    help="most mask rows per exec: request (default: 256)")
     p.add_argument("--timeout", type=float, default=30.0,

@@ -14,11 +14,13 @@ the files are written into a hidden sibling directory that one rename
 publishes, so an output directory is either complete or absent, even if
 the process is killed.
 
-`stability` runs its attributions in up to `--workers` processes on Linux:
-helpers forked after the predictor starts share the instance and the
-in-process predictor copy-on-write, and pipe their explanations back to the
-main process, which writes everything. The fit is the same function on the
-same inputs in any process, so the process count changes no byte.
+`--workers` is resolved once, to at most one per usable CPU: exec:
+children, or else `explain`'s prediction threads and, on Linux,
+`stability`'s attribution processes, forked after the predictor starts to
+share the instance and the in-process predictor copy-on-write. They pipe
+their explanations back to the main process, which writes everything; the
+fit is the same function on the same inputs in any process, so no worker
+count changes a byte.
 """
 
 from __future__ import annotations
@@ -159,14 +161,12 @@ class ExplanationBundle:
 
 class _Stages:
     """The run's clock: the wall time and the peak RSS at the end of each
-    stage, in stage order, and the CPU time of the helper processes that
-    the run reaped."""
+    stage, in stage order."""
 
     def __init__(self):
         self.started = time.perf_counter()
         self.timings: dict = {}
         self.peaks: dict = {}
-        self.helper_cpu_s = 0.0
 
     @contextmanager
     def __call__(self, name: str):
@@ -184,14 +184,17 @@ class _Stages:
             log.info("stage %s: %.3fs", name, self.timings[name])
 
 
+def _usable_cpus() -> int:
+    """How many CPUs this process may run on, by its affinity mask if any."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def make_predictor(spec_string: str, *, seed: int = 0, timeout: float = 30.0,
                    batch_size: int = 256, workers: int = 1):
     """The predictor handle of a CLI-style predictor string, not started:
-    its `start()` returns the capabilities.
-
-    An exec: predictor runs one child per worker, but no more than there
-    are CPUs.
-    """
+    its `start()` returns the capabilities."""
     if spec_string == "builtin":
         return BuiltinPredictor(seed)
     if spec_string == "constant":
@@ -199,7 +202,7 @@ def make_predictor(spec_string: str, *, seed: int = 0, timeout: float = 30.0,
     if spec_string.startswith("exec:"):
         return ExternalPredictor(spec_string[len("exec:"):], timeout=timeout,
                                  batch_size=batch_size,
-                                 children=min(workers, os.cpu_count() or 1))
+                                 children=workers)
     raise ConfigError(
         f"unknown predictor {spec_string!r}; expected builtin, constant, or exec:CMD"
     )
@@ -288,9 +291,11 @@ def synthesize_modified(
 
 @dataclass(frozen=True)
 class _Prepared:
-    """What both run paths share: input views, the instance that LIME masks,
-    predictor, target, segments."""
+    """What both run paths share: worker counts, input views, the instance
+    that LIME masks, predictor, target, segments."""
 
+    workers: int
+    lime_workers: int
     clip: AudioClip
     cspec: ComplexSpectrogram
     instance: Instance
@@ -310,17 +315,21 @@ class _Prepared:
 
 def _prepare(config: RunConfig, stage: _Stages,
              counts: Sequence[int]) -> _Prepared:
-    """Shared front half: the output path and the predictor handle, so that
-    a bad path or predictor string costs no work; audio, analysis,
-    segmentation; then a check of each of the sample `counts` the command
-    will draw against the segments, so that a count too small costs no
-    predictor start; then predictor start, the predictor's input spec,
+    """Shared front half: the output path, the worker count and the predictor
+    handle, so that a bad path or predictor string costs no work; audio,
+    analysis, segmentation; then a check of each of the sample `counts` the
+    command will draw against the segments, so that a count too small costs
+    no predictor start; then predictor start, the predictor's input spec,
     prediction, effects and target."""
     _check_out_dir(Path(config.out_dir))
+    workers = min(config.workers, _usable_cpus())
     predictor = make_predictor(
         config.predictor, seed=config.predictor_seed, timeout=config.timeout,
-        batch_size=config.batch_size, workers=config.workers,
+        batch_size=config.batch_size, workers=workers,
     )
+    # exec: children already share each block, and on one LIME thread the
+    # relay runs on the main thread, where Ctrl-C reaches it.
+    lime_workers = 1 if isinstance(predictor, ExternalPredictor) else workers
     with stage("audio"):
         try:
             clip = decode_wav(config.audio_path)
@@ -357,8 +366,8 @@ def _prepare(config: RunConfig, stage: _Stages,
     except BaseException:
         predictor.close()
         raise
-    return _Prepared(clip, cspec, instance, predictor, caps, mid, emotion, effects,
-                     discrepancy, target_info, segments)
+    return _Prepared(workers, lime_workers, clip, cspec, instance, predictor, caps,
+                     mid, emotion, effects, discrepancy, target_info, segments)
 
 
 def _segment_summary(seg_map: SegmentMap) -> dict:
@@ -389,13 +398,6 @@ def _target_fn(predictor, target_info):
     return fn
 
 
-def _lime_workers(predictor, workers: int) -> int:
-    # An exec: predictor already spreads each block over all its children,
-    # and on one LIME thread its relay runs on the main thread, where
-    # Ctrl-C reaches it.
-    return 1 if isinstance(predictor, ExternalPredictor) else workers
-
-
 def run_explanation(config: RunConfig) -> ExplanationBundle:
     """The whole workflow; returns the bundle and leaves it on disk."""
     stage = _Stages()
@@ -406,7 +408,7 @@ def run_explanation(config: RunConfig) -> ExplanationBundle:
             explanation = explain_instance(
                 _target_fn(prep.predictor, prep.target), prep.instance,
                 config.lime, target=prep.target_label,
-                workers=_lime_workers(prep.predictor, config.workers),
+                workers=prep.lime_workers,
             )
             # The selections as mask rows: positive, then negative.
             rows = np.zeros((2, seg_map.segment_count), dtype=np.uint8)
@@ -435,7 +437,7 @@ def run_explanation(config: RunConfig) -> ExplanationBundle:
             "modified_add": (pos_row, MODE_ADD),
             "modified_sub": (neg_row, MODE_SUBTRACT)}
     with stage("synthesis"), \
-            ThreadPoolExecutor(min(4, os.cpu_count() or 1)) as pool:
+            ThreadPoolExecutor(min(4, _usable_cpus())) as pool:
         futures = {name: pool.submit(synthesize_modified, prep.cspec, seg_map,
                                      row, mode, config.synth_gain,
                                      iterations=config.gl_iterations)
@@ -509,7 +511,7 @@ def _report(config: RunConfig, prep: _Prepared, predictor_exit: int | None) -> d
             "lime": config.lime.echo(),
             "gl_iterations": config.gl_iterations,
             "synth_gain": config.synth_gain,
-            "workers": config.workers,
+            "workers": prep.workers,
             "batch_size": config.batch_size,
             "timeout": config.timeout,
         },
@@ -534,10 +536,9 @@ def _write_report(path: Path, report: dict, stage: _Stages) -> None:
     process ran and its peak RSS now."""
     report["timings_s"] = {**stage.timings,
                            "total": round(time.perf_counter() - stage.started, 6)}
-    # User plus system time of every thread of the process, from its start,
-    # and of the helper processes it forked.
-    usage = resource.getrusage(resource.RUSAGE_SELF)
-    report["cpu_s"] = round(usage.ru_utime + usage.ru_stime + stage.helper_cpu_s, 6)
+    # User plus system time of this process and of every child it reaped.
+    report["cpu_s"] = round(sum(u.ru_utime + u.ru_stime for u in map(
+        resource.getrusage, (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))), 6)
     report["peak_rss_mb_by_stage"] = dict(stage.peaks)
     report["peak_rss_mb"] = _peak_rss_mb()
     _write_json(path, report)
@@ -629,8 +630,8 @@ def run_stability(config: RunConfig, seeds: Sequence[int],
     Returns {sample_count: {"score": StabilityScore, "selected_counts": [...]}}
     and writes stability.csv (pairwise), stability_summary.csv and a
     report.json that adds the time and selected count of each attribution.
-    The attributions run as `_attribute_all` says: in up to `config.workers`
-    processes, with the same bytes as one after another.
+    The attributions run as `_attribute_all` says, with the same bytes as
+    one after another.
     """
     seeds = [int(s) for s in seeds]
     sample_counts = [int(c) for c in sample_counts]
@@ -653,8 +654,7 @@ def run_stability(config: RunConfig, seeds: Sequence[int],
     stage = _Stages()
     prep = _prepare(config, stage, sample_counts)
     try:
-        explanations = _attribute_all(
-            prep, stage, lime_configs, _lime_workers(prep.predictor, config.workers))
+        explanations = _attribute_all(prep, stage, lime_configs)
     finally:
         predictor_exit = prep.predictor.close()
     runs = [{"sample_count": cfg.n_samples, "seed": cfg.seed,
@@ -692,7 +692,8 @@ def run_stability(config: RunConfig, seeds: Sequence[int],
                          f"{' '.join(map(str, seeds))},{counts}\n")
         _write_report(tmp / STABILITY_FILES["report"], report, stage)
 
-    _publish(Path(config.out_dir), write)
+    with stage("write"):
+        _publish(Path(config.out_dir), write)
     return results
 
 
@@ -700,19 +701,19 @@ def _run_stage(config: LimeConfig) -> str:
     return f"lime[n={config.n_samples},seed={config.seed}]"
 
 
-def _attribute_all(prep: _Prepared, stage: _Stages, configs: Sequence[LimeConfig],
-                   workers: int) -> list[LimeExplanation]:
+def _attribute_all(prep: _Prepared, stage: _Stages,
+                   configs: Sequence[LimeConfig]) -> list[LimeExplanation]:
     """The explanation of each of `configs`, in order, each timed as its own
     stage.
 
-    With W = min(`workers`, CPUs, attributions) > 1 on Linux, and no other
+    With W = min(`prep.lime_workers`, attributions) > 1 on Linux, and no other
     Python thread running, attribution i runs in process i mod W. Process 0
     is this one, so it always explains attribution 0; W - 1 forked helpers
     share the instance and the in-process predictor copy-on-write, pipe
     back their explanations and times, and exit. Each attribution then runs
     on one thread. Otherwise they run here one after another, each on
-    `workers` threads. No process outlives this call: the helpers are
-    reaped, or killed and reaped if anything fails. A failure in this
+    `prep.lime_workers` threads. No process outlives this call: the helpers
+    are reaped, or killed and reaped if anything fails. A failure in this
     process's share is raised at once; otherwise the failure of the lowest
     failing attribution is raised as it was raised in its helper, which is
     what one process would raise. A helper that ends without sending its
@@ -725,11 +726,11 @@ def _attribute_all(prep: _Prepared, stage: _Stages, configs: Sequence[LimeConfig
             return explain_instance(fn, prep.instance, configs[i],
                                     target=prep.target_label, workers=threads)
 
-    processes = min(workers, os.cpu_count() or 1, len(configs))
+    processes = min(prep.lime_workers, len(configs))
     # macOS system libraries are not fork-safe, and a fork copies only the
     # calling thread of a threaded caller.
     if processes == 1 or sys.platform != "linux" or threading.active_count() > 1:
-        return [attribute(i, workers) for i in range(len(configs))]
+        return [attribute(i, prep.lime_workers) for i in range(len(configs))]
 
     def share(p: int) -> range:
         return range(p, len(configs), processes)
@@ -758,9 +759,8 @@ def _attribute_all(prep: _Prepared, stage: _Stages, configs: Sequence[LimeConfig
             # To EOF before the wait: a share may not fit in the pipe buffer.
             with open(helpers[pid], "rb", closefd=False) as pipe:
                 data = pipe.read()
-            _, status, usage = os.wait4(pid, 0)
+            _, status = os.waitpid(pid, 0)
             os.close(helpers.pop(pid))
-            stage.helper_cpu_s += usage.ru_utime + usage.ru_stime
             # A helper exits with 0 only once it has sent all it made.
             code = os.waitstatus_to_exitcode(status)
             if code != 0:

@@ -18,13 +18,15 @@ Speaks the stdio JSON-lines protocol. Behaviour is selected with --mode:
   silent        complete the handshake, never answer predictions
   exit-early    exit 0 right after capabilities
 
-Two options work with any mode:
+Three options work with any mode:
 
   --record DIR  append "id rows bytes" for each predict request to
                 DIR/<pid>.txt, bytes counting the request's newline
   --tally PATH  at shutdown, read the JSON object at PATH (if any) and
                 rewrite it in small slow pieces with "writers" one higher;
                 children that overlap there break the count or the file
+  --burn SECONDS  spin until this process's CPU time has advanced that
+                much, then answer the handshake
 """
 
 import argparse
@@ -103,6 +105,7 @@ def main():
     parser.add_argument("--mode", default="echo")
     parser.add_argument("--record")
     parser.add_argument("--tally")
+    parser.add_argument("--burn", type=float, default=0.0)
     args = parser.parse_args()
     mode = args.mode
     record = (open(os.path.join(args.record, f"{os.getpid()}.txt"), "a", buffering=1)
@@ -111,6 +114,9 @@ def main():
     lines = read_lines(0.05 if mode == "reorder" else None)
     handshake = json.loads(next(lines))
     assert handshake.get("type") == "handshake", handshake
+    until = time.process_time() + args.burn
+    while time.process_time() < until:
+        pass
 
     if mode == "non-json":
         sys.stdout.write("well this is awkward\n")

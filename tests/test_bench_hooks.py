@@ -5,12 +5,12 @@ rename would otherwise surface only in a traced benchmark run.
 """
 
 import json
-import os
 import subprocess
 import sys
 
 import pytest
 
+from midlime import pipeline
 from midlime.audio import AudioClip, encode_wav
 
 from conftest import TESTS_DIR, child_command, package_env, uniform_noise
@@ -104,7 +104,7 @@ def test_stability_spans_carry_what_the_benchmark_reads(short_wav, tmp_path):
     assert "dsp.griffin_lim" not in by_name
 
 
-@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="one CPU runs one process")
+@pytest.mark.skipif(pipeline._usable_cpus() < 2, reason="one CPU runs one process")
 def test_forked_stability_keeps_spans_in_the_traced_process(short_wav, tmp_path):
     # The helpers' spans stay in the helpers. `layer_metrics` needs the
     # run's span and the traced process's own attributions: 0, 2, ...

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import midlime
-from midlime import predictor
+from midlime import pipeline, predictor
 from midlime.audio import AudioClip, encode_wav
 from midlime.cli import build_parser, exit_code_for, main
 from midlime.errors import (
@@ -189,7 +189,7 @@ class TestChildPool:
                                                      monkeypatch):
         # About seven rows per request, so that the chunk spreads over the pool.
         monkeypatch.setattr(predictor, "REQUEST_BYTES", 1 << 20)
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 3)
         bundles = []
         for workers in (1, 2, 3):
             out = tmp_path / f"workers-{workers}"
@@ -210,7 +210,7 @@ class TestChildPool:
 
     def test_requests_of_batch_size_rows_reach_every_child(self, short_wav, tmp_path,
                                                           monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
         bundles = []
         for workers in (1, 2):
             record = tmp_path / f"record-{workers}"
@@ -247,7 +247,7 @@ class TestChildPool:
 
     def test_a_child_that_exits_early_exits_3_and_leaves_no_process(
             self, short_wav, tmp_path, monkeypatch, capsys, spawned):
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 3)
         code = run_cli("explain", "--audio", str(short_wav),
                        "--out", str(tmp_path / "b"), *POOL, "--workers", "3",
                        "--predictor", f"exec:{child_command('exit-early')}")

@@ -13,7 +13,6 @@ import tempfile
 import threading
 from dataclasses import replace
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -80,12 +79,17 @@ def fast_config(audio_path, out_dir, **overrides) -> RunConfig:
     return RunConfig(**defaults)
 
 
-def short_exec_config(tmp_path, name: str) -> RunConfig:
-    """A run through the echo child on 0.36 s of noise, written to `name`."""
+def write_short_wav(tmp_path) -> Path:
+    """0.36 s of noise, written to `tmp_path/short.wav`."""
     wav = tmp_path / "short.wav"
     encode_wav(AudioClip(samples=0.3 * uniform_noise(400, 8000), sample_rate=22050), wav)
+    return wav
+
+
+def short_exec_config(tmp_path, name: str) -> RunConfig:
+    """A run through the echo child on 0.36 s of noise, written to `name`."""
     return fast_config(
-        wav, tmp_path / name,
+        write_short_wav(tmp_path), tmp_path / name,
         predictor=f"exec:{child_command('echo')}",
         lime=LimeConfig(n_samples=60, seed=2),
         segmentation=SegmentationConfig(scale=25.0, min_size=800, sigma=0.8),
@@ -132,8 +136,8 @@ def assert_no_child_left() -> None:
 @pytest.fixture
 def forks(monkeypatch) -> list[int]:
     """The pid of each process that `os.fork` starts during the test, on
-    two CPUs whatever the machine has."""
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    two usable CPUs whatever the machine has."""
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
     pids: list[int] = []
     fork = os.fork
 
@@ -381,8 +385,9 @@ class TestPublish:
         assert stages == []
         assert os.listdir(tmp_path) == []
 
-    def test_stability_write_failure_leaves_no_out_dir(self, fixture_wav, tmp_path,
-                                                       monkeypatch):
+    @staticmethod
+    def fail_stability_write(monkeypatch) -> None:
+        """Make writing stability.csv raise `OSError("disk full")`."""
         score_of = pipeline.stability_score
 
         def failing_score(explanations):
@@ -395,10 +400,26 @@ class TestPublish:
             return replace(score, per_pair=pairs())
 
         monkeypatch.setattr(pipeline, "stability_score", failing_score)
+
+    def test_stability_write_failure_leaves_no_out_dir(self, fixture_wav, tmp_path,
+                                                       monkeypatch):
+        self.fail_stability_write(monkeypatch)
         config = fast_config(fixture_wav, tmp_path / "stab",
                              lime=LimeConfig(n_samples=600, seed=0))
-        with pytest.raises(OSError, match="disk full"):
+        with pytest.raises(StageError) as info:
             run_stability(config, seeds=[1, 2], sample_counts=[600])
+        assert info.value.stage == "write"
+        assert isinstance(info.value.cause, OSError)
+        assert str(info.value.cause) == "disk full"
+        assert os.listdir(tmp_path) == []
+
+    def test_stability_write_failure_exits_4_as_explain_does(self, fixture_wav,
+                                                             tmp_path, monkeypatch,
+                                                             capsys):
+        self.fail_stability_write(monkeypatch)
+        code = cli_main(stability_argv(fixture_wav, tmp_path / "stab", 1))
+        assert code == 4
+        assert capsys.readouterr().err == "error: stage 'write' failed: disk full\n"
         assert os.listdir(tmp_path) == []
 
     def test_published_dir_has_plain_mkdir_mode(self, bundle):
@@ -559,7 +580,7 @@ class TestSynthesisThreads:
                                                  monkeypatch):
         produced = []
         for cpus in (1, 4):
-            monkeypatch.setattr(pipeline.os, "cpu_count", lambda: cpus)
+            monkeypatch.setattr(pipeline, "_usable_cpus", lambda: cpus)
             result = run_explanation(fast_config(fixture_wav, tmp_path / str(cpus)))
             produced.append([(result.out_dir / BUNDLE_FILES[k]).read_bytes()
                              for k in self.WAVS])
@@ -679,24 +700,22 @@ class TestMakePredictor:
         with pytest.raises(ConfigError):
             make_predictor("mystery")
 
-    @pytest.mark.parametrize("cpus, children", [(2, 2), (None, 1)])
+    @pytest.mark.parametrize("cpus, children", [(2, 2), (1, 1)])
     def test_exec_children_are_capped_at_the_cpu_count(self, cpus, children,
-                                                       monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        predictor = make_predictor(f"exec:{child_command('echo')}", timeout=15.0,
-                                   workers=64)
-        try:
-            predictor.start()
-            assert predictor.counters["children"] == children
-            assert len(predictor._pool) == children
-        finally:
-            assert predictor.close() == 0
+                                                       tmp_path, monkeypatch, spawned):
+        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: cpus)
+        handed = []
 
-    def test_lime_runs_one_thread_for_exec(self):
-        assert pipeline._lime_workers(make_predictor("builtin"), 3) == 3
-        assert pipeline._lime_workers(make_predictor("constant"), 3) == 3
-        predictor = make_predictor(f"exec:{child_command('echo')}", workers=3)
-        assert pipeline._lime_workers(predictor, 3) == 1
+        def recording(spec, **kwargs):
+            handed.append(kwargs["workers"])
+            return make_predictor(spec, **kwargs)
+
+        monkeypatch.setattr(pipeline, "make_predictor", recording)
+        bundle = run_explanation(replace(short_exec_config(tmp_path, "ext"),
+                                         workers=64))
+        assert handed == [children]
+        assert bundle.report["predictor"]["children"] == children
+        assert len(spawned) == children
 
     def test_failed_handshake_reaps_the_child(self, monkeypatch):
         spawned = []
@@ -1027,7 +1046,7 @@ class TestForkedStability:
         # Of six attributions on three processes, helper 1 runs 1 and 4,
         # helper 2 runs 2 and 5; 4 and 2 fail.
         patch_attribution(monkeypatch, non_finite, (700, 2), (600, 3))
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 3)
         code = cli_main(stability_argv(fixture_wav, tmp_path / "s", 3, seeds="1,2,3"))
         assert len(forks) == 2
         assert code == 3
@@ -1081,22 +1100,6 @@ class TestForkedStability:
         assert len(forks) == 1
         assert_no_child_left()
 
-    def test_cpu_time_adds_each_helpers(self, fixture_wav, tmp_path, monkeypatch,
-                                        forks):
-        wait4 = os.wait4
-
-        def padded(pid, options):
-            pid, status, usage = wait4(pid, options)
-            return pid, status, SimpleNamespace(ru_utime=usage.ru_utime + 1000.0,
-                                                ru_stime=usage.ru_stime)
-
-        monkeypatch.setattr(os, "wait4", padded)
-        out = tmp_path / "stab"
-        run_stability(fast_config(fixture_wav, out, workers=2), seeds=[1, 2],
-                      sample_counts=[600, 700])
-        assert len(forks) == 1
-        assert json.loads((out / "report.json").read_text())["cpu_s"] > 1000.0
-
     def test_one_worker_does_not_fork(self, fixture_wav, tmp_path, no_fork):
         run_stability(fast_config(fixture_wav, tmp_path / "stab", workers=1),
                       seeds=[1, 2], sample_counts=[600, 700])
@@ -1122,6 +1125,99 @@ class TestForkedStability:
         monkeypatch.setattr(sys, "platform", "darwin")
         run_stability(fast_config(fixture_wav, tmp_path / "stab", workers=2),
                       seeds=[1, 2], sample_counts=[600, 700])
+
+
+def record_lime_threads(monkeypatch) -> list[int]:
+    """The `workers` that each attribution in this process hands
+    `explain_instance`."""
+    threads: list[int] = []
+    explain = pipeline.explain_instance
+
+    def recording(*args, workers=1, **kwargs):
+        threads.append(workers)
+        return explain(*args, workers=workers, **kwargs)
+
+    monkeypatch.setattr(pipeline, "explain_instance", recording)
+    return threads
+
+
+class TestWorkerBudget:
+    """`--workers` is resolved once, to at most one per usable CPU; the
+    threads, processes and children, and the report, all read that count."""
+
+    @pytest.fixture
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+
+    def test_explain_threads(self, fixture_wav, tmp_path, monkeypatch, two_cpus):
+        threads = record_lime_threads(monkeypatch)
+        bundle = run_explanation(fast_config(fixture_wav, tmp_path / "b", workers=8))
+        assert threads == [2]
+        assert bundle.report["config"]["workers"] == 2
+
+    def test_exec_children_and_lime_thread(self, tmp_path, monkeypatch, spawned,
+                                           two_cpus):
+        threads = record_lime_threads(monkeypatch)
+        bundle = run_explanation(replace(short_exec_config(tmp_path, "ext"), workers=8))
+        assert len(spawned) == 2
+        assert threads == [1]
+        assert bundle.report["config"]["workers"] == 2
+        assert bundle.report["predictor"]["children"] == 2
+
+    def test_stability_processes(self, fixture_wav, tmp_path, forks):
+        out = tmp_path / "stab"
+        run_stability(fast_config(fixture_wav, out, workers=8), seeds=[1, 2],
+                      sample_counts=[600, 700])
+        assert len(forks) == 1
+        assert json.loads((out / "report.json").read_text())["config"]["workers"] == 2
+
+    @pytest.fixture
+    def one_cpu_of_two(self, monkeypatch):
+        """A process allowed one CPU of a machine's two, as under `taskset -c 0`."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
+    def test_the_affinity_mask_bounds_stability(self, fixture_wav, tmp_path,
+                                                one_cpu_of_two, no_fork):
+        out = tmp_path / "stab"
+        run_stability(fast_config(fixture_wav, out, workers=2), seeds=[1, 2],
+                      sample_counts=[600, 700])
+        assert json.loads((out / "report.json").read_text())["config"]["workers"] == 1
+
+    def test_the_affinity_mask_bounds_exec(self, tmp_path, spawned, one_cpu_of_two):
+        bundle = run_explanation(replace(short_exec_config(tmp_path, "ext"), workers=2))
+        assert len(spawned) == 1
+        assert bundle.report["config"]["workers"] == 1
+
+    @pytest.mark.parametrize("cpus, usable", [(3, 3), (None, 1)])
+    def test_without_an_affinity_mask_the_cpu_count_bounds(self, cpus, usable,
+                                                           monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert pipeline._usable_cpus() == usable
+
+
+class TestCpuTime:
+    """`cpu_s` is the command's whole CPU time: the CLI process's and that
+    of every child it reaped, which is what `wait4` on the CLI counts."""
+
+    @pytest.mark.parametrize("command", ["exec", "stability"])
+    def test_cpu_s_is_the_cli_wait4_cpu_time(self, command, fixture_wav, tmp_path):
+        out = tmp_path / "out"
+        if command == "exec":
+            argv = ["explain", "--audio", str(write_short_wav(tmp_path)), "--out", str(out),
+                    "--frame-size", "256", "--hop", "128", "--min-size", "800",
+                    "--samples", "60", "--gl-iters", "1", "--workers", "2",
+                    "--predictor", f"exec:{child_command('echo')} --burn 0.5"]
+        else:
+            argv = stability_argv(fixture_wav, out, 2)
+        devnull = [(os.POSIX_SPAWN_OPEN, fd, os.devnull, os.O_WRONLY, 0) for fd in (1, 2)]
+        pid = os.posix_spawn(sys.executable, [sys.executable, "-m", "midlime.cli", *argv],
+                             package_env(), file_actions=devnull)
+        _, status, usage = os.wait4(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+        cpu_s = json.loads((out / "report.json").read_text())["cpu_s"]
+        assert cpu_s == pytest.approx(usage.ru_utime + usage.ru_stime, abs=0.25)
 
 
 class TestRunConfigValidation:
