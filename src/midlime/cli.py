@@ -6,7 +6,7 @@ sample counts and writes Jaccard tables. Set MIDLIME_LOG=debug|info|warning
 to control verbosity on stderr.
 
 Exit codes: 0 success, 2 configuration error, 3 predictor/transport error,
-4 audio or file I/O error, 5 internal error (numeric, or a stability helper
+4 audio or file I/O error, 5 internal error (numeric, or a forked helper
 process that ended without its results).
 """
 
@@ -95,8 +95,9 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
                    help="seed of the builtin synthetic predictor (default: 0)")
     p.add_argument("--workers", type=int, default=1,
                    help="workers that evaluate the predictor, at most one per "
-                        "usable CPU: exec: children, else explain's threads and "
-                        "stability's processes (default: 1)")
+                        "usable CPU: exec: children, else processes that split "
+                        "explain's prediction blocks or stability's attributions "
+                        "(default: 1)")
     p.add_argument("--batch-size", type=int, default=256,
                    help="most mask rows per exec: request (default: 256)")
     p.add_argument("--timeout", type=float, default=30.0,

@@ -6,7 +6,7 @@ a proximity-weighted least-squares surrogate is fitted with exact
 per-coefficient inference. Features are kept when the p-value is tiny
 relative to the coefficient magnitude, which makes the kept count adaptive
 instead of fixed. All sampling is counter-based, so results are independent
-of chunking and worker count.
+of chunking and of where the caller's `map` scores the blocks.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 import threading
 from collections.abc import Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from enum import Enum
 from typing import Callable
@@ -72,6 +71,13 @@ class LimeConfig:
             raise ConfigError(f"n_samples must be >= 3, got {self.n_samples}")
         if not self.kernel_width > 0:
             raise ConfigError(f"kernel_width must be positive, got {self.kernel_width}")
+        # `proximity_weights` divides by the square.
+        try:
+            square = float(self.kernel_width) ** 2
+        except OverflowError:
+            square = 0.0
+        if square == 0.0:
+            raise ConfigError(f"kernel_width {self.kernel_width} has no float square")
         if not self.ratio_threshold > 0:
             raise ConfigError(
                 f"ratio_threshold must be positive, got {self.ratio_threshold}"
@@ -748,21 +754,21 @@ def explain_instance(
     config: LimeConfig,
     *,
     target: str | None = None,
-    workers: int = 1,
+    map: Callable = map,
 ) -> LimeExplanation:
     """Full attribution of one scalar output over one instance.
 
-    `predict` gets `_PREDICT_BLOCK` mask rows at a time, on `workers` threads,
-    as a `MaskBatch` on `instance`, whose fill must be `config.fill`, and
-    returns one finite real per row (the chosen output of the black box).
+    `predict` gets `_PREDICT_BLOCK` mask rows at a time as a `MaskBatch` on
+    `instance`, whose fill must be `config.fill`, and returns one finite
+    real per row (the chosen output of the black box). `map(fn, blocks)`
+    runs the blocks, in any thread or process, and returns fn's results in
+    order.
     """
-    if workers < 1:
-        raise ConfigError("workers must be >= 1")
     if instance.fill is not config.fill:
         raise ConfigError(f"the instance fills with {instance.fill.value}, the "
                           f"config with {config.fill.value}")
     masks = sample_masks(instance.seg_map.segment_count, config)
-    targets = _predict_masked(predict, instance, masks, workers)
+    targets = _predict_masked(predict, instance, masks, map)
     weights = proximity_weights(masks, config.kernel_width)
     fit = fit_surrogate(masks, targets, weights, config.ridge_alpha)
     selected = select_features(fit, config.ratio_threshold)
@@ -779,7 +785,7 @@ def explain_instance(
     )
 
 
-def _predict_masked(predict, instance, masks, workers):
+def _predict_masked(predict, instance, masks, map):
     n = masks.shape[0]
     bounds = [(s, min(s + _PREDICT_BLOCK, n)) for s in range(0, n, _PREDICT_BLOCK)]
 
@@ -808,10 +814,7 @@ def _predict_masked(predict, instance, masks, workers):
             )
         return arr
 
-    if workers == 1 or len(bounds) == 1:
-        return np.concatenate([eval_block(b) for b in bounds])
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return np.concatenate(list(pool.map(eval_block, bounds)))
+    return np.concatenate(list(map(eval_block, bounds)))
 
 
 @dataclass(frozen=True)

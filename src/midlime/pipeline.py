@@ -15,12 +15,12 @@ publishes, so an output directory is either complete or absent, even if
 the process is killed.
 
 `--workers` is resolved once, to at most one per usable CPU: exec:
-children, or else `explain`'s prediction threads and, on Linux,
-`stability`'s attribution processes, forked after the predictor starts to
-share the instance and the in-process predictor copy-on-write. They pipe
-their explanations back to the main process, which writes everything; the
-fit is the same function on the same inputs in any process, so no worker
-count changes a byte.
+children, or else, on Linux, processes that `_spread` forks to split
+`explain`'s prediction blocks (after sampling) or `stability`'s
+attributions. They share the instance and the in-process predictor
+copy-on-write and pipe their results back to the main process, which
+writes everything; a result is the same function of the same inputs in
+any process, so no worker count changes a byte.
 """
 
 from __future__ import annotations
@@ -263,8 +263,9 @@ def synthesize_modified(
     inverted to audio.
 
     mask-only keeps the segments and zeroes the rest; add scales them up by
-    (1 + gain); subtract scales them down, clamped at zero. Inversion runs
-    with the original phase as the starting point.
+    (1 + gain); subtract scales them down, clamped at zero. A gain that
+    overflows the edited magnitude is a `ConfigError`. Inversion runs with
+    the original phase as the starting point.
     """
     if not 0 <= gain < math.inf:
         raise ConfigError(f"gain must be finite and >= 0, got {gain}")
@@ -277,13 +278,19 @@ def synthesize_modified(
         )
     selected = seg_map.pixels(row)
     magnitude = np.abs(original.values)
-    if mode == MODE_MASK_ONLY:
-        edited = np.where(selected, magnitude, 0.0)
-    elif mode == MODE_ADD:
-        edited = magnitude + gain * magnitude * selected
-    else:
-        edited = np.maximum(magnitude - gain * magnitude * selected, 0.0)
+    # Checked below: a huge gain on a selected pixel makes inf. Selecting
+    # first keeps unselected pixels at gain * 0 = 0, so only a rendering
+    # that is truly infinite is refused.
+    with np.errstate(over="ignore"):
+        if mode == MODE_MASK_ONLY:
+            edited = np.where(selected, magnitude, 0.0)
+        elif mode == MODE_ADD:
+            edited = magnitude + gain * (magnitude * selected)
+        else:
+            edited = np.maximum(magnitude - gain * (magnitude * selected), 0.0)
     del magnitude, selected
+    if not np.isfinite(edited).all():
+        raise ConfigError(f"gain {gain} overflows the edited magnitude")
     target = Spectrogram(values=edited, scale=SCALE_MAGNITUDE,
                          config=original.config, sample_rate=original.sample_rate)
     return griffin_lim(target, original.config, iterations, init_phase=original)
@@ -408,7 +415,7 @@ def run_explanation(config: RunConfig) -> ExplanationBundle:
             explanation = explain_instance(
                 _target_fn(prep.predictor, prep.target), prep.instance,
                 config.lime, target=prep.target_label,
-                workers=prep.lime_workers,
+                map=lambda fn, blocks: _spread(fn, blocks, prep.lime_workers),
             )
             # The selections as mask rows: positive, then negative.
             rows = np.zeros((2, seg_map.segment_count), dtype=np.uint8)
@@ -703,41 +710,49 @@ def _run_stage(config: LimeConfig) -> str:
 
 def _attribute_all(prep: _Prepared, stage: _Stages,
                    configs: Sequence[LimeConfig]) -> list[LimeExplanation]:
-    """The explanation of each of `configs`, in order, each timed as its own
-    stage.
-
-    With W = min(`prep.lime_workers`, attributions) > 1 on Linux, and no other
-    Python thread running, attribution i runs in process i mod W. Process 0
-    is this one, so it always explains attribution 0; W - 1 forked helpers
-    share the instance and the in-process predictor copy-on-write, pipe
-    back their explanations and times, and exit. Each attribution then runs
-    on one thread. Otherwise they run here one after another, each on
-    `prep.lime_workers` threads. No process outlives this call: the helpers
-    are reaped, or killed and reaped if anything fails. A failure in this
-    process's share is raised at once; otherwise the failure of the lowest
-    failing attribution is raised as it was raised in its helper, which is
-    what one process would raise. A helper that ends without sending its
-    results is a `MidlimeError`.
-    """
+    """The explanation of each of `configs`, in order, each on one thread
+    and timed as its own stage, spread over `prep.lime_workers` processes
+    as `_spread` says."""
     fn = _target_fn(prep.predictor, prep.target)
 
-    def attribute(i: int, threads: int) -> LimeExplanation:
-        with stage(_run_stage(configs[i])):
-            return explain_instance(fn, prep.instance, configs[i],
-                                    target=prep.target_label, workers=threads)
+    def timed(config: LimeConfig) -> tuple:
+        with stage(_run_stage(config)):
+            explanation = explain_instance(fn, prep.instance, config,
+                                           target=prep.target_label)
+        return explanation, stage.timings[_run_stage(config)]
 
-    processes = min(prep.lime_workers, len(configs))
+    done = _spread(timed, configs, prep.lime_workers)
+    for config, (_, seconds) in zip(configs, done):
+        # In the command's order, whichever process ran each.
+        stage.timings.pop(_run_stage(config), None)
+        stage.timings[_run_stage(config)] = seconds
+    return [explanation for explanation, _ in done]
+
+
+def _spread(run: Callable, items: Sequence, processes: int) -> list:
+    """`[run(item) for item in items]`, with item i run in process i mod P.
+
+    P = min(`processes`, len(items)) on Linux when no other Python thread is
+    alive, else 1. Process 0 is this one; P - 1 forked helpers share
+    everything copy-on-write, pipe back their pickled results and exit.
+    Each process stops at its first failure; once all are reaped, the
+    lowest index's failure is raised as it was raised, as one process
+    would. A helper that ends without sending its results is a
+    `MidlimeError` at once. No helper outlives this call.
+    """
+    processes = min(processes, len(items))
     # macOS system libraries are not fork-safe, and a fork copies only the
     # calling thread of a threaded caller.
-    if processes == 1 or sys.platform != "linux" or threading.active_count() > 1:
-        return [attribute(i, prep.lime_workers) for i in range(len(configs))]
+    if processes <= 1 or sys.platform != "linux" or threading.active_count() > 1:
+        return [run(item) for item in items]
 
-    def share(p: int) -> range:
-        return range(p, len(configs), processes)
+    done = [None] * len(items)
+    failures = []
 
-    def timed(i: int) -> tuple:
-        explanation = attribute(i, 1)
-        return explanation, stage.timings[_run_stage(configs[i])]
+    def collect(p: int, made: list, failure: Exception | None) -> None:
+        done[p:p + len(made) * processes:processes] = made
+        if failure is not None:
+            failures.append((p + len(made) * processes, failure))
 
     helpers: dict[int, int] = {}   # pid -> read end of its pipe, until reaped
     try:
@@ -750,11 +765,10 @@ def _attribute_all(prep: _Prepared, stage: _Stages,
                 os.close(write)
                 raise
             if pid == 0:
-                _helper(write, [*helpers.values(), read], timed, share(p))
+                _helper(write, [*helpers.values(), read], run, items[p::processes])
             os.close(write)
             helpers[pid] = read
-        done = {i: timed(i) for i in share(0)}
-        failures = []
+        collect(0, *_run_share(run, items[::processes]))
         for p, pid in enumerate(list(helpers), 1):
             # To EOF before the wait: a share may not fit in the pipe buffer.
             with open(helpers[pid], "rb", closefd=False) as pipe:
@@ -766,12 +780,9 @@ def _attribute_all(prep: _Prepared, stage: _Stages,
             if code != 0:
                 how = (f"was killed by signal {-code}" if code < 0
                        else f"exited with code {code}")
-                raise MidlimeError(f"attribution process {pid} {how} before "
-                                   "it sent all its results")
-            made, failure = pickle.loads(data)
-            done.update(zip(share(p), made))
-            if failure is not None:
-                failures.append((p + len(made) * processes, failure))
+                raise MidlimeError(f"helper process {pid} {how} before it "
+                                   "sent all its results")
+            collect(p, *pickle.loads(data))
         if failures:
             raise min(failures, key=lambda f: f[0])[1]
     finally:
@@ -779,33 +790,29 @@ def _attribute_all(prep: _Prepared, stage: _Stages,
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
             os.close(read)
-    explanations = []
-    for i, config in enumerate(configs):
-        explanation, seconds = done[i]
-        # In the command's order, whichever process ran each.
-        stage.timings.pop(_run_stage(config), None)
-        stage.timings[_run_stage(config)] = seconds
-        explanations.append(explanation)
-    return explanations
+    return done
 
 
-def _helper(write: int, inherited: list[int], run: Callable[[int], tuple],
-            share: range):
+def _run_share(run: Callable, share: Sequence) -> tuple[list, Exception | None]:
+    """`run` each item of `share` until one fails; the results and failure."""
+    made = []
+    try:
+        for item in share:
+            made.append(run(item))
+    except Exception as exc:
+        return made, exc
+    return made, None
+
+
+def _helper(write: int, inherited: list[int], run: Callable, share: Sequence):
     """A forked helper's whole life: close the pipe ends that belong to
-    others, `run` each index of `share` until one fails, send the pickled
-    (results, failure) down `write` and exit with 0. It never returns, and
-    exits with 1 if it cannot send them all."""
+    others, run its share, send the pickled (results, failure) down `write`
+    and exit with 0, or with 1 if it cannot send them all."""
     code = 1
     try:
         for fd in inherited:
             os.close(fd)
-        made, failure = [], None
-        try:
-            for i in share:
-                made.append(run(i))
-        except Exception as exc:
-            failure = exc
-        data = pickle.dumps((made, failure))
+        data = pickle.dumps(_run_share(run, share))
         with open(write, "wb") as pipe:
             pipe.write(data)
         code = 0

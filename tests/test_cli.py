@@ -129,6 +129,27 @@ class TestExplainCommand:
         assert "synth_gain must be finite" in capsys.readouterr().err
         assert not (tmp_path / "b").exists()
 
+    def test_a_synth_gain_that_overflows_exits_2(self, fixture_wav, tmp_path, capsys):
+        code = run_cli("explain", "--audio", str(fixture_wav), "--out", str(tmp_path / "b"),
+                       *FAST, "--gl-iters", "0", "--synth-gain", "1e308")
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: stage 'synthesis' failed: gain 1e+308 overflows the edited "
+            "magnitude\n")
+        assert not (tmp_path / "b").exists()
+
+    @pytest.mark.parametrize("command", ["explain", "stability"])
+    def test_a_kernel_width_whose_square_underflows_exits_2(self, command, fixture_wav,
+                                                            tmp_path, capsys):
+        flags = FAST if command == "explain" else [
+            *FAST_ANALYSIS, "--seeds", "1,2", "--sample-counts", "600"]
+        code = run_cli(command, "--audio", str(fixture_wav), "--out", str(tmp_path / "b"),
+                       "--kernel-width", "1e-300", *flags)
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: kernel_width 1e-300 has no float square\n")
+        assert not (tmp_path / "b").exists()
+
     @pytest.mark.parametrize("timeout, predictor", [
         ("inf", "exec"), ("-5", "builtin"), ("0", "builtin"), ("nan", "builtin"),
     ])

@@ -3,8 +3,10 @@
 import ast
 import json
 import math
+import re
 import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import FrozenInstanceError
 from pathlib import Path
 
@@ -115,6 +117,19 @@ class TestLimeConfig:
         for alpha in (-1.0, float("nan"), float("inf")):
             with pytest.raises(ConfigError):
                 LimeConfig(ridge_alpha=alpha)
+
+    @pytest.mark.parametrize("width", [1e-300, 1e-162, 1e200])
+    def test_a_width_whose_square_is_no_float_is_refused(self, width):
+        # The proximity weights divide by the square: 0.0, or OverflowError.
+        with pytest.raises(ConfigError,
+                           match=re.escape(f"kernel_width {width} has no float square")):
+            LimeConfig(kernel_width=width)
+
+    @pytest.mark.parametrize("width", [1e-154, 1e150, math.inf])
+    def test_a_width_with_a_float_square_is_accepted(self, width):
+        masks = sample_masks(20, LimeConfig(n_samples=40, seed=1))
+        weights = proximity_weights(masks, LimeConfig(kernel_width=width).kernel_width)
+        assert np.all(np.isfinite(weights))
 
     def test_echo_round_trips_through_json(self):
         echo = LimeConfig(seed=9).echo()
@@ -246,8 +261,6 @@ class TestInstance:
             Instance(base, seg_map, "zeros")
 
     def test_memo_builds_each_key_once_across_threads(self):
-        from concurrent.futures import ThreadPoolExecutor
-
         seg_map, base = small_setup()
         instance = Instance(base, seg_map, FillStrategy.GLOBAL_MEAN)
         built = []
@@ -608,8 +621,10 @@ class TestNoBlas:
         spec, seg_map = fixture_instance
         predictor = BuiltinPredictor(seed=0)
         config = LimeConfig(n_samples=seg_map.segment_count + 130, seed=5)
-        expl = explain_instance(lambda batch: predictor.predict(batch)[0][:, 2],
-                                Instance(spec, seg_map, config.fill), config, workers=2)
+        with ThreadPoolExecutor(2) as pool:
+            expl = explain_instance(lambda batch: predictor.predict(batch)[0][:, 2],
+                                    Instance(spec, seg_map, config.fill), config,
+                                    map=pool.map)
         assert expl.selected
 
     def test_package_source_names_no_blas_product(self):
@@ -772,13 +787,14 @@ class TestExplainInstance:
         config = LimeConfig(n_samples=300, seed=7)
         instance = Instance(base, seg_map, "silence")
 
-        def explain(block, workers=1):
+        def explain(block, **kwargs):
             monkeypatch.setattr(lime_module, "_PREDICT_BLOCK", block)
-            return explain_instance(box, instance, config, workers=workers)
+            return explain_instance(box, instance, config, **kwargs)
 
         baseline = explain(300)
         chunked = explain(17)
-        threaded = explain(32, workers=3)
+        with ThreadPoolExecutor(3) as pool:
+            threaded = explain(32, map=pool.map)
         for other in (chunked, threaded):
             assert np.array_equal(baseline.fit.weights, other.fit.weights)
             assert baseline.selected == other.selected
@@ -852,14 +868,14 @@ class TestExplainInstance:
         assert str(info.value) == f"while predicting mask rows 32..47: {original}"
 
     def test_invalid_worker_and_batch_args(self):
-        # The block of rows per call is LIME's own; the keyword is gone.
+        # The block of rows per call is LIME's own, and the caller's `map`
+        # spreads the blocks; both keywords are gone.
         seg_map, base = small_setup()
-        with pytest.raises(TypeError, match="batch_size"):
-            explain_instance(lambda b: [0.0] * len(b), Instance(base, seg_map, "silence"),
-                             LimeConfig(n_samples=100, seed=1), batch_size=8)
-        with pytest.raises(ConfigError):
-            explain_instance(lambda b: [0.0] * len(b), Instance(base, seg_map, "silence"),
-                             LimeConfig(n_samples=100, seed=1), workers=0)
+        for keyword in ("batch_size", "workers"):
+            with pytest.raises(TypeError, match=keyword):
+                explain_instance(lambda b: [0.0] * len(b),
+                                 Instance(base, seg_map, "silence"),
+                                 LimeConfig(n_samples=100, seed=1), **{keyword: 2})
 
     @pytest.mark.parametrize("fill", [FillStrategy.SEGMENT_MEAN, FillStrategy.GLOBAL_MEAN])
     def test_refuses_an_instance_of_another_fill(self, fill):
@@ -1069,8 +1085,9 @@ class TestMaskBatch:
         instance = Instance(base, seg_map, config.fill)
 
         def explain():
-            return explain_instance(lambda b: predictor.predict(b)[0][:, 0], instance,
-                                    config, workers=2)
+            with ThreadPoolExecutor(2) as pool:
+                return explain_instance(lambda b: predictor.predict(b)[0][:, 0],
+                                        instance, config, map=pool.map)
 
         first = explain()
         second = explain()

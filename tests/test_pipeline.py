@@ -31,6 +31,7 @@ from midlime.errors import (
     AudioIOError,
     CapabilitiesError,
     ConfigError,
+    PredictionValueError,
     ShapeMismatchError,
     SpawnError,
     StageError,
@@ -834,6 +835,26 @@ class TestSynthesizeModified:
             with pytest.raises(ConfigError):
                 synthesize_modified(cspec, seg_map, row, MODE_ADD, gain)
 
+    def test_a_gain_that_overflows_is_refused_before_griffin_lim(self, prepared,
+                                                                  monkeypatch):
+        # A selected pixel of magnitude > 1.8 becomes inf when added to.
+        _, cspec, seg_map, _ = prepared
+        row = np.ones(seg_map.segment_count, dtype=np.uint8)
+        monkeypatch.setattr(pipeline, "griffin_lim", None)
+        with pytest.raises(ConfigError, match="gain 1e.308 overflows the edited magnitude"):
+            synthesize_modified(cspec, seg_map, row, MODE_ADD, 1e308)
+
+    @pytest.mark.parametrize("mode, selected, same_as", [
+        (MODE_ADD, "none", 0.0), (MODE_SUBTRACT, "none", 0.0), (MODE_SUBTRACT, "all", 5.0)])
+    def test_a_huge_gain_with_a_finite_rendering_is_accepted(self, prepared, mode,
+                                                             selected, same_as):
+        # Unselected pixels keep their magnitude; subtracted ones clamp at zero.
+        _, cspec, seg_map, _ = prepared
+        row = np.full(seg_map.segment_count, selected == "all", dtype=np.uint8)
+        huge = synthesize_modified(cspec, seg_map, row, mode, 1e308, iterations=0)
+        plain = synthesize_modified(cspec, seg_map, row, mode, same_as, iterations=0)
+        assert np.array_equal(huge.samples, plain.samples)
+
     def test_unknown_mode_rejected(self, prepared):
         _, cspec, seg_map, expl = prepared
         with pytest.raises(ConfigError):
@@ -1068,6 +1089,22 @@ class TestForkedStability:
         assert_no_child_left()
         assert os.listdir(tmp_path) == []
 
+    def test_the_lowest_failure_wins_over_the_main_share(self, fixture_wav, tmp_path,
+                                                         monkeypatch, capsys, forks):
+        # Attribution 1 (seed 5) fails in the helper, 2 (seed 6) in this
+        # process, which finishes its share first.
+        patch_attribution(monkeypatch, non_finite, (600, 5), (600, 6))
+        outcomes = []
+        for workers in (1, 2):
+            argv = stability_argv(fixture_wav, tmp_path / f"s{workers}", workers,
+                                  seeds="4,5,6")
+            outcomes.append((cli_main(argv), capsys.readouterr().err))
+            assert_no_child_left()
+        assert len(forks) == 1
+        assert outcomes[0] == outcomes[1] == (
+            3, "error: stage 'lime[n=600,seed=5]' failed: "
+               "non-finite prediction at mask row 0\n")
+
     def test_a_helper_that_dies_exits_5(self, fixture_wav, tmp_path, monkeypatch,
                                         capsys, forks):
         def die(predict):
@@ -1077,7 +1114,7 @@ class TestForkedStability:
         code = cli_main(stability_argv(fixture_wav, tmp_path / "s", 2))
         assert code == 5
         assert capsys.readouterr().err == (
-            f"error: attribution process {forks[0]} was killed by signal "
+            f"error: helper process {forks[0]} was killed by signal "
             f"{signal.SIGKILL} before it sent all its results\n")
         assert_no_child_left()
         assert os.listdir(tmp_path) == []
@@ -1127,40 +1164,134 @@ class TestForkedStability:
                       seeds=[1, 2], sample_counts=[600, 700])
 
 
-def record_lime_threads(monkeypatch) -> list[int]:
-    """The `workers` that each attribution in this process hands
-    `explain_instance`."""
-    threads: list[int] = []
-    explain = pipeline.explain_instance
+def explain_argv(fixture_wav, out, workers: int) -> list[str]:
+    return ["explain", "--audio", str(fixture_wav), "--out", str(out),
+            "--frame-size", "1024", "--hop", "512", "--samples", "400",
+            "--gl-iters", "2", "--workers", str(workers)]
 
-    def recording(*args, workers=1, **kwargs):
-        threads.append(workers)
-        return explain(*args, workers=workers, **kwargs)
 
-    monkeypatch.setattr(pipeline, "explain_instance", recording)
-    return threads
+def patch_blocks(monkeypatch, change) -> None:
+    """Score `explain`'s blocks through `change(predict, batch)`."""
+    target_fn = pipeline._target_fn
+
+    def changed(*args):
+        predict = target_fn(*args)
+        return lambda batch: change(predict, batch)
+
+    monkeypatch.setattr(pipeline, "_target_fn", changed)
+
+
+class TestForkedExplain:
+    """`explain`'s block i of W > 1 workers runs in process i mod W, with
+    the same bytes and failures as one process, and no process outlives
+    the command."""
+
+    def test_bundles_are_identical_across_worker_counts(self, fixture_wav, tmp_path,
+                                                        monkeypatch, forks):
+        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 3)
+        bundles = []
+        for workers in (1, 2, 3):
+            bundle = run_explanation(fast_config(fixture_wav, tmp_path / f"b{workers}",
+                                                 workers=workers))
+            bundles.append({name: path.read_bytes() for name, path in bundle.files.items()
+                            if name != "report"})
+            assert bundle.report["config"]["workers"] == workers
+        assert len(forks) == 0 + 1 + 2
+        assert bundles[0] == bundles[1] == bundles[2]
+        assert_no_child_left()
+
+    def test_one_block_forks_nothing(self, fixture_wav, tmp_path, forks):
+        # 600 rows are three blocks, 224 one.
+        run_explanation(fast_config(fixture_wav, tmp_path / "three", workers=2))
+        assert len(forks) == 1
+        run_explanation(fast_config(fixture_wav, tmp_path / "one", workers=2,
+                                    lime=LimeConfig(n_samples=224, seed=42)))
+        assert len(forks) == 1
+        assert_no_child_left()
+
+    def test_a_failing_block_exits_as_at_one_worker(self, fixture_wav, tmp_path,
+                                                    monkeypatch, capsys, forks):
+        # 400 rows are blocks of 256 and 144; at two workers a helper runs the
+        # second, and this process sees only the first.
+        seen = []
+
+        def failing(predict, batch):
+            seen.append(len(batch))
+            if len(batch) == 144:
+                raise PredictionValueError("bad value", index=7)
+            return predict(batch)
+
+        patch_blocks(monkeypatch, failing)
+        outcomes, indices = [], []
+        for workers in (1, 2):
+            seen.clear()
+            code = cli_main(explain_argv(fixture_wav, tmp_path / f"c{workers}", workers))
+            outcomes.append((code, capsys.readouterr().err))
+            with pytest.raises(StageError) as info:
+                run_explanation(fast_config(fixture_wav, tmp_path / f"r{workers}",
+                                            workers=workers,
+                                            lime=LimeConfig(n_samples=400, seed=42)))
+            indices.append((type(info.value.cause), info.value.cause.index))
+            assert_no_child_left()
+        assert seen == [256, 256]
+        assert len(forks) == 2
+        assert outcomes[0] == outcomes[1] == (
+            3, "error: stage 'lime' failed: while predicting mask rows 256..399: "
+               "bad value\n")
+        assert indices == [(PredictionValueError, 263)] * 2
+        assert os.listdir(tmp_path) == []
+
+    def test_an_interrupt_in_the_blocks_leaves_no_child(self, fixture_wav, tmp_path,
+                                                        monkeypatch, forks):
+        main = os.getpid()
+
+        def interrupt(predict, batch):
+            if os.getpid() == main:
+                raise KeyboardInterrupt
+            return predict(batch)
+
+        patch_blocks(monkeypatch, interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            run_explanation(fast_config(fixture_wav, tmp_path / "b", workers=2))
+        assert len(forks) == 1
+        assert_no_child_left()
+        assert os.listdir(tmp_path) == []
+
+    def test_a_helper_that_dies_exits_5(self, fixture_wav, tmp_path, monkeypatch,
+                                        capsys, forks):
+        main = os.getpid()
+
+        def die(predict, batch):
+            if os.getpid() != main:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return predict(batch)
+
+        patch_blocks(monkeypatch, die)
+        code = cli_main(explain_argv(fixture_wav, tmp_path / "b", 2))
+        assert code == 5
+        assert capsys.readouterr().err == (
+            f"error: stage 'lime' failed: helper process {forks[0]} was killed by signal "
+            f"{signal.SIGKILL} before it sent all its results\n")
+        assert_no_child_left()
+        assert os.listdir(tmp_path) == []
 
 
 class TestWorkerBudget:
     """`--workers` is resolved once, to at most one per usable CPU; the
-    threads, processes and children, and the report, all read that count."""
+    processes and children, and the report, all read that count."""
 
-    @pytest.fixture
-    def two_cpus(self, monkeypatch):
-        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
-
-    def test_explain_threads(self, fixture_wav, tmp_path, monkeypatch, two_cpus):
-        threads = record_lime_threads(monkeypatch)
+    def test_explain_processes(self, fixture_wav, tmp_path, forks):
         bundle = run_explanation(fast_config(fixture_wav, tmp_path / "b", workers=8))
-        assert threads == [2]
+        assert len(forks) == 1
         assert bundle.report["config"]["workers"] == 2
 
-    def test_exec_children_and_lime_thread(self, tmp_path, monkeypatch, spawned,
-                                           two_cpus):
-        threads = record_lime_threads(monkeypatch)
+    def test_exec_children_and_lime_thread(self, tmp_path, monkeypatch, spawned, forks):
+        # Four blocks, so that a second LIME process would have work.
+        monkeypatch.setattr(lime_module, "_PREDICT_BLOCK", 16)
         bundle = run_explanation(replace(short_exec_config(tmp_path, "ext"), workers=8))
         assert len(spawned) == 2
-        assert threads == [1]
+        # The children share each block; LIME runs in this process alone.
+        assert forks == []
         assert bundle.report["config"]["workers"] == 2
         assert bundle.report["predictor"]["children"] == 2
 

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -810,10 +811,11 @@ class TestGatewayPool:
         try:
             with ExternalPredictor(child_command("echo"), timeout=20,
                                    children=2) as gateway:
-                for workers in (1, 2, 4):
-                    fits.append(explain_instance(
-                        lambda batch: gateway.predict(batch)[0][:, 0], instance, config,
-                        workers=workers).fit)
+                for threads in (1, 2, 4):
+                    with ThreadPoolExecutor(threads) as pool:
+                        fits.append(explain_instance(
+                            lambda batch: gateway.predict(batch)[0][:, 0], instance,
+                            config, map=pool.map).fit)
         finally:
             sys.setswitchinterval(interval)
         # Each block of 16 rows is two requests of 8, one per child.
@@ -922,7 +924,7 @@ class TestGatewayMaskBatch:
         assert gateway.lines == request_lines(batch, batch_size)
 
     def test_run_texts_are_built_once_per_instance(self, monkeypatch):
-        # At one worker, as `exec:` runs are.
+        # On the calling thread, as `exec:` runs are.
         monkeypatch.setattr(lime_module, "_PREDICT_BLOCK", 8)
         base = tiny_spec(4)
         seg_map = block_map(9, 6, 3, 2)
@@ -938,7 +940,7 @@ class TestGatewayMaskBatch:
         with ExternalPredictor(child_command("echo"), timeout=20) as gateway:
             def explain():
                 return explain_instance(lambda b: gateway.predict(b)[0][:, 0], instance,
-                                        config, workers=1)
+                                        config)
 
             first = explain()
             second = explain()
