@@ -56,8 +56,7 @@ def decode_wav(path: str | Path) -> AudioClip:
     if data[8:12] != b"WAVE":
         raise WavDecodeError("RIFF form type is not WAVE", chunk="WAVE")
 
-    fmt = None
-    payload = None
+    fmt = payload = None
     pos = 12
     while pos + 8 <= len(data):
         cid = data[pos:pos + 4]
@@ -85,6 +84,7 @@ def decode_wav(path: str | Path) -> AudioClip:
     audio_format, channels, sample_rate, _, _, bits = fmt
     if sample_rate == 0:
         raise WavDecodeError("fmt chunk gives sample rate 0", chunk="fmt ")
+    _check_rate(sample_rate)
     if channels not in (1, 2):
         raise UnsupportedFormatError(f"{channels} channels; only mono/stereo supported")
     if audio_format == _PCM and bits == 16:
@@ -112,6 +112,7 @@ def encode_wav(clip: AudioClip, path: str | Path) -> None:
     Samples are clamped to [-1, 1], then quantized with round half away
     from zero at full scale 32768 (the +1.0 endpoint clips to +32767).
     """
+    _check_rate(clip.sample_rate)
     x = np.clip(clip.samples, -1.0, 1.0) * 32768.0
     q = np.where(x >= 0, np.floor(x + 0.5), np.ceil(x - 0.5))
     pcm = np.clip(q, -32768, 32767).astype("<i2")
@@ -125,3 +126,9 @@ def encode_wav(clip: AudioClip, path: str | Path) -> None:
         b"data", len(body),
     )
     Path(path).write_bytes(header + body)
+
+
+def _check_rate(rate: int) -> None:
+    """Refuse a rate whose PCM16 byte rate, 2 * rate, overflows its uint32."""
+    if rate > 2**31 - 1:
+        raise UnsupportedFormatError(f"sample rate {rate} Hz; at most {2**31 - 1} supported")

@@ -202,13 +202,10 @@ def main(argv: list[str] | None = None) -> int:
                 score = results[count]["score"]
                 print(f"n_samples={count}: mean pairwise jaccard "
                       f"{score.mean_pairwise_jaccard:.4f}")
-    except MidlimeError as exc:
+    except (MidlimeError, OSError) as exc:
         log.debug("failure detail", exc_info=True)
         print(f"error: {exc}", file=sys.stderr)
         return exit_code_for(exc)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_AUDIO
     return EXIT_OK
 
 

@@ -6,21 +6,19 @@ effects decomposition, target resolution, per-segment attribution, masked
 spectrogram rendering, audio resynthesis, bundle writing. The predictor and
 target strings are refused before the audio is read, every sample count the
 command will draw is checked against the segments before the predictor
-starts, and the predictor stops when the attribution ends. The
-resynthesis renders its four clips as independent jobs on up to four
-threads; the jobs share only read-only inputs, so the thread count changes
-no byte. Every computation happens before the first byte is written, and
-the files are written into a hidden sibling directory that one rename
-publishes, so an output directory is either complete or absent, even if
-the process is killed.
+starts, and the predictor stops when the attribution ends. Every
+computation happens before the first byte is written, and the files are
+written into a hidden sibling directory that one rename publishes, so an
+output directory is either complete or absent, even if the process is
+killed.
 
-`--workers` is resolved once, to at most one per usable CPU: exec:
-children, or else, on Linux, processes that `_spread` forks to split
-`explain`'s prediction blocks (after sampling) or `stability`'s
-attributions. They share the instance and the in-process predictor
+In-process work runs side by side only in processes that `_spread` forks
+on Linux: `explain`'s prediction blocks (after sampling) or `stability`'s
+attributions on the `--workers` count, resolved once to at most one per
+usable CPU (for exec:, that many children instead), and the four
+resynthesised clips on the usable CPUs. Helpers share their inputs
 copy-on-write and pipe their results back to the main process, which
-writes everything; a result is the same function of the same inputs in
-any process, so no worker count changes a byte.
+writes everything, so no process count changes a byte.
 """
 
 from __future__ import annotations
@@ -36,7 +34,6 @@ import signal
 import sys
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -361,8 +358,7 @@ def _prepare(config: RunConfig, stage: _Stages,
             instance = Instance(dbspec, seg_map, config.lime.fill)
             ones = np.ones((1, seg_map.segment_count), dtype=np.uint8)
             (mid,), (emotion,) = predictor.predict(MaskBatch(instance, ones))
-        effects = None
-        discrepancy = None
+        effects = discrepancy = None
         if caps.linear_head is not None:
             with stage("effects"):
                 effects = instance_effects(mid, caps.linear_head,
@@ -436,20 +432,20 @@ def run_explanation(config: RunConfig) -> ExplanationBundle:
         spec = prep.instance.spec
         pos_mask, neg_mask = (np.where(seg_map.pixels(row), spec.values,
                                        spec.config.floor_db) for row in rows)
-    # The four renderings share only read-only inputs, and numpy's FFTs
-    # and ufuncs release the GIL, so they run side by side with the
-    # same bytes as one after another. Mask-only ignores the gain.
+    # The four renderings share only read-only inputs, so they run side by
+    # side as `_spread` says, on the usable CPUs whatever `--workers` says,
+    # with the same bytes as one after another. Mask-only ignores the gain.
     jobs = {"masked_pos": (pos_row, MODE_MASK_ONLY),
             "masked_neg": (neg_row, MODE_MASK_ONLY),
             "modified_add": (pos_row, MODE_ADD),
             "modified_sub": (neg_row, MODE_SUBTRACT)}
-    with stage("synthesis"), \
-            ThreadPoolExecutor(min(4, _usable_cpus())) as pool:
-        futures = {name: pool.submit(synthesize_modified, prep.cspec, seg_map,
-                                     row, mode, config.synth_gain,
-                                     iterations=config.gl_iterations)
-                   for name, (row, mode) in jobs.items()}
-        clips = {name: future.result() for name, future in futures.items()}
+
+    def render(job: tuple) -> AudioClip:
+        return synthesize_modified(prep.cspec, seg_map, *job, config.synth_gain,
+                                   iterations=config.gl_iterations)
+
+    with stage("synthesis"):
+        clips = dict(zip(jobs, _spread(render, list(jobs.values()), _usable_cpus())))
 
     caps = prep.caps
     names = {k: v for k, v in BUNDLE_FILES.items()

@@ -128,6 +128,42 @@ def test_decode_rejects_zero_sample_rate(tmp_path):
     assert info.value.chunk == "fmt "
 
 
+def with_sample_rate(raw: bytes, rate: int) -> bytes:
+    """`raw`, a WAV whose fmt chunk starts at byte 12, with its sample-rate
+    field set to `rate` and the byte-rate field left as it was."""
+    raw = bytearray(raw)
+    struct.pack_into("<I", raw, 24, rate)
+    return bytes(raw)
+
+
+@pytest.mark.parametrize("rate", [2**31, 3_000_000_000, 2**32 - 1])
+def test_decode_rejects_a_rate_the_encoder_cannot_write(tmp_path, rate):
+    path = tmp_path / "fast.wav"
+    path.write_bytes(with_sample_rate(wav_bytes(b"\x00\x00" * 10), rate))
+    with pytest.raises(UnsupportedFormatError, match=f"sample rate {rate} Hz"):
+        decode_wav(path)
+
+
+def test_the_highest_writable_rate_round_trips(tmp_path):
+    path = tmp_path / "fastest.wav"
+    path.write_bytes(with_sample_rate(wav_bytes(b"\x00\x40" * 10), 2**31 - 1))
+    clip = decode_wav(path)
+    assert clip.sample_rate == 2**31 - 1
+    encode_wav(clip, tmp_path / "again.wav")
+    raw = (tmp_path / "again.wav").read_bytes()
+    # The byte rate, 2 * (2**31 - 1), still fits its uint32.
+    assert struct.unpack_from("<II", raw, 24) == (2**31 - 1, 2**32 - 2)
+    assert np.array_equal(decode_wav(tmp_path / "again.wav").samples, clip.samples)
+
+
+@pytest.mark.parametrize("rate", [2**31, 2**32])
+def test_encode_refuses_a_rate_its_header_cannot_hold(tmp_path, rate):
+    path = tmp_path / "out.wav"
+    with pytest.raises(UnsupportedFormatError, match=f"sample rate {rate} Hz"):
+        encode_wav(AudioClip(samples=np.zeros(4), sample_rate=rate), path)
+    assert not path.exists()
+
+
 def test_decode_rejects_unsupported_codec(tmp_path):
     path = tmp_path / "alaw.wav"
     path.write_bytes(wav_bytes(b"\x00" * 8, fmt=6, bits=8))

@@ -114,6 +114,24 @@ class TestExplainCommand:
         assert "sample rate 0" in capsys.readouterr().err
         assert not (tmp_path / "b").exists()
 
+    def test_a_sample_rate_the_encoder_cannot_write_exits_4(self, fixture_wav, tmp_path,
+                                                           monkeypatch, capsys):
+        raw = bytearray(fixture_wav.read_bytes())
+        assert raw[12:16] == b"fmt "
+        struct.pack_into("<I", raw, 24, 3_000_000_000)  # the fmt chunk's sample rate
+        wav = tmp_path / "fast.wav"
+        wav.write_bytes(bytes(raw))
+        analysed = []
+        monkeypatch.setattr(pipeline, "stft", lambda *args: analysed.append(args))
+        code = run_cli("explain", "--audio", str(wav),
+                       "--out", str(tmp_path / "b"), *FAST)
+        assert code == 4
+        assert capsys.readouterr().err == (
+            "error: stage 'audio' failed: sample rate 3000000000 Hz; "
+            f"at most {2**31 - 1} supported\n")
+        assert analysed == []
+        assert not (tmp_path / "b").exists()
+
     @pytest.mark.parametrize("alpha", ["nan", "inf"])
     def test_non_finite_alpha_exits_2(self, alpha, fixture_wav, tmp_path, capsys):
         code = run_cli("explain", "--audio", str(fixture_wav),

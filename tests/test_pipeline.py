@@ -574,42 +574,149 @@ class TestBundleEdges:
         assert not out.exists()
 
 
-class TestSynthesisThreads:
+def rendering_name(row: np.ndarray, mode: str, positive_ids) -> str:
+    """The bundle WAV that `synthesize_modified(…, row, mode, …)` renders,
+    given the explanation's positive segments."""
+    if mode == MODE_MASK_ONLY:
+        return "masked_pos" if np.flatnonzero(row).tolist() == list(positive_ids) \
+            else "masked_neg"
+    return "modified_add" if mode == MODE_ADD else "modified_sub"
+
+
+@pytest.fixture
+def renderings(tmp_path, monkeypatch):
+    """`renderings(change)` makes each rendering call `change(name)` first,
+    which may raise, and returns a function that reads, sorted, the lines
+    that the rendering processes appended to a file: `<name> main` or
+    `<name> helper`. A forked helper's append survives it; a list in this
+    process would not."""
+    log = tmp_path / "renderings.log"
+    main = os.getpid()
+    explained = []
+
+    def recording_explain(*args, **kwargs):
+        explained.append(explain_instance(*args, **kwargs))
+        return explained[-1]
+
+    def install(change=lambda name: None):
+        def rendering(cspec, seg_map, row, mode, *args, **kwargs):
+            name = rendering_name(row, mode, explained[-1].positive_ids)
+            with open(log, "a") as fh:
+                fh.write(f"{name} {'main' if os.getpid() == main else 'helper'}\n")
+            change(name)
+            return synthesize_modified(cspec, seg_map, row, mode, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "explain_instance", recording_explain)
+        monkeypatch.setattr(pipeline, "synthesize_modified", rendering)
+        return lambda: sorted(log.read_text().splitlines()) if log.exists() else []
+
+    return install
+
+
+class TestSynthesisProcesses:
+    """The four renderings run as items of `_spread` on the usable CPUs:
+    rendering i in process i mod min(4, usable CPUs), with the same bytes
+    and failures as one process, and no helper outlives the command."""
+
     WAVS = ("masked_pos", "masked_neg", "modified_add", "modified_sub")
 
-    def test_thread_count_does_not_change_a_byte(self, fixture_wav, tmp_path,
-                                                 monkeypatch):
+    def test_process_count_does_not_change_a_byte(self, fixture_wav, tmp_path,
+                                                  monkeypatch, forks):
         produced = []
         for cpus in (1, 4):
             monkeypatch.setattr(pipeline, "_usable_cpus", lambda: cpus)
             result = run_explanation(fast_config(fixture_wav, tmp_path / str(cpus)))
             produced.append([(result.out_dir / BUNDLE_FILES[k]).read_bytes()
                              for k in self.WAVS])
+        # One CPU forks nothing; on four, each of three helpers renders one.
+        assert len(forks) == 3
         assert produced[0] == produced[1]
+        assert_no_child_left()
 
     def test_failed_rendering_is_a_synthesis_stage_error(self, fixture_wav, tmp_path,
-                                                         monkeypatch):
-        real = pipeline.griffin_lim
-        calls = itertools.count()
-
-        def second_fails(*args, **kwargs):
-            if next(calls) == 1:
+                                                         renderings):
+        def add_fails(name):
+            if name == "modified_add":
                 raise ShapeMismatchError("injected")
-            return real(*args, **kwargs)
 
-        monkeypatch.setattr(pipeline, "griffin_lim", second_fails)
+        rendered = renderings(add_fails)
         out = tmp_path / "out"
         with pytest.raises(StageError) as info:
             run_explanation(fast_config(fixture_wav, out))
         assert info.value.stage == "synthesis"
         assert str(info.value.cause) == "injected"
+        assert any(line.startswith("modified_add ") for line in rendered())
         assert not out.exists()
-        assert list(tmp_path.iterdir()) == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["renderings.log"]
+        assert_no_child_left()
+
+    def test_a_rendering_that_a_helper_runs_fails_alone(self, fixture_wav, tmp_path,
+                                                        monkeypatch, renderings, forks):
+        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 4)
+
+        def sub_fails(name):
+            if name == "modified_sub":
+                raise ConfigError("injected")
+
+        rendered = renderings(sub_fails)
+        out = tmp_path / "out"
+        with pytest.raises(StageError) as info:
+            run_explanation(fast_config(fixture_wav, out))
+        assert info.value.stage == "synthesis"
+        assert type(info.value.cause) is ConfigError
+        assert str(info.value.cause) == "injected"
+        assert rendered() == ["masked_neg helper", "masked_pos main",
+                              "modified_add helper", "modified_sub helper"]
+        assert len(forks) == 3
+        assert not out.exists()
+        assert_no_child_left()
+
+    def test_two_cpus_split_the_renderings_and_the_lowest_failure_wins(
+            self, fixture_wav, tmp_path, renderings, forks):
+        # On two usable CPUs this process renders 0 and 2, the helper 1 and 3.
+        rendered = renderings()
+        bundle = run_explanation(fast_config(fixture_wav, tmp_path / "split"))
+        assert bundle.explanation.positive_ids
+        assert rendered() == ["masked_neg helper", "masked_pos main",
+                              "modified_add main", "modified_sub helper"]
+        assert_no_child_left()
+
+        def two_fail(name):
+            if name in ("masked_neg", "modified_add"):
+                raise ShapeMismatchError(name)
+
+        (tmp_path / "renderings.log").unlink()
+        rendered = renderings(two_fail)
+        out = tmp_path / "out"
+        with pytest.raises(StageError) as info:
+            run_explanation(fast_config(fixture_wav, out))
+        # Each process stops at its first failure; rendering 1 beats 2.
+        assert info.value.stage == "synthesis"
+        assert str(info.value.cause) == "masked_neg"
+        assert rendered() == ["masked_neg helper", "masked_pos main",
+                              "modified_add main"]
+        assert len(forks) == 2
+        assert not out.exists()
+        assert_no_child_left()
+
+    def test_no_python_thread_is_started(self, fixture_wav, tmp_path, monkeypatch,
+                                         forks):
+        def refused(self):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(threading.Thread, "start", refused)
+        bundle = run_explanation(fast_config(fixture_wav, tmp_path / "b", workers=2))
+        assert sorted(p.name for p in bundle.out_dir.iterdir()) == sorted(
+            BUNDLE_FILES.values())
+        # One helper splits LIME's three blocks, one the renderings.
+        assert len(forks) == 2
+        assert_no_child_left()
 
     @pytest.mark.parametrize("kind", ["builtin", "exec"])
     def test_instance_memo_is_released_before_synthesis(self, kind, fixture_wav,
                                                        tmp_path, monkeypatch):
-        instances, after_lime, at_synthesis = [], [], []
+        instances, after_lime = [], []
+        at_synthesis = tmp_path / "at-synthesis.log"
 
         class Recorded(Instance):
             def __init__(self, *args):
@@ -621,9 +728,10 @@ class TestSynthesisThreads:
             after_lime.append(set(instances[0]._memo))
             return result
 
-        def recording_synthesis(*args, **kwargs):
-            at_synthesis.append(set(instances[0]._memo))
-            return synthesize_modified(*args, **kwargs)
+        def recording_synthesis(cspec, seg_map, row, mode, *args, **kwargs):
+            with open(at_synthesis, "a") as fh:
+                fh.write(f"{mode} {len(instances[0]._memo)}\n")
+            return synthesize_modified(cspec, seg_map, row, mode, *args, **kwargs)
 
         monkeypatch.setattr(pipeline, "Instance", Recorded)
         monkeypatch.setattr(pipeline, "explain_instance", recording_explain)
@@ -632,22 +740,30 @@ class TestSynthesisThreads:
                   else fast_config(fixture_wav, tmp_path / "out"))
         run_explanation(config)
         # The predictor's per-instance work (the builtin's coefficients, an
-        # exec: run's request texts) is gone before the first rendering.
+        # exec: run's request texts) is gone before the first rendering, in
+        # whichever process renders it.
         assert len(instances) == 1 and after_lime[0]
-        assert at_synthesis == [set()] * 4
+        assert sorted(at_synthesis.read_text().splitlines()) == [
+            f"{MODE_ADD} 0", f"{MODE_MASK_ONLY} 0", f"{MODE_MASK_ONLY} 0",
+            f"{MODE_SUBTRACT} 0"]
 
 
 def test_exec_children_are_reaped_before_synthesis(tmp_path, monkeypatch, spawned):
-    running_at_synthesis = []
+    at_synthesis = tmp_path / "at-synthesis.log"
 
-    def recording_synthesis(*args, **kwargs):
-        running_at_synthesis.append([proc.returncode is None for proc in spawned])
-        return synthesize_modified(*args, **kwargs)
+    def recording_synthesis(cspec, seg_map, row, mode, *args, **kwargs):
+        running = [proc.returncode is None for proc in spawned]
+        with open(at_synthesis, "a") as fh:
+            fh.write(f"{mode} {json.dumps(running)}\n")
+        return synthesize_modified(cspec, seg_map, row, mode, *args, **kwargs)
 
     monkeypatch.setattr(pipeline, "synthesize_modified", recording_synthesis)
     run_explanation(short_exec_config(tmp_path, "ext"))
     assert spawned
-    assert running_at_synthesis == [[False] * len(spawned)] * 4
+    reaped = json.dumps([False] * len(spawned))
+    assert sorted(at_synthesis.read_text().splitlines()) == [
+        f"{MODE_ADD} {reaped}", f"{MODE_MASK_ONLY} {reaped}",
+        f"{MODE_MASK_ONLY} {reaped}", f"{MODE_SUBTRACT} {reaped}"]
 
 
 class TestWriteCsv:
@@ -1196,17 +1312,19 @@ class TestForkedExplain:
             bundles.append({name: path.read_bytes() for name, path in bundle.files.items()
                             if name != "report"})
             assert bundle.report["config"]["workers"] == workers
-        assert len(forks) == 0 + 1 + 2
+        # 0, 1 and 2 helpers for the blocks, and two for each run's renderings.
+        assert len(forks) == 0 + 1 + 2 + 3 * 2
         assert bundles[0] == bundles[1] == bundles[2]
         assert_no_child_left()
 
     def test_one_block_forks_nothing(self, fixture_wav, tmp_path, forks):
-        # 600 rows are three blocks, 224 one.
+        # 600 rows are three blocks, 224 one; each run's renderings fork one
+        # helper more.
         run_explanation(fast_config(fixture_wav, tmp_path / "three", workers=2))
-        assert len(forks) == 1
+        assert len(forks) == 1 + 1
         run_explanation(fast_config(fixture_wav, tmp_path / "one", workers=2,
                                     lime=LimeConfig(n_samples=224, seed=42)))
-        assert len(forks) == 1
+        assert len(forks) == 2 + 1
         assert_no_child_left()
 
     def test_a_failing_block_exits_as_at_one_worker(self, fixture_wav, tmp_path,
@@ -1282,16 +1400,28 @@ class TestWorkerBudget:
 
     def test_explain_processes(self, fixture_wav, tmp_path, forks):
         bundle = run_explanation(fast_config(fixture_wav, tmp_path / "b", workers=8))
-        assert len(forks) == 1
+        # One helper for the blocks, one for the renderings.
+        assert len(forks) == 1 + 1
         assert bundle.report["config"]["workers"] == 2
 
     def test_exec_children_and_lime_thread(self, tmp_path, monkeypatch, spawned, forks):
         # Four blocks, so that a second LIME process would have work.
         monkeypatch.setattr(lime_module, "_PREDICT_BLOCK", 16)
+        after_lime = []
+        explain = pipeline.explain_instance
+
+        def recording_explain(*args, **kwargs):
+            explanation = explain(*args, **kwargs)
+            after_lime.append(len(forks))
+            return explanation
+
+        monkeypatch.setattr(pipeline, "explain_instance", recording_explain)
         bundle = run_explanation(replace(short_exec_config(tmp_path, "ext"), workers=8))
         assert len(spawned) == 2
-        # The children share each block; LIME runs in this process alone.
-        assert forks == []
+        # The children share each block; LIME runs in this process alone,
+        # and only the renderings fork.
+        assert after_lime == [0]
+        assert len(forks) == 1
         assert bundle.report["config"]["workers"] == 2
         assert bundle.report["predictor"]["children"] == 2
 
