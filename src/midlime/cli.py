@@ -16,6 +16,7 @@ import argparse
 import logging
 import os
 import sys
+from dataclasses import asdict, fields
 
 from .dsp import StftConfig
 from .errors import (
@@ -64,45 +65,38 @@ def exit_code_for(exc: BaseException) -> int:
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--audio", required=True, help="input WAV file (PCM16 or float32)")
-    p.add_argument("--predictor", default="builtin",
-                   help='builtin | constant | exec:"CMD" (default: builtin)')
-    p.add_argument("--target", default="auto",
+    # Each flag's dest is the name of the config field it sets. The paths
+    # are required, so the help shows no default for them.
+    p.add_argument("--audio", dest="audio_path", required=True, default=argparse.SUPPRESS,
+                   help="input WAV file (PCM16 or float32)")
+    p.add_argument("--predictor", help='builtin | constant | exec:"CMD"')
+    p.add_argument("--target",
                    help="auto | mid:NAME | mid:IDX (emotion:NAME|IDX also accepted)")
-    p.add_argument("--kernel-width", type=float, default=0.25,
-                   help="proximity kernel width (default: 0.25)")
-    p.add_argument("--ratio-threshold", type=float, default=1e-6,
-                   help="p-value to |weight| selection cutoff (default: 1e-6)")
-    p.add_argument("--fill", default="silence",
+    p.add_argument("--kernel-width", type=float, help="proximity kernel width")
+    p.add_argument("--ratio-threshold", type=float,
+                   help="p-value to |weight| selection cutoff")
+    p.add_argument("--fill",
                    choices=["silence", "silence-floor", "segment-mean", "global-mean"],
-                   help="what masked segments become (default: silence)")
-    p.add_argument("--alpha", type=float, default=0.0,
+                   help="what masked segments become; silence is silence-floor")
+    p.add_argument("--alpha", dest="ridge_alpha", type=float,
                    help="surrogate ridge strength; 0 = plain weighted least squares")
-    p.add_argument("--scale", type=float, default=25.0,
-                   help="segmentation scale parameter (default: 25)")
-    p.add_argument("--min-size", type=int, default=40,
-                   help="minimum segment area in pixels (default: 40)")
-    p.add_argument("--sigma", type=float, default=0.8,
-                   help="segmentation pre-smoothing sigma (default: 0.8)")
-    p.add_argument("--frame-size", type=int, default=2048,
-                   help="analysis frame size, power of two (default: 2048)")
-    p.add_argument("--hop", type=int, default=512, help="analysis hop (default: 512)")
-    p.add_argument("--window", default="hann", choices=["hann", "rect"],
-                   help="analysis window (default: hann)")
-    p.add_argument("--floor-db", type=float, default=-80.0,
-                   help="dB floor for the spectrogram view (default: -80)")
-    p.add_argument("--predictor-seed", type=int, default=0,
-                   help="seed of the builtin synthetic predictor (default: 0)")
-    p.add_argument("--workers", type=int, default=1,
+    p.add_argument("--scale", type=float, help="segmentation scale parameter")
+    p.add_argument("--min-size", type=int, help="minimum segment area in pixels")
+    p.add_argument("--sigma", type=float, help="segmentation pre-smoothing sigma")
+    p.add_argument("--frame-size", type=int, help="analysis frame size, power of two")
+    p.add_argument("--hop", dest="hop_size", type=int, help="analysis hop")
+    p.add_argument("--window", choices=["hann", "rect"], help="analysis window")
+    p.add_argument("--floor-db", type=float, help="dB floor for the spectrogram view")
+    p.add_argument("--predictor-seed", type=int,
+                   help="seed of the builtin synthetic predictor")
+    p.add_argument("--workers", type=int,
                    help="workers that evaluate the predictor, at most one per "
                         "usable CPU: exec: children, else processes that split "
-                        "explain's prediction blocks or stability's attributions "
-                        "(default: 1)")
-    p.add_argument("--batch-size", type=int, default=256,
-                   help="most mask rows per exec: request (default: 256)")
-    p.add_argument("--timeout", type=float, default=30.0,
-                   help="external predictor timeout in seconds (default: 30)")
-    p.add_argument("--out", required=True, help="output directory")
+                        "explain's prediction blocks or stability's attributions")
+    p.add_argument("--batch-size", type=int, help="most mask rows per exec: request")
+    p.add_argument("--timeout", type=float, help="external predictor timeout in seconds")
+    p.add_argument("--out", dest="out_dir", required=True, default=argparse.SUPPRESS,
+                   help="output directory")
 
 
 def _parse_int_list(raw: str, flag: str) -> list[int]:
@@ -115,6 +109,15 @@ def _parse_int_list(raw: str, flag: str) -> list[int]:
     return values
 
 
+def _field_defaults() -> dict:
+    """The default of each field of the run that names only its paths, by
+    field name; the fill by its value, as the help shows it."""
+    run = asdict(RunConfig(audio_path="", out_dir=""))
+    lime, segmentation, stft = run.pop("lime"), run.pop("segmentation"), run.pop("stft")
+    del run["audio_path"], run["out_dir"]
+    return {**run, **lime, **segmentation, **stft, "fill": lime["fill"].value}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="midlime",
@@ -123,60 +126,44 @@ def build_parser() -> argparse.ArgumentParser:
                     "audible renderings of the explanation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    formatter = argparse.ArgumentDefaultsHelpFormatter
 
-    explain = sub.add_parser("explain", help="explain one clip and write a bundle")
+    explain = sub.add_parser("explain", help="explain one clip and write a bundle",
+                             formatter_class=formatter)
     _add_common_flags(explain)
-    explain.add_argument("--samples", type=int, default=50000,
-                         help="perturbation sample count (default: 50000)")
-    explain.add_argument("--seed", type=int, default=42,
-                         help="sampling seed (default: 42)")
-    explain.add_argument("--gl-iters", type=int, default=32,
-                         help="phase-retrieval iterations for resynthesis (default: 32)")
-    explain.add_argument("--synth-gain", type=float, default=1.0,
-                         help="gain for add/subtract resynthesis modes (default: 1.0)")
+    explain.add_argument("--samples", dest="n_samples", type=int,
+                         help="perturbation sample count")
+    explain.add_argument("--seed", type=int, help="sampling seed")
+    explain.add_argument("--gl-iters", dest="gl_iterations", type=int,
+                         help="phase-retrieval iterations for resynthesis")
+    explain.add_argument("--synth-gain", type=float,
+                         help="gain for add/subtract resynthesis modes")
 
     # No abbreviations, so that explain's --seed is refused, not read as --seeds.
     stability = sub.add_parser(
         "stability", help="repeat the attribution across seeds and sample counts",
-        allow_abbrev=False)
+        allow_abbrev=False, formatter_class=formatter)
     _add_common_flags(stability)
-    stability.add_argument("--seeds", default="1,2,3,4,5",
-                           help="comma-separated seeds (default: 1,2,3,4,5)")
+    stability.add_argument("--seeds", default="1,2,3,4,5", help="comma-separated seeds")
     stability.add_argument("--sample-counts", default="1000,50000",
-                           help="comma-separated sample counts (default: 1000,50000)")
+                           help="comma-separated sample counts")
+    # stability also gets explain's defaults, which its runs replace or do
+    # not read: it sets each run's seed and sample count, and synthesises
+    # no audio.
+    for command in (explain, stability):
+        command.set_defaults(**_field_defaults())
     return parser
 
 
 def _run_config(args: argparse.Namespace) -> RunConfig:
-    # stability takes no explain-only flag: it sets each run's seed and
-    # sample count itself, and synthesises no audio.
-    lime_only, run_only = {}, {}
-    if args.command == "explain":
-        lime_only = {"n_samples": args.samples, "seed": args.seed}
-        run_only = {"gl_iterations": args.gl_iters, "synth_gain": args.synth_gain}
-    return RunConfig(
-        audio_path=args.audio,
-        out_dir=args.out,
-        predictor=args.predictor,
-        target=args.target,
-        lime=LimeConfig(
-            kernel_width=args.kernel_width,
-            fill=args.fill,
-            ridge_alpha=args.alpha,
-            ratio_threshold=args.ratio_threshold,
-            **lime_only,
-        ),
-        segmentation=SegmentationConfig(
-            scale=args.scale, min_size=args.min_size, sigma=args.sigma),
-        stft=StftConfig(
-            frame_size=args.frame_size, hop_size=args.hop,
-            window=args.window, floor_db=args.floor_db),
-        workers=args.workers,
-        batch_size=args.batch_size,
-        timeout=args.timeout,
-        predictor_seed=args.predictor_seed,
-        **run_only,
-    )
+    given = vars(args)
+
+    def values(cls) -> dict:
+        return {f.name: given[f.name] for f in fields(cls) if f.name in given}
+
+    return RunConfig(**values(RunConfig), lime=LimeConfig(**values(LimeConfig)),
+                     segmentation=SegmentationConfig(**values(SegmentationConfig)),
+                     stft=StftConfig(**values(StftConfig)))
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -63,7 +63,7 @@ class LimeConfig:
     fill: FillStrategy = FillStrategy.SILENCE_FLOOR
     ridge_alpha: float = 0.0
     ratio_threshold: float = 1e-6
-    seed: int = 0
+    seed: int = 42
 
     def __post_init__(self):
         object.__setattr__(self, "fill", FillStrategy.coerce(self.fill))
@@ -675,7 +675,8 @@ def solve(design: Design, targets: np.ndarray) -> SurrogateFit:
 
     Each p-value is the Student-t tail of |w| / se at the design's residual
     dof, computed by `_t_two_sided` to within about 1e-12 of its value,
-    relative.
+    relative. A target that takes one value on every row of positive weight
+    gets that value as the intercept, weights 0, p-values 1 and r^2 0.
     """
     m, pi, u, dof = design.masks, design.weights, design.factor, design.dof
     y = np.asarray(targets, dtype=np.float64)
@@ -684,6 +685,14 @@ def solve(design: Design, targets: np.ndarray) -> SurrogateFit:
             f"targets {y.shape} do not match {m.shape[0]} masks")
     if not np.all(np.isfinite(y)):
         raise ValueError("targets must be finite")
+    weighted = y[pi > 0]
+    if (weighted == weighted[0]).all():
+        # The exact solution: solved in floats on a near-singular design,
+        # it leaves noise weights that a t-test can select.
+        coef = np.zeros(m.shape[1])
+        return SurrogateFit(weights=coef, intercept=float(weighted[0]),
+                            std_errors=coef.copy(), p_values=np.ones_like(coef),
+                            r_squared=0.0, dof=dof)
 
     beta = _cholesky_solve(u, _moment(m, pi * y))
     resid = y - _fitted(m, beta)

@@ -158,7 +158,12 @@ class ExplanationBundle:
 
 class _Stages:
     """The run's clock: the wall time and the peak RSS at the end of each
-    stage, in stage order."""
+    stage, in stage order. Only the main process enters a stage, so every
+    run lists the same stages at any worker count.
+
+    A failure inside a stage is raised as a `StageError` of that stage,
+    unless it is one already or `wrap` is false.
+    """
 
     def __init__(self):
         self.started = time.perf_counter()
@@ -166,7 +171,7 @@ class _Stages:
         self.peaks: dict = {}
 
     @contextmanager
-    def __call__(self, name: str):
+    def __call__(self, name: str, *, wrap: bool = True):
         started = time.perf_counter()
         log.info("stage %s: start", name)
         try:
@@ -174,6 +179,8 @@ class _Stages:
         except StageError:
             raise
         except (MidlimeError, OSError) as exc:
+            if not wrap:
+                raise
             raise StageError(name, exc) from exc
         finally:
             self.timings[name] = round(time.perf_counter() - started, 6)
@@ -331,8 +338,9 @@ def _prepare(config: RunConfig, stage: _Stages,
         config.predictor, seed=config.predictor_seed, timeout=config.timeout,
         batch_size=config.batch_size, workers=workers,
     )
-    # exec: children already share each block, and on one LIME thread the
-    # relay runs on the main thread, where Ctrl-C reaches it.
+    # exec: LIME work stays in this process: a forked helper would share the
+    # gateway's pipes and children, and the gateway already spreads each
+    # block over its children.
     lime_workers = 1 if isinstance(predictor, ExternalPredictor) else workers
     with stage("audio"):
         try:
@@ -632,9 +640,11 @@ def run_stability(config: RunConfig, seeds: Sequence[int],
 
     Returns {sample_count: {"score": StabilityScore, "selected_counts": [...]}}
     and writes stability.csv (pairwise), stability_summary.csv and a
-    report.json that adds the time and selected count of each attribution.
-    The attributions run as `_attribute_all` says, with the same bytes as
-    one after another.
+    report.json whose `runs` hold the time and selected count of each
+    attribution. The attributions are the items of one `lime` stage, spread
+    over the resolved workers as `_spread` says, with the same bytes as one
+    after another. A failing attribution is a `StageError` named
+    `lime[n=N,seed=S]`.
     """
     seeds = [int(s) for s in seeds]
     sample_counts = [int(c) for c in sample_counts]
@@ -656,14 +666,31 @@ def run_stability(config: RunConfig, seeds: Sequence[int],
 
     stage = _Stages()
     prep = _prepare(config, stage, sample_counts)
+    fn = _target_fn(prep.predictor, prep.target)
+
+    def attribute(lime: LimeConfig) -> tuple[LimeExplanation, float]:
+        name = f"lime[n={lime.n_samples},seed={lime.seed}]"
+        started = time.perf_counter()
+        try:
+            explanation = explain_instance(fn, prep.instance, lime,
+                                           target=prep.target_label)
+        except (MidlimeError, OSError) as exc:
+            raise StageError(name, exc) from exc
+        seconds = round(time.perf_counter() - started, 6)
+        log.info("attribution %s: %.3fs", name, seconds)
+        return explanation, seconds
+
     try:
-        explanations = _attribute_all(prep, stage, lime_configs)
+        # Each attribution names its own failure; a helper that dies is
+        # reported as it is.
+        with stage("lime", wrap=False):
+            done = _spread(attribute, lime_configs, prep.lime_workers)
     finally:
         predictor_exit = prep.predictor.close()
-    runs = [{"sample_count": cfg.n_samples, "seed": cfg.seed,
-             "lime_s": stage.timings[_run_stage(cfg)],
+    explanations = [explanation for explanation, _ in done]
+    runs = [{"sample_count": lime.n_samples, "seed": lime.seed, "lime_s": seconds,
              "selected": len(explanation.selected)}
-            for cfg, explanation in zip(lime_configs, explanations)]
+            for lime, (explanation, seconds) in zip(lime_configs, done)]
     results: dict = {}
     for k, count in enumerate(sample_counts):
         of_count = explanations[k * len(seeds):(k + 1) * len(seeds)]
@@ -698,31 +725,6 @@ def run_stability(config: RunConfig, seeds: Sequence[int],
     with stage("write"):
         _publish(Path(config.out_dir), write)
     return results
-
-
-def _run_stage(config: LimeConfig) -> str:
-    return f"lime[n={config.n_samples},seed={config.seed}]"
-
-
-def _attribute_all(prep: _Prepared, stage: _Stages,
-                   configs: Sequence[LimeConfig]) -> list[LimeExplanation]:
-    """The explanation of each of `configs`, in order, each on one thread
-    and timed as its own stage, spread over `prep.lime_workers` processes
-    as `_spread` says."""
-    fn = _target_fn(prep.predictor, prep.target)
-
-    def timed(config: LimeConfig) -> tuple:
-        with stage(_run_stage(config)):
-            explanation = explain_instance(fn, prep.instance, config,
-                                           target=prep.target_label)
-        return explanation, stage.timings[_run_stage(config)]
-
-    done = _spread(timed, configs, prep.lime_workers)
-    for config, (_, seconds) in zip(configs, done):
-        # In the command's order, whichever process ran each.
-        stage.timings.pop(_run_stage(config), None)
-        stage.timings[_run_stage(config)] = seconds
-    return [explanation for explanation, _ in done]
 
 
 def _spread(run: Callable, items: Sequence, processes: int) -> list:

@@ -1,5 +1,6 @@
 """Command-line behaviour: argument handling, exit codes, printed summaries."""
 
+import argparse
 import json
 import os
 import pickle
@@ -7,6 +8,7 @@ import shlex
 import struct
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ import pytest
 import midlime
 from midlime import pipeline, predictor
 from midlime.audio import AudioClip, encode_wav
-from midlime.cli import build_parser, exit_code_for, main
+from midlime.cli import _run_config, build_parser, exit_code_for, main
 from midlime.errors import (
     AudioIOError,
     CapabilitiesError,
@@ -27,7 +29,8 @@ from midlime.errors import (
     TransportError,
     WavDecodeError,
 )
-from midlime.lime import FillStrategy
+from midlime.lime import FillStrategy, LimeConfig
+from midlime.pipeline import RunConfig, run_explanation
 
 from conftest import (
     BAD_LINE_CHILD,
@@ -209,6 +212,35 @@ def test_a_small_count_exits_2_before_the_predictor_starts(command, counts,
     assert not out.exists()
 
 
+@pytest.fixture
+def silent_wav(tmp_path):
+    """One second of silence, which segments into one region."""
+    wav = tmp_path / "silent.wav"
+    encode_wav(AudioClip(samples=np.zeros(22050), sample_rate=22050), wav)
+    return wav
+
+
+class TestConstantTarget:
+    """A target that one segment never changes selects nothing."""
+
+    def test_stability_selects_no_segment(self, silent_wav, tmp_path):
+        out = tmp_path / "stab"
+        assert run_cli("stability", "--audio", str(silent_wav), "--out", str(out),
+                       "--sample-counts", "300", "--seeds", "1,2") == 0
+        summary = (out / "stability_summary.csv").read_text().splitlines()
+        assert summary[1] == "300,1.0,1 2,0 0"
+
+    def test_an_exec_explain_selects_no_segment(self, silent_wav, tmp_path, capsys):
+        out = tmp_path / "bundle"
+        assert run_cli("explain", "--audio", str(silent_wav), "--out", str(out),
+                       "--predictor", f"exec:{child_command('echo')}",
+                       "--samples", "300", "--gl-iters", "1") == 0
+        assert "segments: 1, selected: 0 (0 positive, 0 negative)" in (
+            capsys.readouterr().out)
+        explanation = json.loads((out / "explanation.json").read_text())
+        assert explanation["selected"] == [] and explanation["r_squared"] == 0.0
+
+
 # A short noise clip with few segments: 60 mask rows of about 150 kB each.
 POOL = ["--frame-size", "256", "--hop", "128", "--min-size", "800",
         "--samples", "60", "--gl-iters", "1"]
@@ -377,26 +409,51 @@ class TestStabilityCommand:
 
 class TestParser:
     def test_fill_silence_is_an_alias_for_silence_floor(self):
-        from midlime.cli import _run_config
-
         args = build_parser().parse_args(
             ["explain", "--audio", "a.wav", "--out", "o", "--fill", "silence"])
         assert _run_config(args).lime.fill is FillStrategy.SILENCE_FLOOR
 
     def test_defaults(self):
-        args = build_parser().parse_args(
-            ["explain", "--audio", "a.wav", "--out", "o"])
-        assert args.samples == 50000
-        assert args.kernel_width == 0.25
-        assert args.ratio_threshold == 1e-6
-        assert args.scale == 25.0 and args.min_size == 40 and args.sigma == 0.8
-        assert args.frame_size == 2048 and args.hop == 512
-        assert args.gl_iters == 32
-        assert args.seed == 42
+        # Each flag's dest names the config field that owns its default, and
+        # the help shows that default; the fill shows its value.
+        run = RunConfig(audio_path="a.wav", out_dir="o")
+        owners = (run, run.lime, run.segmentation, run.stft)
+        commands = next(a for a in build_parser()._actions
+                        if isinstance(a, argparse._SubParsersAction)).choices
+        for name, parser in commands.items():
+            formatter = parser._get_formatter()
+            for action in parser._actions:
+                if action.required or action.dest in ("help", "seeds", "sample_counts"):
+                    continue
+                owner = next(c for c in owners
+                             if action.dest in {f.name for f in fields(c)})
+                default = getattr(owner, action.dest)
+                assert action.default == getattr(default, "value", default)
+                assert formatter._expand_help(action).endswith(
+                    f"(default: {action.default})")
+            args = parser.parse_args(["--audio", "a.wav", "--out", "o"])
+            assert _run_config(args) == run, name
+        # The walk holds by construction; these pin the values themselves.
+        assert run.lime.n_samples == 50000 and run.lime.kernel_width == 0.25
+        assert run.lime.ratio_threshold == 1e-6 and run.lime.seed == 42
+        assert run.segmentation.scale == 25.0 and run.segmentation.min_size == 40
+        assert run.segmentation.sigma == 0.8
+        assert run.stft.frame_size == 2048 and run.stft.hop_size == 512
+        assert run.gl_iterations == 32
+
+    def test_the_default_run_writes_the_cli_bytes(self, fixture_wav, tmp_path):
+        cli_out, lib_out = tmp_path / "cli", tmp_path / "lib"
+        assert run_cli("explain", "--audio", str(fixture_wav), "--out", str(cli_out),
+                       "--samples", "600") == 0
+        run_explanation(RunConfig(str(fixture_wav), str(lib_out),
+                                  lime=LimeConfig(n_samples=600)))
+        names = sorted(p.name for p in cli_out.iterdir())
+        assert names == sorted(p.name for p in lib_out.iterdir())
+        for name in names:
+            if name != "report.json":
+                assert (cli_out / name).read_bytes() == (lib_out / name).read_bytes(), name
 
     def test_explain_only_flags_reach_the_config(self):
-        from midlime.cli import _run_config
-
         args = build_parser().parse_args(
             ["explain", "--audio", "a.wav", "--out", "o",
              *(item for pair in EXPLAIN_ONLY for item in pair)])

@@ -106,6 +106,7 @@ class TestLimeConfig:
         assert cfg.fill is FillStrategy.SILENCE_FLOOR
         assert cfg.ridge_alpha == 0.0
         assert cfg.ratio_threshold == 1e-6
+        assert cfg.seed == 42
 
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -168,7 +169,7 @@ class TestSampleMasks:
         # 29.5 MB.
         tracemalloc.start()
         try:
-            sample_masks(474, LimeConfig(n_samples=50000))
+            sample_masks(474, LimeConfig(n_samples=50000, seed=0))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -334,6 +335,25 @@ class TestFitSurrogate:
         assert fit.intercept == pytest.approx(2.5, abs=1e-9)
         assert fit.r_squared == 0.0
         assert fit.dof == 50 - 5 - 1
+
+    @pytest.mark.parametrize("seed, value", [(1, -80.0), (2, 0.3)])
+    def test_a_one_segment_constant_target_selects_nothing(self, seed, value):
+        # The popcount-0 rows weigh e^-16, so the design is near-singular,
+        # and a float solve left a weight of about -1e-7 with p near 1e-46.
+        masks = sample_masks(1, LimeConfig(n_samples=300, seed=seed))
+        fit = fit_surrogate(masks, np.full(300, value), proximity_weights(masks, 0.25))
+        assert fit.intercept == value and fit.r_squared == 0.0
+        assert fit.weights.tolist() == fit.std_errors.tolist() == [0.0]
+        assert fit.p_values.tolist() == [1.0]
+        assert select_features(fit, 1e-6) == ()
+
+    def test_a_target_constant_on_the_weighted_rows_is_fitted_exactly(self):
+        masks = sample_masks(5, LimeConfig(n_samples=80, seed=3))
+        weights, targets = np.ones(80), np.full(80, 2.5)
+        weights[:10], targets[:10] = 0.0, 7.0
+        fit = fit_surrogate(masks, targets, weights)
+        assert fit.intercept == 2.5 and not fit.weights.any()
+        assert fit.p_values.tolist() == [1.0] * 5 and fit.dof == 80 - 5 - 1
 
     def test_exact_linear_recovery(self):
         masks = sample_masks(6, LimeConfig(n_samples=120, seed=2))

@@ -106,15 +106,19 @@ def bundle(fixture_wav, tmp_path_factory):
     return run_explanation(fast_config(fixture_wav, out))
 
 
-def assert_peaks_by_stage(report: dict, away: frozenset = frozenset()) -> None:
-    """One peak per timed stage but those run in another process (`away`),
-    in stage order, never falling, at most the run's peak."""
+def assert_peaks_by_stage(report: dict) -> None:
+    """One peak per timed stage, in stage order, never falling, at most the
+    run's peak."""
     by_stage = report["peak_rss_mb_by_stage"]
-    assert list(by_stage) == [k for k in report["timings_s"]
-                              if k != "total" and k not in away]
+    assert list(by_stage) == [k for k in report["timings_s"] if k != "total"]
     peaks = list(by_stage.values())
     assert peaks == sorted(peaks) and 0 < peaks[0]
     assert peaks[-1] <= report["peak_rss_mb"]
+
+
+def stage_keys(report: dict) -> tuple[list, list]:
+    """The stages that the report times and those it gives a peak for."""
+    return list(report["timings_s"]), list(report["peak_rss_mb_by_stage"])
 
 
 def assert_cpu_time(report: dict) -> None:
@@ -1076,13 +1080,10 @@ class TestRunStability:
             (600, 1), (600, 2), (700, 1), (700, 2)]
         assert [r["selected"] for r in runs] == (results[600]["selected_counts"]
                                                  + results[700]["selected_counts"])
-        stages = [f"lime[n={r['sample_count']},seed={r['seed']}]" for r in runs]
-        assert [k for k in report["timings_s"] if k.startswith("lime")] == stages
-        for r, stage in zip(runs, stages):
-            assert r["lime_s"] == report["timings_s"][stage] > 0
-        # This process runs attributions 0, W, 2W, ...; the helpers time
-        # theirs, but their peaks are not this process's.
-        assert_peaks_by_stage(report, away=frozenset(stages) - set(stages[::workers]))
+        # One stage holds every attribution; each run has its own time.
+        assert [k for k in report["timings_s"] if k.startswith("lime")] == ["lime"]
+        assert all(r["lime_s"] > 0 for r in runs)
+        assert_peaks_by_stage(report)
         assert_cpu_time(report)
 
     def test_builds_the_builtin_coefficients_once(self, fixture_wav, tmp_path,
@@ -1150,17 +1151,19 @@ class TestForkedStability:
 
     def test_tables_are_identical_across_worker_counts(self, fixture_wav, tmp_path,
                                                        forks):
-        tables, scores = [], []
+        tables, scores, stages = [], [], []
         for workers in (1, 2, 3):
             out = tmp_path / f"stab-{workers}"
             config = fast_config(fixture_wav, out, workers=workers)
             results = run_stability(config, seeds=[1, 2, 3], sample_counts=[600, 700])
             tables.append([(out / name).read_bytes() for name in STABILITY_TABLES])
             scores.append(results)
+            stages.append(stage_keys(json.loads((out / "report.json").read_text())))
         # Three workers are capped at the two CPUs.
         assert len(forks) == 2
         assert tables[0] == tables[1] == tables[2]
         assert scores[0] == scores[1] == scores[2]
+        assert stages[0] == stages[1] == stages[2]
         assert_no_child_left()
 
     @pytest.mark.parametrize("seed", [1, 2], ids=["main-process", "helper"])
@@ -1305,16 +1308,18 @@ class TestForkedExplain:
     def test_bundles_are_identical_across_worker_counts(self, fixture_wav, tmp_path,
                                                         monkeypatch, forks):
         monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 3)
-        bundles = []
+        bundles, stages = [], []
         for workers in (1, 2, 3):
             bundle = run_explanation(fast_config(fixture_wav, tmp_path / f"b{workers}",
                                                  workers=workers))
             bundles.append({name: path.read_bytes() for name, path in bundle.files.items()
                             if name != "report"})
             assert bundle.report["config"]["workers"] == workers
+            stages.append(stage_keys(bundle.report))
         # 0, 1 and 2 helpers for the blocks, and two for each run's renderings.
         assert len(forks) == 0 + 1 + 2 + 3 * 2
         assert bundles[0] == bundles[1] == bundles[2]
+        assert stages[0] == stages[1] == stages[2]
         assert_no_child_left()
 
     def test_one_block_forks_nothing(self, fixture_wav, tmp_path, forks):
