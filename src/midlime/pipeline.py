@@ -159,33 +159,38 @@ class ExplanationBundle:
 class _Stages:
     """The run's clock: the wall time and the peak RSS at the end of each
     stage, in stage order. Only the main process enters a stage, so every
-    run lists the same stages at any worker count.
+    run lists the same stages at any worker count. `lap()` records the
+    innermost open stage so far; its end records it again.
 
     A failure inside a stage is raised as a `StageError` of that stage,
-    unless it is one already or `wrap` is false.
+    unless it is one already.
     """
 
     def __init__(self):
         self.started = time.perf_counter()
         self.timings: dict = {}
         self.peaks: dict = {}
+        self._open: list[tuple[str, float]] = []
 
     @contextmanager
-    def __call__(self, name: str, *, wrap: bool = True):
-        started = time.perf_counter()
+    def __call__(self, name: str):
+        self._open.append((name, time.perf_counter()))
         log.info("stage %s: start", name)
         try:
             yield
         except StageError:
             raise
         except (MidlimeError, OSError) as exc:
-            if not wrap:
-                raise
             raise StageError(name, exc) from exc
         finally:
-            self.timings[name] = round(time.perf_counter() - started, 6)
-            self.peaks[name] = _peak_rss_mb()
+            self.lap()
+            self._open.pop()
             log.info("stage %s: %.3fs", name, self.timings[name])
+
+    def lap(self) -> None:
+        name, started = self._open[-1]
+        self.timings[name] = round(time.perf_counter() - started, 6)
+        self.peaks[name] = _peak_rss_mb()
 
 
 def _usable_cpus() -> int:
@@ -542,9 +547,10 @@ def _report(config: RunConfig, prep: _Prepared, predictor_exit: int | None) -> d
 
 
 def _write_report(path: Path, report: dict, stage: _Stages) -> None:
-    """Write `report` with the stage timings so far, the total, the CPU time
-    so far, the peak RSS at the end of each of those stages that this
-    process ran and its peak RSS now."""
+    """Write `report` with the stage timings so far, the open `write` stage's
+    up to now, the total, the CPU time so far, the peak RSS at the end of
+    each of those stages that this process ran and its peak RSS now."""
+    stage.lap()
     report["timings_s"] = {**stage.timings,
                            "total": round(time.perf_counter() - stage.started, 6)}
     # User plus system time of this process and of every child it reaped.
@@ -681,9 +687,9 @@ def run_stability(config: RunConfig, seeds: Sequence[int],
         return explanation, seconds
 
     try:
-        # Each attribution names its own failure; a helper that dies is
-        # reported as it is.
-        with stage("lime", wrap=False):
+        # Each attribution names its own failure; a helper that dies fails
+        # the stage.
+        with stage("lime"):
             done = _spread(attribute, lime_configs, prep.lime_workers)
     finally:
         predictor_exit = prep.predictor.close()

@@ -37,6 +37,9 @@ handshake, and they are stopped one at a time. A `predict` call is cut into
 requests of at most `batch_size` rows, ``REQUEST_BYTES`` of text (or one
 row) and an equal share per child, each sent to the child with the fewest
 replies outstanding, so every child serves every call, in increasing ids.
+A request's rows are made one at a time, each only as its child's pipe
+drains, so the parent holds about one row of text per child, and
+``REQUEST_BYTES`` bounds only the line that a child reads at once.
 The child's stderr is inherited, so its diagnostics land in the host's logs.
 """
 
@@ -55,7 +58,7 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -76,7 +79,8 @@ from .lime import Instance, MaskBatch, _tree_sum
 PROTOCOL_VERSION = 1
 # Most predict requests that await a reply from one child at any time.
 WINDOW = 4
-# Most bytes of one predict request, framing included, unless it holds one row.
+# Most bytes of one predict request, framing included, unless it holds one row:
+# the line that a child reads at once.
 REQUEST_BYTES = 1 << 22
 MID_COUNT = 7
 EMOTION_COUNT = 8
@@ -362,13 +366,15 @@ _PREDICT_TAIL = b"]]}\n"
 
 
 def _predict_line(cid: int, shape: tuple[int, int],
-                  rows: Iterable[bytes]) -> list[bytes]:
-    """A predict request as its pieces: head, rows and separators, tail."""
-    parts = [_PREDICT_HEAD % (cid, *shape)]
-    for row in rows:
-        parts += (row, b"],[")
-    parts[-1] = _PREDICT_TAIL
-    return parts
+                  rows: Iterable[bytes]) -> Iterator[bytes]:
+    """A predict request as its pieces, each made when it is drawn: head,
+    rows with separators between them, tail."""
+    yield _PREDICT_HEAD % (cid, *shape)
+    for k, row in enumerate(rows):
+        if k:
+            yield b"],["
+        yield row
+    yield _PREDICT_TAIL
 
 
 class _RunTexts:
@@ -545,11 +551,11 @@ class ExternalPredictor:
     def predict(self, batch: MaskBatch) -> tuple[np.ndarray, np.ndarray]:
         if not self._pool:
             raise TransportError("predictor is not running; call start() first")
-        # The batch's instance is checked already. A request is written only
-        # when a child's window has room for it.
+        # The batch's instance is checked already. A request is taken only
+        # when a child's window has room for it, and each of its rows is
+        # made from its own slice of masks only when that child's pipe drains.
         texts = batch.instance.memo("run_texts", _RunTexts)
         shape = batch.instance.spec.values.shape
-        rows = map(texts.row, batch.masks)
         # A request is its head, its rows with "],[" between them, and its
         # tail; the head is longest for the largest id.
         frame = len(_PREDICT_HEAD % (self._next_id + len(batch), *shape) + _PREDICT_TAIL)
@@ -567,7 +573,7 @@ class ExternalPredictor:
             for cid, (start, stop) in list(bounds.items()):
                 self.counters["requests"] += 1
                 self.counters["items"] += stop - start
-                yield _predict_line(cid, shape, islice(rows, stop - start))
+                yield _predict_line(cid, shape, map(texts.row, batch.masks[start:stop]))
 
         self._relay(self._pool, payloads(), len(bounds),
                     lambda line: self._handle_prediction(line, bounds, mids, emotions))
@@ -620,22 +626,28 @@ class ExternalPredictor:
                                 line=line.decode("utf-8", "replace"))
         return msg
 
-    def _relay(self, children: Sequence[_Child], payloads: Iterable[Sequence[bytes]],
+    def _relay(self, children: Sequence[_Child], payloads: Iterable[Iterable[bytes]],
                want: int, on_line: Callable[[bytes], None]) -> None:
         """Send `payloads` in order; hand `want` reply lines to `on_line`.
 
-        Each payload is a sequence of pieces whose concatenation is one line.
-        The next payload goes to the child with the fewest replies
+        Each payload is an iterable of pieces whose concatenation is one
+        line. The next payload goes to the child with the fewest replies
         outstanding, the first on a tie, and is taken from `payloads` only
-        while that child has fewer than `WINDOW`. Each child's outbox holds
-        views of the pieces, not copies, hands up to 64 of them to one
-        `os.writev` and drops each piece once it is written. Any read or
-        write that makes progress, and taking a payload, restarts the
-        timeout.
+        while that child has fewer than `WINDOW`; it counts against the
+        window from then on. A child's taken payloads wait in order, and
+        their pieces are drawn into its outbox only while the outbox holds
+        less than one `os.writev` batch of 64 pieces and less than one
+        64 KiB pipe buffer. So the parent holds about one request row per
+        child however long the requests are. The outbox holds views of the
+        pieces, not copies, and drops each piece once it is written. Any
+        read or write that makes progress, and taking a payload, restarts
+        the timeout.
         """
         payloads = iter(payloads)
         pending = True
+        feeds: list[deque[Iterator[bytes]]] = [deque() for _ in children]
         outboxes: list[deque[memoryview]] = [deque() for _ in children]
+        queued = [0] * len(children)
         waiting = [0] * len(children)
         armed = [False] * len(children)
         got = 0
@@ -652,11 +664,19 @@ class ExternalPredictor:
                     pieces = next(payloads, None)
                     pending = pieces is not None
                     if pending:
-                        outboxes[k].extend(memoryview(piece) for piece in pieces if piece)
+                        feeds[k].append(iter(pieces))
                         waiting[k] += 1
                         deadline = time.monotonic() + self._timeout
-                    # Only the outbox's views hold the pieces from here on.
-                    del pieces
+                # A feed left after this has put a piece in its outbox, so
+                # the outboxes alone tell whether there is more to write.
+                for k, (feed, outbox) in enumerate(zip(feeds, outboxes)):
+                    while feed and len(outbox) < 64 and queued[k] < 1 << 16:
+                        piece = next(feed[0], None)
+                        if piece is None:
+                            feed.popleft()
+                        elif piece:
+                            outbox.append(memoryview(piece))
+                            queued[k] += len(piece)
                 if not (pending or any(outboxes) or got < want):
                     break
                 for k, child in enumerate(children):
@@ -706,6 +726,7 @@ class ExternalPredictor:
                                 f"{proc.poll()})"
                             ) from exc
                         _drop_front(outbox, n)
+                        queued[key.data] -= n
                         self.counters["bytes_out"] += n
                         progressed |= n > 0
                 if progressed:

@@ -321,7 +321,9 @@ def felzenszwalb_segment(spec: Spectrogram, config: SegmentationConfig) -> Segme
             a, b, weight = parent_np[a[rest]], parent_np[b[rest]], weight[rest]
         scanned += len(a)
         # A node that is a root, or whose parent is one, needs no _find call.
-        for p, q, wt in zip(a.tolist(), b.tolist(), weight.tolist()):
+        # Memoryviews yield the ints and floats that `.tolist()` would, with
+        # no list of the whole block.
+        for p, q, wt in zip(memoryview(a), memoryview(b), memoryview(weight)):
             ra = parent[p]
             if parent[ra] != ra:
                 ra = _find(parent, p)
@@ -349,7 +351,7 @@ def felzenszwalb_segment(spec: Spectrogram, config: SegmentationConfig) -> Segme
         b = _roots_of(parent_np, q_block)
         pending = (a != b) & ((size_np[a] < min_size) | (size_np[b] < min_size))
         post_merge += int(np.count_nonzero(pending))
-        for ra, rb in zip(a[pending].tolist(), b[pending].tolist()):
+        for ra, rb in zip(memoryview(a[pending]), memoryview(b[pending])):
             if parent[ra] != ra:
                 ra = _find(parent, ra)
             if parent[rb] != rb:

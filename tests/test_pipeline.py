@@ -534,6 +534,7 @@ class TestBundleEdges:
         def recording_relay(self, children, payloads, want, on_line):
             def record():
                 for pieces in payloads:
+                    pieces = list(pieces)
                     sent.append(b"".join(pieces))
                     yield pieces
             return relay(self, children, record(), want, on_line)
@@ -1062,6 +1063,19 @@ class TestRunStability:
             assert len(results[count]["selected_counts"]) == 2
             assert 0.0 <= results[count]["score"].mean_pairwise_jaccard <= 1.0
 
+    def test_both_commands_time_the_write_stage(self, fixture_wav, tmp_path, bundle):
+        # Up to report.json's own write, which `total` follows.
+        out = tmp_path / "stab"
+        run_stability(fast_config(fixture_wav, out), seeds=[1, 2], sample_counts=[600])
+        stability = json.loads((out / "report.json").read_text())
+        explain = json.loads((bundle.out_dir / BUNDLE_FILES["report"]).read_text())
+        for report in (explain, stability):
+            timings = report["timings_s"]
+            assert list(timings)[-2:] == ["write", "total"]
+            assert 0 < timings["write"] < timings["total"]
+            assert list(report["peak_rss_mb_by_stage"])[-1] == "write"
+            assert_peaks_by_stage(report)
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_writes_a_report_with_each_attribution(self, fixture_wav, tmp_path, bundle,
                                                    workers, forks):
@@ -1233,7 +1247,7 @@ class TestForkedStability:
         code = cli_main(stability_argv(fixture_wav, tmp_path / "s", 2))
         assert code == 5
         assert capsys.readouterr().err == (
-            f"error: helper process {forks[0]} was killed by signal "
+            f"error: stage 'lime' failed: helper process {forks[0]} was killed by signal "
             f"{signal.SIGKILL} before it sent all its results\n")
         assert_no_child_left()
         assert os.listdir(tmp_path) == []

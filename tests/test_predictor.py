@@ -876,6 +876,7 @@ class TestGatewayMaskBatch:
         def recording_relay(self, proc, payloads, want, on_line):
             def record():
                 for pieces in payloads:
+                    pieces = list(pieces)
                     line = b"".join(pieces)
                     if line.startswith(b'{"type":"predict"'):
                         sent.append(line)
@@ -962,25 +963,32 @@ class TestGatewayMaskBatch:
         assert gateway.lines == expected
 
     def test_a_request_is_held_once(self):
-        # 224 rows of the fixture's first second at 257 x 85 make a 47.6 MB
-        # request; joining it into one line and copying that into the outbox
-        # peaked at 95.9 MB.
+        # 224 rows of the fixture's first second at 257 x 85, 0.22 MB of text
+        # each. The parent makes a row's text only as its child's pipe drains;
+        # building each request whole when the child's window took it peaked
+        # at 15.6 MB with one child and 30.9 MB with two.
         config = StftConfig(frame_size=512, hop_size=256)
         clip = AudioClip(samples=make_fixture_samples()[:SAMPLE_RATE],
                          sample_rate=SAMPLE_RATE)
         spec = magnitude_db(stft(clip, config))
         seg_map = felzenszwalb_segment(spec, SegmentationConfig())
         masks = sample_masks(seg_map.segment_count, LimeConfig(n_samples=224, seed=0))
-        batch = MaskBatch(Instance(spec, seg_map, FillStrategy.SEGMENT_MEAN), masks)
-        with ExternalPredictor(child_command("echo"), timeout=60) as gateway:
-            tracemalloc.start()
-            try:
-                mids, _ = gateway.predict(batch)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-        assert mids.shape == (224, MID_COUNT)
-        assert peak < 60e6
+        instance = Instance(spec, seg_map, FillStrategy.SEGMENT_MEAN)
+        batch = MaskBatch(instance, masks)
+        for children in (1, 2):
+            with ExternalPredictor(child_command("echo"), timeout=60,
+                                   children=children) as gateway:
+                # Builds the run texts, which the instance keeps.
+                gateway.predict(MaskBatch(instance, masks[:1]))
+                tracemalloc.start()
+                try:
+                    mids, _ = gateway.predict(batch)
+                    _, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+            row_bytes = instance.memo("run_texts", predictor._RunTexts).row_bytes
+            assert mids.shape == (224, MID_COUNT)
+            assert peak < 8 * row_bytes * children, (children, peak, row_bytes)
 
 
 class WireGateway(ExternalPredictor):
